@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 __all__ = ["ConfigError", "ExperimentConfig", "SCHEMAS", "parse_config_file",
-           "build_config", "parse_k_ladder", "parse_decade_ladder",
-           "parse_float_list"]
+           "build_config", "parse_decade_ladder", "parse_float_list"]
 
 
 class ConfigError(ValueError):
@@ -199,7 +198,7 @@ def _validate(experiment: str, v: dict):
 
     positive("speed", "mu", "epsilon", "eta", "L", "samples", "trajectories",
              "injections", "paths", "bins", "angle_bins", "x_bins",
-             "checkpoints", "heat_bins", "sigma0", "t_max")
+             "checkpoints", "heat_bins", "sigma0", "t_max", "B")
     if "alpha" in v and not (0.0 < v["alpha"] <= 0.5):
         raise ConfigError(f"alpha must be in (0, 1/2], got {v['alpha']}")
     if v.get("cell_size", 0.0) < 0.0:
@@ -210,10 +209,10 @@ def _validate(experiment: str, v: dict):
         raise ConfigError("workers must be >= 1")
     if experiment == "thermalization" and v["initial"] not in ("delta", "uniform"):
         raise ConfigError("initial must be 'delta' or 'uniform'")
-
-
-def parse_k_ladder(kmin: int, kmax: int) -> list[float]:
-    return [2.0**-k for k in range(kmin, kmax + 1)]
+    if "times" in v and not parse_float_list(v["times"]):
+        raise ConfigError("times must list at least one time")
+    if "eps_ladder" in v:
+        parse_decade_ladder(v["eps_ladder"])  # raises ConfigError if malformed
 
 
 def parse_decade_ladder(spec: str) -> list[float]:

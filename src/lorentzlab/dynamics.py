@@ -10,6 +10,11 @@ solved exactly by the quadratic formula; near-tangential hits
 boundary interaction the position is nudged 1e-12 along the new
 velocity so the boundary just left is not re-detected.
 
+The next hit is found by marching the ray through the field's cells in
+steps of the field's ``march_window``; planted fixtures and Poisson
+fields take the same march.  In a slab run the search stops at the
+first wall crossing, since a disk behind the wall is never reached.
+
 Overlapping disks are not composed: a disk that already contains the
 current position is ignored for that flight, the first boundary crossing
 always wins, and the overlap shows up in the pathology report instead.
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .scattering import BarrierParams, refractive_index
+from .scattering import BarrierParams, deflection_angle
 
 __all__ = [
     "ParticleState",
@@ -120,36 +125,14 @@ def _bound_cross(x: float, ux: float, s_len: float, lo: float, hi: float):
 def _first_hit(field, x, y, ux, uy, r, s_max):
     """Earliest disk-boundary entry along (x,y) + s*(ux,uy), s in (0, s_max].
 
-    Marches the ray in windows of a couple of mean free paths,
-    enumerating the cells whose r-neighborhood the window touches; a
-    disk entered inside the window necessarily has its center within r
-    of the window segment, so the earliest hit found is the global one.
+    Marches the ray in steps of ``field.march_window``, enumerating the
+    cells whose r-neighborhood the window touches; a disk entered inside
+    the window necessarily has its center within r of the window
+    segment, so the earliest hit found is the global one.
     """
-    if s_max <= 0.0:
-        return None
     r2 = r * r
-    spec = getattr(field, "spec", None)
-    if spec is None:
-        # planted fixture: single pass over the explicit list
-        best_s = None
-        best_c = None
-        for (cx, cy) in field.centers:
-            wx, wy = cx - x, cy - y
-            w2 = wx * wx + wy * wy
-            if w2 < r2:
-                continue  # started inside (overlap); do not interact
-            b = wx * ux + wy * uy
-            disc = b * b - (w2 - r2)
-            if disc < _TANGENT_TOL * r2:
-                continue  # tangential graze counts as a miss
-            s_in = b - math.sqrt(disc)
-            if 0.0 < s_in <= s_max and (best_s is None or s_in < best_s):
-                best_s = s_in
-                best_c = (cx, cy)
-        return None if best_s is None else (best_s, best_c)
-
     cs = field.cell_size
-    win = max(2.0 * cs, 1.5 / (2.0 * r * spec.mu_eff))
+    win = field.march_window
     cell_lists = field.scatterers_in_cell
     floor = math.floor
     s0 = 0.0
@@ -173,11 +156,11 @@ def _first_hit(field, x, y, ux, uy, r, s_max):
                     wx, wy = cx - x, cy - y
                     w2 = wx * wx + wy * wy
                     if w2 < r2:
-                        continue
+                        continue  # started inside (overlap); do not interact
                     b = wx * ux + wy * uy
                     disc = b * b - (w2 - r2)
                     if disc < _TANGENT_TOL * r2:
-                        continue
+                        continue  # tangential graze counts as a miss
                     s_in = b - math.sqrt(disc)
                     if 0.0 < s_in <= s1 and (best_s is None or s_in < best_s):
                         best_s = s_in
@@ -232,9 +215,7 @@ class _Engine:
                 raise ValueError("barrier mode requires BarrierParams")
             if abs(field.epsilon - params.epsilon) > 1e-12 * params.epsilon:
                 raise ValueError("field.epsilon and params.epsilon disagree")
-            self.n_index = (
-                0.0 if params.always_reflects else refractive_index(params)
-            )
+            self.n_index = params.n_index
         else:
             # hard disks only reflect; params is unused
             self.n_index = 0.0
@@ -271,17 +252,17 @@ class _Engine:
             ux, uy = vx / speed, vy / speed
             remaining = t_max - t
             s_budget = speed * remaining
-            hit = _first_hit(self.field, x, y, ux, uy, r, s_budget)
-            s_free = s_budget if hit is None else hit[0]
-
+            bc = None
             if bounds is not None:
-                bc = _bound_cross(x, ux, s_free, bounds[0], bounds[1])
-                if bc is not None:
-                    s_b, side = bc
-                    t1 = t + s_b / speed
-                    self._segment(t, t1, x, y, x + s_b * ux, y + s_b * uy,
-                                  vx, vy)
-                    return x + s_b * ux, y + s_b * uy, vx, vy, t1, side
+                bc = _bound_cross(x, ux, s_budget, bounds[0], bounds[1])
+            # a disk behind the wall is never reached: search up to the wall
+            hit = _first_hit(self.field, x, y, ux, uy, r,
+                             s_budget if bc is None else bc[0])
+            if bc is not None and (hit is None or bc[0] <= hit[0]):
+                s_b, side = bc
+                t1 = t + s_b / speed
+                self._segment(t, t1, x, y, x + s_b * ux, y + s_b * uy, vx, vy)
+                return x + s_b * ux, y + s_b * uy, vx, vy, t1, side
 
             if hit is None:
                 x1, y1 = x + s_budget * ux, y + s_budget * uy
@@ -317,43 +298,24 @@ class _Engine:
                     log.path.append((t, (x, y)))
                 continue
 
-            # refracted traversal of the barrier
+            # refracted traversal: the interior chord bends by half the
+            # deflection at entry and the other half at exit
             n = self.n_index
-            sinb1 = abs(rho)
-            half = math.asin(min(1.0, sinb1 / n)) - math.asin(sinb1)
-            if rho < 0.0:
-                half = -half
+            theta = deflection_angle(rho, n)
+            half = 0.5 * theta
             ch, sh = math.cos(half), math.sin(half)
             dx, dy = ch * ux - sh * uy, sh * ux + ch * uy  # interior direction
-            chord = 2.0 * r * math.sqrt(max(0.0, 1.0 - (sinb1 / n) ** 2))
+            chord = 2.0 * r * math.sqrt(max(0.0, 1.0 - (abs(rho) / n) ** 2))
             v_int = n * speed
-            transit = chord / v_int
             if log is not None:
                 log.events.append(
                     TrajectoryEvent(t, (cx, cy), rho, BARRIER_TRAVERSE)
                 )
-
-            if transit > t_max - t:
-                # budget expires mid-chord: stop inside with interior velocity
-                s_part = (t_max - t) * v_int
-                x1, y1 = xe + s_part * dx, ye + s_part * dy
-                self._segment(t, t_max, xe, ye, x1, y1, v_int * dx, v_int * dy)
-                return x1, y1, v_int * dx, v_int * dy, t_max, None
-
-            xo, yo = xe + chord * dx, ye + chord * dy
-            t1 = t + transit
-            if bounds is not None:
-                bc = _bound_cross(xe, dx, chord, bounds[0], bounds[1])
-                if bc is not None:
-                    s_b, side = bc
-                    tb = t + s_b / v_int
-                    self._segment(t, tb, xe, ye, xe + s_b * dx, ye + s_b * dy,
-                                  v_int * dx, v_int * dy)
-                    return (xe + s_b * dx, ye + s_b * dy,
-                            v_int * dx, v_int * dy, tb, side)
-            self._segment(t, t1, xe, ye, xo, yo, v_int * dx, v_int * dy)
-            t = t1
-            c2, s2 = math.cos(2.0 * half), math.sin(2.0 * half)
+            stop, xo, yo, t = self._chord(xe, ye, dx, dy, v_int * dx,
+                                          v_int * dy, v_int, chord, t, t_max)
+            if stop is not None:
+                return stop
+            c2, s2 = math.cos(theta), math.sin(theta)
             vx, vy = c2 * vx - s2 * vy, s2 * vx + c2 * vy
             x, y = xo + _PUSH * vx / speed, yo + _PUSH * vy / speed
             if log is not None:
@@ -371,22 +333,10 @@ class _Engine:
         b = -(wx * ux + wy * uy)
         disc = b * b - (wx * wx + wy * wy - r * r)
         s_out = b + math.sqrt(max(0.0, disc))
-        transit = s_out / v_int
-        if transit > t_max - t:
-            s_part = (t_max - t) * v_int
-            x1, y1 = x + s_part * ux, y + s_part * uy
-            self._segment(t, t_max, x, y, x1, y1, vx, vy)
-            return x1, y1, vx, vy, t_max, None
-        xo, yo = x + s_out * ux, y + s_out * uy
-        t1 = t + transit
-        if self.x_bounds is not None:
-            bc = _bound_cross(x, ux, s_out, self.x_bounds[0], self.x_bounds[1])
-            if bc is not None:
-                s_b, side = bc
-                tb = t + s_b / v_int
-                self._segment(t, tb, x, y, x + s_b * ux, y + s_b * uy, vx, vy)
-                return x + s_b * ux, y + s_b * uy, vx, vy, tb, side
-        self._segment(t, t1, x, y, xo, yo, vx, vy)
+        stop, xo, yo, t1 = self._chord(x, y, ux, uy, vx, vy, v_int, s_out,
+                                       t, t_max)
+        if stop is not None:
+            return stop
         mx, my = (xo - cx) / r, (yo - cy) / r
         ex, ey = _exit_refract(ux, uy, mx, my, self.n_index)
         speed_out = v_int / self.n_index
@@ -395,6 +345,34 @@ class _Engine:
         if self.log is not None:
             self.log.path.append((t1, (xo, yo)))
         return xo, yo, vx, vy, t1, None
+
+    def _chord(self, x, y, dx, dy, vx, vy, v_int, length, t, t_max):
+        """Walk ``length`` along unit (dx, dy) inside a disk at velocity
+        (vx, vy) of speed v_int.
+
+        Returns (stop, x_out, y_out, t_out): the chord's end point and
+        time, or ``stop``, the run's final result, when the time budget
+        runs out mid-chord (the particle stays inside with its interior
+        velocity) or the chord crosses a slab wall.
+        """
+        transit = length / v_int
+        if transit > t_max - t:
+            s_part = (t_max - t) * v_int
+            x1, y1 = x + s_part * dx, y + s_part * dy
+            self._segment(t, t_max, x, y, x1, y1, vx, vy)
+            return (x1, y1, vx, vy, t_max, None), None, None, None
+        if self.x_bounds is not None:
+            bc = _bound_cross(x, dx, length, self.x_bounds[0], self.x_bounds[1])
+            if bc is not None:
+                s_b, side = bc
+                tb = t + s_b / v_int
+                xb, yb = x + s_b * dx, y + s_b * dy
+                self._segment(t, tb, x, y, xb, yb, vx, vy)
+                return (xb, yb, vx, vy, tb, side), None, None, None
+        xo, yo = x + length * dx, y + length * dy
+        t1 = t + transit
+        self._segment(t, t1, x, y, xo, yo, vx, vy)
+        return None, xo, yo, t1
 
     def _segment(self, t0, t1, x0, y0, x1, y1, vx, vy):
         if self.on_segment is not None:

@@ -27,7 +27,8 @@ from .medium import FieldSpec, ScattererField
 from .parallel import run_chunked
 from .rng import mix_key, rng_stream
 from .scattering import BarrierParams, scattering_angle
-from .stats import angle_histogram, chi_square_uniform, linear_fit, tv_distance, tv_self_noise
+from .stats import (angle_histogram, chi_square_uniform, linear_fit, msd_curve,
+                    tv_distance, tv_self_noise)
 
 __all__ = ["Report", "run_experiment", "write_outputs", "RUNNERS"]
 
@@ -49,6 +50,13 @@ class Report:
 # chunk workers (top level: picklable)
 
 
+def _barrier_field(eps, alpha, mu, seed, tag, i, cell):
+    """Barrier-scaled Poisson field of mechanical trajectory i."""
+    spec = FieldSpec(mu=mu, epsilon=eps, seed=mix_key(seed, tag, i),
+                     delta=1.0 + 2.0 * alpha, cell_size=cell or None)
+    return ScattererField(spec)
+
+
 def _mech_final_chunk(payload):
     """Mechanical trajectories to time T; final angle/position/events.
 
@@ -58,7 +66,6 @@ def _mech_final_chunk(payload):
     """
     (eps, alpha, mu, speed, T, seed, tag, initial, cell, i0, i1) = payload
     params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
-    delta = 1.0 + 2.0 * alpha
     m = i1 - i0
     ang = np.empty(m)
     pos = np.empty((m, 2))
@@ -69,10 +76,9 @@ def _mech_final_chunk(payload):
         else:
             phi0 = 0.0
         v0 = (speed * math.cos(phi0), speed * math.sin(phi0))
-        spec = FieldSpec(mu=mu, epsilon=eps, seed=mix_key(seed, tag, i),
-                         delta=delta, cell_size=cell or None)
         state, log = advance(ParticleState((0.0, 0.0), v0),
-                             ScattererField(spec), params, T)
+                             _barrier_field(eps, alpha, mu, seed, tag, i, cell),
+                             params, T)
         ang[j] = math.atan2(state.v[1], state.v[0])
         pos[j] = state.x
         n_events[j] = len(log.events)
@@ -99,19 +105,16 @@ def _jump_final_chunk(payload):
 def _pathology_chunk(payload):
     (eps, alpha, mu, speed, T, seed, tag, cell, i0, i1) = payload
     params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
-    delta = 1.0 + 2.0 * alpha
     m = i1 - i0
     out = np.empty((m, 4), dtype=np.int64)  # rec, int, ov, q
     for j, i in enumerate(range(i0, i1)):
-        spec = FieldSpec(mu=mu, epsilon=eps, seed=mix_key(seed, tag, i),
-                         delta=delta, cell_size=cell or None)
-        fld = ScattererField(spec)
+        fld = _barrier_field(eps, alpha, mu, seed, tag, i, cell)
         _, log = advance(ParticleState((0.0, 0.0), (speed, 0.0)), fld,
                          params, T)
         rep = classify_pathologies(log, fld, params)
         out[j] = (rep.recollisions, rep.interferences, rep.overlaps,
                   rep.q_collisions)
-    return out
+    return (out,)
 
 
 def _mech_checkpoint_chunk(payload):
@@ -122,7 +125,6 @@ def _mech_checkpoint_chunk(payload):
     """
     (eps, alpha, mu, speed, checks, seed, tag, sigma0, cell, i0, i1) = payload
     params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
-    delta = 1.0 + 2.0 * alpha
     m = i1 - i0
     n_check = len(checks)
     disp = np.empty((m, n_check, 2))
@@ -131,9 +133,7 @@ def _mech_checkpoint_chunk(payload):
         rng = rng_stream(seed, i)
         phi0 = rng.random() * 2.0 * math.pi
         x0 = rng.standard_normal(2) * sigma0 if sigma0 > 0 else np.zeros(2)
-        spec = FieldSpec(mu=mu, epsilon=eps, seed=mix_key(seed, tag, i),
-                         delta=delta, cell_size=cell or None)
-        fld = ScattererField(spec)
+        fld = _barrier_field(eps, alpha, mu, seed, tag, i, cell)
         st = ParticleState(x0, (speed * math.cos(phi0), speed * math.sin(phi0)))
         prev = 0.0
         for c, tc in enumerate(checks):
@@ -144,8 +144,13 @@ def _mech_checkpoint_chunk(payload):
     return disp, final_abs
 
 
-def _chunk_ranges(n: int):
-    return [(i0, min(i0 + CHUNK, n)) for i0 in range(0, n, CHUNK)]
+def _ensemble(fn, head: tuple, n: int, workers: int) -> tuple:
+    """Run chunk worker ``fn`` over items 0..n-1 in CHUNK-sized index
+    ranges (payload ``head + (i0, i1)``) and concatenate each of its
+    outputs in chunk order."""
+    parts = run_chunked(fn, [head + (i0, min(i0 + CHUNK, n))
+                             for i0 in range(0, n, CHUNK)], workers)
+    return tuple(np.concatenate(out) for out in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +220,15 @@ def run_kinetic_compare(cfg: ExperimentConfig) -> Report:
     tvs, floors = [], []
     for k in range(cfg["kmin"], cfg["kmax"] + 1):
         eps = 2.0**-k
-        mech_parts = run_chunked(
+        mech_a, mech_pos, mech_ev = _ensemble(
             _mech_final_chunk,
-            [(eps, cfg["alpha"], cfg["mu"], cfg["speed"], T, cfg["seed"],
-              1000 + k, "delta", cfg["cell_size"], i0, i1)
-             for (i0, i1) in _chunk_ranges(n)],
-            cfg["workers"],
-        )
-        jump_parts = run_chunked(
+            (eps, cfg["alpha"], cfg["mu"], cfg["speed"], T, cfg["seed"],
+             1000 + k, "delta", cfg["cell_size"]), n, cfg["workers"])
+        jump_a, jump_pos, jump_ev = _ensemble(
             _jump_final_chunk,
-            [(eps, cfg["alpha"], cfg["mu"], cfg["speed"], T, cfg["seed"],
-              2000 + k, i0, i1) for (i0, i1) in _chunk_ranges(n)],
-            cfg["workers"],
-        )
-        mech_a = np.concatenate([p[0] for p in mech_parts])
-        mech_x = np.concatenate([p[1] for p in mech_parts])[:, 0]
-        mech_ev = np.concatenate([p[2] for p in mech_parts])
-        jump_a = np.concatenate([p[0] for p in jump_parts])
-        jump_x = np.concatenate([p[1] for p in jump_parts])[:, 0]
-        jump_ev = np.concatenate([p[2] for p in jump_parts])
+            (eps, cfg["alpha"], cfg["mu"], cfg["speed"], T, cfg["seed"],
+             2000 + k), n, cfg["workers"])
+        mech_x, jump_x = mech_pos[:, 0], jump_pos[:, 0]
 
         ha = angle_histogram(mech_a, cfg["angle_bins"])
         hb = angle_histogram(jump_a, cfg["angle_bins"])
@@ -275,14 +270,10 @@ def run_thermalization(cfg: ExperimentConfig) -> Report:
     rows = []
     p_values = {}
     for idx, t in enumerate(parse_float_list(cfg["times"])):
-        parts = run_chunked(
+        ang, _, _ = _ensemble(
             _mech_final_chunk,
-            [(eps, cfg["alpha"], cfg["mu"], cfg["speed"], t, cfg["seed"],
-              3000 + idx, cfg["initial"], cfg["cell_size"], i0, i1)
-             for (i0, i1) in _chunk_ranges(n)],
-            cfg["workers"],
-        )
-        ang = np.concatenate([p[0] for p in parts])
+            (eps, cfg["alpha"], cfg["mu"], cfg["speed"], t, cfg["seed"],
+             3000 + idx, cfg["initial"], cfg["cell_size"]), n, cfg["workers"])
         stat, p = chi_square_uniform(angle_histogram(ang, cfg["angle_bins"]))
         rows.append((t, stat, p))
         p_values[str(t)] = p
@@ -298,8 +289,6 @@ def run_thermalization(cfg: ExperimentConfig) -> Report:
 def run_diffusion(cfg: ExperimentConfig) -> Report:
     """Angular-diffusion transport curves and the three D routes."""
     B, speed = cfg["B"], cfg["speed"]
-    if B <= 0:
-        raise ValueError("B must be positive")
     c = B / speed**2
     t_max = cfg["t"] if cfg["t"] > 0 else 10.0 / c
     dt = cfg["dt"] if cfg["dt"] > 0 else 0.01 / c
@@ -339,18 +328,11 @@ def run_diffusive_scale(cfg: ExperimentConfig) -> Report:
     checks = tuple(t_final * (j + 1) / n_check for j in range(n_check))
     n = cfg["trajectories"]
     sigma0 = cfg["sigma0"]
-    parts = run_chunked(
+    disp, final_abs = _ensemble(
         _mech_checkpoint_chunk,
-        [(eps, alpha, mu, speed, checks, cfg["seed"], 4000, sigma0,
-          cfg["cell_size"], i0, i1) for (i0, i1) in _chunk_ranges(n)],
-        cfg["workers"],
-    )
-    disp = np.concatenate([p[0] for p in parts])
-    final_abs = np.concatenate([p[1] for p in parts])
-
-    sq = np.einsum("ptk,ptk->pt", disp, disp)
-    msd = sq.mean(axis=0)
-    msd_ci = 1.96 * sq.std(axis=0, ddof=1) / math.sqrt(n)
+        (eps, alpha, mu, speed, checks, cfg["seed"], 4000, sigma0,
+         cfg["cell_size"]), n, cfg["workers"])
+    msd, msd_ci = msd_curve(disp)
     rows = [(checks[i], float(msd[i]), float(msd_ci[i]))
             for i in range(n_check)]
 
@@ -400,14 +382,10 @@ def run_pathology_scan(cfg: ExperimentConfig) -> Report:
     per_coll = []
     for k in range(cfg["kmin"], cfg["kmax"] + 1):
         eps = 2.0**-k
-        parts = run_chunked(
+        (counts,) = _ensemble(
             _pathology_chunk,
-            [(eps, cfg["alpha"], cfg["mu"], cfg["speed"], cfg["time"],
-              cfg["seed"], 5000 + k, cfg["cell_size"], i0, i1)
-             for (i0, i1) in _chunk_ranges(n)],
-            cfg["workers"],
-        )
-        counts = np.concatenate(parts)
+            (eps, cfg["alpha"], cfg["mu"], cfg["speed"], cfg["time"],
+             cfg["seed"], 5000 + k, cfg["cell_size"]), n, cfg["workers"])
         rec, intf, ov, q = counts.T
         q_tot = max(int(q.sum()), 1)
         frac_rec = float(rec.sum()) / q_tot

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .scattering import BarrierParams, RegimeError, refractive_index, theta_of_rho
+from .scattering import BarrierParams, RegimeError, deflection_angle
 
 __all__ = [
     "KineticCoefficients",
@@ -91,9 +91,9 @@ class KineticCoefficients:
 class JumpProcessParams:
     """Total jump rate plus the single-collision angle law.
 
-    The angle law is theta(rho) with rho uniform on [-1, 1]; it is
-    symmetric about zero.  ``n_index = 0`` means the hard-disk law
-    theta = sign(rho) * 2 arccos|rho|.
+    The angle law is ``deflection_angle(rho, n_index)`` with rho uniform
+    on [-1, 1]; it is symmetric about zero.  ``n_index = 0`` means the
+    hard-disk law theta = sign(rho) * 2 arccos|rho|.
     """
 
     rate: float
@@ -110,20 +110,15 @@ class JumpProcessParams:
     def from_barrier(cls, params: BarrierParams, mu: float = 1.0
                      ) -> "JumpProcessParams":
         rate = 2.0 * mu * params.epsilon ** (-2.0 * params.alpha) * params.speed
-        n = 0.0 if params.always_reflects else refractive_index(params)
-        return cls(rate=rate, n_index=n, speed=params.speed)
+        return cls(rate=rate, n_index=params.n_index, speed=params.speed)
 
     @classmethod
     def hard_disk(cls, rate: float, speed: float = 1.0) -> "JumpProcessParams":
         return cls(rate=rate, n_index=0.0, speed=speed)
 
-    def sample_angles(self, rng, size: int) -> np.ndarray:
-        rho = rng.uniform(-1.0, 1.0, size)
-        return theta_of_rho(rho, self.n_index)
-
     def mean_cos_jump(self) -> float:
         """E[cos theta] over the jump law (quadrature)."""
-        val, _ = quad(lambda r: math.cos(_theta_scalar(r, self.n_index)),
+        val, _ = quad(lambda r: math.cos(deflection_angle(r, self.n_index)),
                       0.0, 1.0, epsabs=0, epsrel=1e-12,
                       points=[self.n_index] if self.n_index > 0 else None)
         return val
@@ -131,12 +126,6 @@ class JumpProcessParams:
     def momentum_transfer_rate(self) -> float:
         """nu = rate * (1 - E[cos theta]); the VACF decays as e^(-nu t)."""
         return self.rate * (1.0 - self.mean_cos_jump())
-
-
-def _theta_scalar(rho_abs: float, n: float) -> float:
-    if n > 0.0 and rho_abs <= n:
-        return 2.0 * (math.asin(rho_abs / n) - math.asin(rho_abs))
-    return 2.0 * math.acos(rho_abs)
 
 
 @dataclass
@@ -192,7 +181,7 @@ def sample_boltzmann_path(x0, v0, t: float, params: JumpProcessParams,
             break
         times.append(tau)
         rho = 2.0 * rng.random() - 1.0
-        phi += _theta_scalar(abs(rho), params.n_index) * (1.0 if rho >= 0 else -1.0)
+        phi += deflection_angle(rho, params.n_index)
         angles.append(phi)
     times.append(t)
 
@@ -259,13 +248,12 @@ def sample_landau_path(x0, v0, t: float, B: float, dt: float, rng) -> LandauPath
 
 
 def landau_B_quadrature(epsilon: float, alpha: float, mu: float = 1.0,
-                        speed: float = 1.0, theta_fn=None) -> float:
+                        speed: float = 1.0) -> float:
     """(mu eps^(-2 alpha)/2) |v| * integral of theta^2 over rho in [-1,1].
 
     Adaptive quadrature with the branch point rho = n as a subdivision
     point, relative error <= 1e-8.  Raises RegimeError when
-    2 eps^alpha >= speed^2.  ``theta_fn`` (rho -> angle, rho >= 0)
-    replaces the physical angle law; it exists for tests.
+    2 eps^alpha >= speed^2.
     """
     if epsilon <= 0.0 or not (0.0 < alpha <= 0.5) or mu <= 0.0 or speed <= 0.0:
         raise ValueError("parameters out of range")
@@ -273,9 +261,7 @@ def landau_B_quadrature(epsilon: float, alpha: float, mu: float = 1.0,
     if ratio >= 1.0:
         raise RegimeError("2 eps^alpha >= speed^2: no refracted branch")
     n = math.sqrt(1.0 - ratio)
-    if theta_fn is None:
-        theta_fn = lambda r: _theta_scalar(r, n)  # noqa: E731
-    integrand = lambda r: theta_fn(r) ** 2  # noqa: E731
+    integrand = lambda r: deflection_angle(r, n) ** 2  # noqa: E731
     half, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10,
                    limit=500, points=[n])
     return 0.5 * mu * epsilon ** (-2.0 * alpha) * speed * (2.0 * half)
@@ -294,7 +280,7 @@ def scattering_moment_integrals(epsilon: float, alpha: float,
     if ratio >= 1.0:
         raise RegimeError("2 eps^alpha >= speed^2")
     n = math.sqrt(1.0 - ratio)
-    s2 = lambda r: 4.0 * math.sin(_theta_scalar(r, n) / 2.0) ** 2  # noqa: E731
+    s2 = lambda r: 4.0 * math.sin(deflection_angle(r, n) / 2.0) ** 2  # noqa: E731
     m2, _ = quad(s2, 0.0, 1.0, epsabs=0, epsrel=1e-10, limit=500, points=[n])
     # the fourth moment is tiny; a finite epsabs avoids roundoff stalls
     m4, _ = quad(lambda r: s2(r) ** 2, 0.0, 1.0, epsabs=1e-300, epsrel=1e-8,
@@ -454,12 +440,6 @@ class EmpiricalDensity:
     angles: np.ndarray  # (n,), radians, not wrapped
     time: float
 
-    def angle_histogram(self, n_bins: int = 256):
-        """Counts of the angle marginal on n_bins uniform bins of [0, 2pi)."""
-        wrapped = np.mod(self.angles, 2.0 * math.pi)
-        counts, _ = np.histogram(wrapped, bins=n_bins, range=(0.0, 2.0 * math.pi))
-        return counts
-
     def density_x_angle(self, x_edges, n_angle_bins: int = 256):
         """Probability density on (x1, angle) bins."""
         wrapped = np.mod(self.angles, 2.0 * math.pi)
@@ -473,11 +453,6 @@ class EmpiricalDensity:
         total = h.sum()
         if total > 0:
             h = h / (total * dx * dphi)
-        return h
-
-    def spatial_histogram(self, x_edges, y_edges):
-        h, _, _ = np.histogram2d(self.positions[:, 0], self.positions[:, 1],
-                                 bins=[np.asarray(x_edges), np.asarray(y_edges)])
         return h
 
     def mean_square_displacement(self, origin=(0.0, 0.0)) -> float:

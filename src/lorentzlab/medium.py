@@ -14,7 +14,8 @@ interaction radius: the distance from a center at which a trajectory
 collides.
 
 ``PlantedField`` provides the same query interface for an explicit list
-of centers, for deterministic fixtures in tests.
+of centers, for deterministic fixtures in tests.  Both expose
+``march_window``, the step in which the first-hit search marches a ray.
 """
 
 from __future__ import annotations
@@ -95,6 +96,9 @@ class ScattererField:
             if spec.y_period is not None
             else 0
         )
+        # ray-march step of the first-hit search: a couple of mean free paths
+        self.march_window = max(2.0 * spec.cell_size,
+                                1.5 / (2.0 * spec.epsilon * spec.mu_eff))
         self._cache: dict[tuple[int, int], list[tuple[float, float]]] = {}
 
     def scatterers_in_cell(self, cell: tuple[int, int]) -> list[tuple[float, float]]:
@@ -125,78 +129,23 @@ class ScattererField:
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         return math.floor(x / self.cell_size), math.floor(y / self.cell_size)
 
-    def scatterers_near_segment(self, p0, p1) -> list[tuple[float, float]]:
-        """Exactly the centers within ``epsilon`` of the closed segment.
-
-        Enumerates the cells meeting the segment's epsilon-neighborhood
-        and filters by exact point-segment distance; no duplicates.
-        """
-        x0, y0 = p0
-        x1, y1 = p1
-        if x0 == x1 and y0 == y1:
-            raise ValueError("segment endpoints must differ")
-        eps = self.epsilon
-        cs = self.cell_size
-        ix0 = math.floor((min(x0, x1) - eps) / cs)
-        ix1 = math.floor((max(x0, x1) + eps) / cs)
-        iy0 = math.floor((min(y0, y1) - eps) / cs)
-        iy1 = math.floor((max(y0, y1) + eps) / cs)
-        out: list[tuple[float, float]] = []
-        r2 = eps * eps
-        dx, dy = x1 - x0, y1 - y0
-        seg2 = dx * dx + dy * dy
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
-                for (cx, cy) in self.scatterers_in_cell((ix, iy)):
-                    if _dist2_point_segment(cx, cy, x0, y0, dx, dy, seg2) <= r2:
-                        out.append((cx, cy))
-        return out
-
-
-def _dist2_point_segment(px, py, x0, y0, dx, dy, seg2):
-    """Squared distance from (px,py) to the closed segment (x0,y0)+(dx,dy)."""
-    t = ((px - x0) * dx + (py - y0) * dy) / seg2
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    ex = px - (x0 + t * dx)
-    ey = py - (y0 + t * dy)
-    return ex * ex + ey * ey
-
 
 class PlantedField:
     """Explicit finite center list behind the ScattererField interface."""
 
     def __init__(self, centers, epsilon: float, cell_size: float | None = None):
-        self.centers = [(float(x), float(y)) for (x, y) in centers]
         self.epsilon = float(epsilon)
         self.cell_size = float(cell_size) if cell_size is not None else 4.0 * epsilon
         if self.cell_size < 2.0 * self.epsilon:
             raise ValueError("cell_size must be >= 2*epsilon")
+        self.march_window = 2.0 * self.cell_size
+        self._cache: dict[tuple[int, int], list[tuple[float, float]]] = {}
+        for (x, y) in centers:
+            pt = (float(x), float(y))
+            self._cache.setdefault(self.cell_of(*pt), []).append(pt)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         return math.floor(x / self.cell_size), math.floor(y / self.cell_size)
 
     def scatterers_in_cell(self, cell: tuple[int, int]) -> list[tuple[float, float]]:
-        ix, iy = cell
-        cs = self.cell_size
-        return [
-            (x, y)
-            for (x, y) in self.centers
-            if math.floor(x / cs) == ix and math.floor(y / cs) == iy
-        ]
-
-    def scatterers_near_segment(self, p0, p1) -> list[tuple[float, float]]:
-        x0, y0 = p0
-        x1, y1 = p1
-        if x0 == x1 and y0 == y1:
-            raise ValueError("segment endpoints must differ")
-        dx, dy = x1 - x0, y1 - y0
-        seg2 = dx * dx + dy * dy
-        r2 = self.epsilon**2
-        return [
-            (cx, cy)
-            for (cx, cy) in self.centers
-            if _dist2_point_segment(cx, cy, x0, y0, dx, dy, seg2) <= r2
-        ]
+        return self._cache.get(cell, [])

@@ -5,9 +5,11 @@ height is ``epsilon**alpha``.  Outside/inside speeds differ by the
 refractive index ``n = sqrt(1 - 2 eps^alpha / speed^2)``; the deflection
 across the barrier has a refracted branch (|rho| <= n) and a totally
 reflected branch (|rho| > n, or everywhere when the barrier tops the
-kinetic energy).  ``ray_trace_oracle`` re-derives the same angle by an
-explicit two-interface Snell construction and is kept free of the
-closed-form expression so the two can check each other.
+kinetic energy).  ``deflection_angle`` is the one closed-form law: the
+mechanical flow applies it at each barrier and the kinetic jump process
+draws its angles from it.  ``ray_trace_oracle`` re-derives the same
+angle by an explicit two-interface Snell construction and is kept free
+of the closed-form expression so the two can check each other.
 
 Sign convention: ``rho`` is the signed impact parameter in units of the
 barrier radius, positive when the scatterer center lies to the right of
@@ -22,16 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "BarrierParams",
     "ScatterOutcome",
     "RegimeError",
     "refractive_index",
+    "deflection_angle",
     "scattering_angle",
-    "deflect",
-    "hard_disk_reflect",
     "ray_trace_oracle",
 ]
 
@@ -74,6 +73,11 @@ class BarrierParams:
     def always_reflects(self) -> bool:
         return self.energy_ratio >= 1.0
 
+    @property
+    def n_index(self) -> float:
+        """Refractive index, or 0 when every impact reflects."""
+        return 0.0 if self.always_reflects else refractive_index(self)
+
 
 @dataclass(frozen=True)
 class ScatterOutcome:
@@ -100,16 +104,20 @@ def refractive_index(params: BarrierParams) -> float:
     return math.sqrt(1.0 - ratio)
 
 
-def _angle_from_index(rho: float, n: float) -> tuple[float, str]:
-    """Signed deflection for normalized impact parameter and index n in [0,1)."""
+def deflection_angle(rho: float, n: float) -> float:
+    """Signed deflection for normalized impact parameter rho, index n.
+
+    Refracted branch 2 (asin(|rho|/n) - asin(|rho|)) for |rho| <= n,
+    total reflection 2 acos|rho| otherwise; ``n = 0`` is the
+    always-reflecting (hard-disk) law.  The sign is that of rho, and
+    head-on reflection (rho = 0) is the full reversal +pi.
+    """
     a = abs(rho)
-    if a <= n:
-        sign = 1.0 if rho > 0.0 else (-1.0 if rho < 0.0 else 0.0)
-        mag = 2.0 * (math.asin(a / n) - math.asin(a)) if a > 0.0 else 0.0
-        return sign * mag, ScatterOutcome.REFRACTED
-    # head-on reflection is the full reversal: theta = +pi in (-pi, pi]
-    sign = 1.0 if rho >= 0.0 else -1.0
-    return sign * 2.0 * math.acos(a), ScatterOutcome.TOTALLY_REFLECTED
+    if n > 0.0 and a <= n:
+        theta = 2.0 * (math.asin(a / n) - math.asin(a))
+    else:
+        theta = 2.0 * math.acos(a)
+    return theta if rho >= 0.0 else -theta
 
 
 def scattering_angle(rho: float, params: BarrierParams) -> ScatterOutcome:
@@ -122,63 +130,10 @@ def scattering_angle(rho: float, params: BarrierParams) -> ScatterOutcome:
     """
     if abs(rho) > 1.0:
         raise ValueError(f"|rho| must be <= 1, got {rho}")
-    if params.always_reflects:
-        sign = 1.0 if rho >= 0.0 else -1.0
-        return ScatterOutcome(sign * 2.0 * math.acos(abs(rho)),
-                              ScatterOutcome.TOTALLY_REFLECTED)
-    angle, branch = _angle_from_index(rho, refractive_index(params))
-    return ScatterOutcome(angle, branch)
-
-
-def theta_of_rho(rho, n: float):
-    """Vectorized |branch-correct| signed angle for index n (0 <= n < 1).
-
-    numpy counterpart of scattering_angle for samplers and quadratures;
-    ``n = 0`` means the always-reflecting regime.
-    """
-    rho = np.asarray(rho, dtype=float)
-    a = np.abs(rho)
-    out = np.empty_like(a)
-    if n > 0.0:
-        refr = a <= n
-        out[refr] = 2.0 * (np.arcsin(a[refr] / n) - np.arcsin(a[refr]))
-        out[~refr] = 2.0 * np.arccos(a[~refr])
-    else:
-        out[:] = 2.0 * np.arccos(a)
-    # sign convention: theta(0) = +pi on the reflected branch (reversal)
-    return np.where(rho < 0.0, -1.0, 1.0) * out
-
-
-def _rotate(vx: float, vy: float, angle: float) -> tuple[float, float]:
-    c, s = math.cos(angle), math.sin(angle)
-    return c * vx - s * vy, s * vx + c * vy
-
-
-def deflect(v_in, rho: float, params: BarrierParams) -> np.ndarray:
-    """Rotate the incoming velocity by the signed scattering angle.
-
-    |v_out| = |v_in| exactly up to rounding; the zero vector is rejected.
-    """
-    vx, vy = float(v_in[0]), float(v_in[1])
-    if vx == 0.0 and vy == 0.0:
-        raise ValueError("zero velocity cannot be deflected")
-    outcome = scattering_angle(rho, params)
-    return np.array(_rotate(vx, vy, outcome.angle))
-
-
-def hard_disk_reflect(v_in, omega) -> np.ndarray:
-    """Specular reflection v' = v - 2 (omega.v) omega at the impact point.
-
-    omega is the unit vector from the disk center to the impact point;
-    a non-unit omega (beyond 1e-12) is rejected.
-    """
-    ox, oy = float(omega[0]), float(omega[1])
-    norm = math.hypot(ox, oy)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"omega must be a unit vector, |omega| = {norm!r}")
-    vx, vy = float(v_in[0]), float(v_in[1])
-    d = 2.0 * (ox * vx + oy * vy)
-    return np.array([vx - d * ox, vy - d * oy])
+    n = params.n_index
+    branch = (ScatterOutcome.REFRACTED if n > 0.0 and abs(rho) <= n
+              else ScatterOutcome.TOTALLY_REFLECTED)
+    return ScatterOutcome(deflection_angle(rho, n), branch)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +189,4 @@ def ray_trace_oracle(rho: float, params: BarrierParams) -> float:
     chord-reflection at the entry point.  Same domain and sign
     convention as scattering_angle, independent derivation.
     """
-    if params.always_reflects:
-        return _ray_trace_from_index(rho, 0.0)
-    return _ray_trace_from_index(rho, refractive_index(params))
+    return _ray_trace_from_index(rho, params.n_index)

@@ -130,7 +130,7 @@ def mean_with_ci(samples) -> tuple[float, float]:
     return float(a.mean()), 1.96 * float(a.std(ddof=1)) / math.sqrt(a.size)
 
 
-def msd_curve(times, positions) -> tuple[np.ndarray, np.ndarray]:
+def msd_curve(positions) -> tuple[np.ndarray, np.ndarray]:
     """Mean square displacement and 95% half-widths from an ensemble.
 
     positions: array (n_paths, n_times, 2) of displacements from the

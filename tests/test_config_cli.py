@@ -12,7 +12,6 @@ from lorentzlab.config import (
     parse_config_file,
     parse_decade_ladder,
     parse_float_list,
-    parse_k_ladder,
 )
 from lorentzlab.experiments import run_experiment, write_outputs
 
@@ -55,7 +54,6 @@ class TestConfigParsing:
             build_config("thermalization", "initial = sideways\n")
 
     def test_ladders(self):
-        assert parse_k_ladder(3, 5) == [2.0**-3, 2.0**-4, 2.0**-5]
         assert parse_decade_ladder("1e-4..1e-6") == [1e-4, 1e-5, 1e-6]
         assert parse_float_list("0.5, 1, 2") == [0.5, 1.0, 2.0]
         with pytest.raises(ConfigError):
@@ -88,6 +86,18 @@ class TestCLI:
     def test_config_error_exit_code(self, capsys):
         assert main(["scatter-table", "--set", "bogus=1"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["thermalization", "--times", "0.5,abc"],
+        ["thermalization", "--times", ""],
+        ["b-divergence", "--eps", "garbage"],
+        ["diffusion", "--B", "-1"],
+    ])
+    def test_bad_run_value_is_config_error(self, argv, tmp_path, capsys):
+        # caught before the run starts, so nothing is written
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file_exit_code(self):
         assert main(["scatter-table", "--config", "/nonexistent.cfg"]) == 2

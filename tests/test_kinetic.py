@@ -17,8 +17,10 @@ from lorentzlab.kinetic import (
     scattering_moment_integrals,
 )
 from lorentzlab.rng import rng_stream
-from lorentzlab.scattering import BarrierParams, RegimeError, theta_of_rho
+from lorentzlab.scattering import BarrierParams, RegimeError, deflection_angle
 from lorentzlab.stats import angle_histogram, chi_square_uniform
+
+theta_of_rho = np.vectorize(deflection_angle)
 
 
 class TestJumpProcessParams:
@@ -37,7 +39,9 @@ class TestJumpProcessParams:
     def test_angle_law_symmetric(self):
         p = BarrierParams(epsilon=0.01, alpha=0.25, speed=1.0)
         jp = JumpProcessParams.from_barrier(p, 1.0)
-        ang = jp.sample_angles(rng_stream(1, 0), 20_001)
+        rho = rng_stream(1, 0).uniform(-1.0, 1.0, 20_001)
+        ang = theta_of_rho(rho, jp.n_index)
+        assert np.array_equal(theta_of_rho(-rho, jp.n_index), -ang)
         assert abs(ang.mean()) < 4.0 * ang.std() / math.sqrt(ang.size)
 
 
@@ -123,10 +127,19 @@ class TestLandauPath:
 
 class TestBQuadrature:
     def test_constant_theta_hook(self):
-        # theta == 1 gives exactly mu eps^(-2a) |v|
+        # B = (mu eps^(-2a) / 2) |v| * integral of theta^2 over [-1, 1]:
+        # linear in mu, and the integrand is the deflection law itself
+        from scipy.integrate import quad
+
         eps, alpha, mu, speed = 1e-3, 0.25, 1.3, 1.0
-        got = landau_B_quadrature(eps, alpha, mu, speed, theta_fn=lambda r: 1.0)
-        assert got == pytest.approx(mu * eps ** (-2 * alpha) * speed, rel=1e-12)
+        got = landau_B_quadrature(eps, alpha, mu, speed)
+        assert got == pytest.approx(mu * landau_B_quadrature(eps, alpha, 1.0, speed),
+                                    rel=1e-12)
+        n = math.sqrt(1.0 - 2.0 * eps**alpha / speed**2)
+        half, _ = quad(lambda r: deflection_angle(r, n) ** 2, 0.0, 1.0,
+                       epsabs=0.0, epsrel=1e-10, limit=500, points=[n])
+        assert got == pytest.approx(mu * eps ** (-2 * alpha) * speed * half,
+                                    rel=1e-12)
 
     def test_monte_carlo_oracle(self):
         eps, alpha = 1e-6, 0.25

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
+from lorentzlab.dynamics import _first_hit
 from lorentzlab.medium import FieldSpec, PlantedField, ScattererField
 
 
@@ -117,7 +119,39 @@ class TestCellSampling:
             barrier_spec(y_period=0.3)  # not a whole number of cells
 
 
+def brute_first_hit(centers, x, y, ux, uy, r, s_max):
+    """Smallest entry distance in (0, s_max] over every center, with the
+    engine's rules: a disk containing the start is ignored and a graze
+    (normalized discriminant < 1e-12) is a miss."""
+    best = None
+    r2 = r * r
+    for (cx, cy) in centers:
+        wx, wy = cx - x, cy - y
+        w2 = wx * wx + wy * wy
+        if w2 < r2:
+            continue
+        b = wx * ux + wy * uy
+        disc = b * b - (w2 - r2)
+        if disc < 1e-12 * r2:
+            continue
+        s_in = b - math.sqrt(disc)
+        if 0.0 < s_in <= s_max and (best is None or s_in < best[0]):
+            best = (s_in, (cx, cy))
+    return best
+
+
+def box_centers(fld, x, y, ux, uy, s_max):
+    """Every center in the cells of the ray's bounding box, widened by a cell."""
+    x1, y1 = x + s_max * ux, y + s_max * uy
+    (i0, j0) = fld.cell_of(min(x, x1), min(y, y1))
+    (i1, j1) = fld.cell_of(max(x, x1), max(y, y1))
+    return [c for i in range(i0 - 1, i1 + 2) for j in range(j0 - 1, j1 + 2)
+            for c in fld.scatterers_in_cell((i, j))]
+
+
 class TestNearSegment:
+    """The first-hit search along a segment against a full scan."""
+
     def test_empty_cell_gives_empty(self):
         fld = ScattererField(barrier_spec(mu=0.1, seed=8))
         # find a cell with no centers, query a segment well inside it
@@ -127,18 +161,18 @@ class TestNearSegment:
                 eps = fld.epsilon
                 x0 = i * cs + 1.2 * eps
                 x1 = (i + 1) * cs - 1.2 * eps
-                seg = fld.scatterers_near_segment((x0, cs / 2), (x1, cs / 2))
-                assert seg == []
+                assert _first_hit(fld, x0, cs / 2, 1.0, 0.0, eps, x1 - x0) is None
                 return
         pytest.fail("no empty cell found")
 
     def test_planted_center_within_eps(self):
         fld = PlantedField([(0.5, 0.025)], epsilon=0.05)
-        got = fld.scatterers_near_segment((0.0, 0.0), (1.0, 0.0))
-        assert got == [(0.5, 0.025)]
-        # just beyond eps: excluded
+        s_in, center = _first_hit(fld, 0.0, 0.0, 1.0, 0.0, 0.05, 1.0)
+        assert center == (0.5, 0.025)
+        assert s_in == pytest.approx(0.5 - math.sqrt(0.05**2 - 0.025**2), abs=1e-15)
+        # just beyond eps: a miss
         fld = PlantedField([(0.5, 0.0500001)], epsilon=0.05)
-        assert fld.scatterers_near_segment((0.0, 0.0), (1.0, 0.0)) == []
+        assert _first_hit(fld, 0.0, 0.0, 1.0, 0.0, 0.05, 1.0) is None
 
     def test_brute_force_oracle_box(self):
         # exact agreement with a full scan of a 50x50-cell box
@@ -148,44 +182,79 @@ class TestNearSegment:
         for i in range(-25, 25):
             for j in range(-25, 25):
                 everything += fld.scatterers_in_cell((i, j))
-        r2 = spec.epsilon**2
+        r = spec.epsilon
         rng = np.random.default_rng(0)
+        hits = 0
         for _ in range(100):
             p0 = rng.uniform(-3, 3, 2)
             p1 = rng.uniform(-3, 3, 2)
-            d = p1 - p0
-            seg2 = float(d @ d)
-            want = set()
-            for c in everything:
-                t = max(0.0, min(1.0, ((c[0] - p0[0]) * d[0] + (c[1] - p0[1]) * d[1]) / seg2))
-                ex = c[0] - (p0[0] + t * d[0])
-                ey = c[1] - (p0[1] + t * d[1])
-                if ex * ex + ey * ey <= r2:
-                    want.add(c)
-            got = fld.scatterers_near_segment(tuple(p0), tuple(p1))
-            assert len(got) == len(set(got)), "duplicates returned"
-            assert set(got) == want
+            length = float(np.hypot(*(p1 - p0)))
+            ux, uy = (p1 - p0) / length
+            got = _first_hit(fld, p0[0], p0[1], ux, uy, r, length)
+            assert got == brute_first_hit(everything, p0[0], p0[1], ux, uy, r,
+                                          length)
+            hits += got is not None
+        assert hits > 50
 
     def test_translation_consistency(self):
-        # a center reported for a long segment is reported by every
-        # sub-segment query whose eps-neighborhood contains it
+        # the first hit on a long segment is the first hit on every
+        # prefix that reaches it, and no prefix that stops short has one
         spec = barrier_spec(mu=2.0, seed=21)
         fld = ScattererField(spec)
-        p0, p1 = (-2.0, 0.3), (2.0, 0.1)
-        full = fld.scatterers_near_segment(p0, p1)
-        assert full
-        mid = (0.5 * (p0[0] + p1[0]), 0.5 * (p0[1] + p1[1]))
-        sub = set(fld.scatterers_near_segment(p0, mid))
-        d = (mid[0] - p0[0], mid[1] - p0[1])
-        seg2 = d[0] ** 2 + d[1] ** 2
-        for c in full:
-            t = max(0.0, min(1.0, ((c[0] - p0[0]) * d[0] + (c[1] - p0[1]) * d[1]) / seg2))
-            ex = c[0] - (p0[0] + t * d[0])
-            ey = c[1] - (p0[1] + t * d[1])
-            if ex * ex + ey * ey <= spec.epsilon**2:
-                assert c in sub
+        x, y = -2.0, 0.3
+        ux, uy = 4.0 / math.hypot(4.0, -0.2), -0.2 / math.hypot(4.0, -0.2)
+        full = _first_hit(fld, x, y, ux, uy, spec.epsilon, 4.0)
+        assert full is not None
+        for frac in (0.25, 0.5, 0.9, 0.999, 1.001, 2.0):
+            s_max = full[0] * frac
+            sub = _first_hit(fld, x, y, ux, uy, spec.epsilon, s_max)
+            assert sub == (full if frac >= 1.0 else None)
 
-    def test_degenerate_segment_rejected(self):
-        fld = ScattererField(barrier_spec())
-        with pytest.raises(ValueError):
-            fld.scatterers_near_segment((0.1, 0.1), (0.1, 0.1))
+
+finite = dict(allow_nan=False, allow_infinity=False)
+coord = st.floats(-2.0, 2.0, **finite)
+angle = st.floats(0.0, 2.0 * math.pi, **finite)
+FAN = 24  # rays per drawn start point, evenly spread in direction
+
+
+class TestFirstHitBruteForce:
+    """The march finds the hit a scan over every center finds, whatever
+    the ray's direction and however many windows it spans."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(centers=st.lists(st.tuples(coord, coord), max_size=60),
+           r=st.floats(0.01, 0.3, **finite),
+           x=coord, y=coord, phi=angle,
+           s_max=st.floats(1e-3, 8.0, **finite))
+    # diagonal ray: the first window's cells hold a disk entered just past
+    # the window's end, but a disk in a cell outside them is entered first
+    @example(centers=[(0.399, 0.399), (0.401, 0.331)], r=0.05, x=0.0, y=0.0,
+             phi=math.pi / 4, s_max=8.0)
+    def test_planted_cloud(self, centers, r, x, y, phi, s_max):
+        fld = PlantedField(centers, r)
+        for k in range(FAN):
+            ux = math.cos(phi + 2.0 * math.pi * k / FAN)
+            uy = math.sin(phi + 2.0 * math.pi * k / FAN)
+            want = brute_first_hit(centers, x, y, ux, uy, r, s_max)
+            got = _first_hit(fld, x, y, ux, uy, r, s_max)
+            if got is None or want is None:
+                assert got == want
+            else:
+                # an exact tie between two disks may name either center
+                assert got[0] == want[0]
+                assert got[1] in centers
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), mu=st.floats(0.2, 3.0, **finite),
+           x=coord, y=coord, phi=angle,
+           windows=st.floats(0.01, 6.0, **finite))
+    @example(seed=5, mu=0.2, x=0.0, y=0.0, phi=math.pi / 4, windows=6.0)
+    def test_poisson_field(self, seed, mu, x, y, phi, windows):
+        fld = ScattererField(barrier_spec(mu=mu, seed=seed))
+        s_max = windows * fld.march_window
+        for k in range(FAN):
+            ux = math.cos(phi + 2.0 * math.pi * k / FAN)
+            uy = math.sin(phi + 2.0 * math.pi * k / FAN)
+            want = brute_first_hit(box_centers(fld, x, y, ux, uy, s_max),
+                                   x, y, ux, uy, fld.epsilon, s_max)
+            assert _first_hit(fld, x, y, ux, uy, fld.epsilon, s_max) == want

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from lorentzlab.dynamics import ParticleState, advance
+from lorentzlab.medium import PlantedField
 from lorentzlab.scattering import (
     BarrierParams,
     RegimeError,
     ScatterOutcome,
-    deflect,
-    hard_disk_reflect,
     ray_trace_oracle,
     refractive_index,
     scattering_angle,
@@ -21,6 +21,19 @@ def params_for_index(n: float, speed: float = 1.0) -> BarrierParams:
     """Barrier with refractive index exactly n (alpha = 1/2)."""
     eps = ((1.0 - n * n) * speed**2 / 2.0) ** 2
     return BarrierParams(epsilon=eps, alpha=0.5, speed=speed)
+
+
+def one_disk_pass(v, rho, params=None, radius=None, mode="barrier"):
+    """Flow velocity v past a lone disk at the origin, aimed at signed
+    impact parameter rho; returns the final velocity and the log."""
+    r = params.epsilon if radius is None else radius
+    speed = math.hypot(v[0], v[1])
+    ux, uy = v[0] / speed, v[1] / speed
+    # the disk center lies at signed distance rho * r to the right of the ray
+    x0 = (-ux + rho * r * uy, -uy - rho * r * ux)
+    out, log = advance(ParticleState(x0, v), PlantedField([(0.0, 0.0)], r),
+                       params, 2.0 / speed, mode=mode)
+    return out.v, log
 
 
 class TestRefractiveIndex:
@@ -146,9 +159,12 @@ class TestScatteringAngle:
 
 
 class TestDeflect:
+    """The flow's barrier deflection, one disk at a time."""
+
     def test_head_on_identity(self):
         v = np.array([0.0, 1.0])
-        out = deflect(v, 0.0, params_for_index(0.8))
+        out, log = one_disk_pass(v, 0.0, params_for_index(0.8))
+        assert len(log.events) == 1
         assert np.allclose(out, v, atol=0.0)
 
     def test_speed_conservation_sweep(self):
@@ -157,45 +173,48 @@ class TestDeflect:
         for _ in range(200):
             phi = rng.uniform(0, 2 * math.pi)
             v = np.array([math.cos(phi), math.sin(phi)])
-            out = deflect(v, float(rng.uniform(-1, 1)), p)
+            out, log = one_disk_pass(v, float(rng.uniform(-1, 1)), p)
+            assert len(log.events) == 1
             # 4 ulp of the unit speed
             assert abs(math.hypot(*out) - 1.0) <= 4 * np.finfo(float).eps
 
     def test_mirror_symmetry(self):
         p = params_for_index(0.8)
         v = np.array([1.0, 0.0])
-        a = deflect(v, 0.37, p)
-        b = deflect(v, -0.37, p)
+        a, _ = one_disk_pass(v, 0.37, p)
+        b, _ = one_disk_pass(v, -0.37, p)
         assert a[0] == pytest.approx(b[0], abs=1e-15)
         assert a[1] == pytest.approx(-b[1], abs=1e-15)
 
-    def test_zero_velocity_rejected(self):
-        with pytest.raises(ValueError):
-            deflect(np.zeros(2), 0.1, params_for_index(0.8))
-
 
 class TestHardDiskReflect:
+    """The flow's specular reflection in hard-disk mode."""
+
     def test_head_on_reversal(self):
-        out = hard_disk_reflect([1.0, 0.0], [-1.0, 0.0])
+        out, log = one_disk_pass([1.0, 0.0], 0.0, radius=0.05, mode="hard_disk")
+        assert len(log.events) == 1
         assert np.allclose(out, [-1.0, 0.0], atol=0.0)
 
     def test_tangential_unchanged(self):
-        out = hard_disk_reflect([1.0, 0.0], [0.0, 1.0])
+        # a graze at |rho| = 1 is a miss
+        out, log = one_disk_pass([1.0, 0.0], 1.0, radius=0.05, mode="hard_disk")
+        assert log.events == []
         assert np.allclose(out, [1.0, 0.0], atol=0.0)
 
     def test_normal_component_flip(self):
         rng = np.random.default_rng(3)
+        r = 0.05
         for _ in range(100):
-            phi, psi = rng.uniform(0, 2 * math.pi, 2)
+            phi = rng.uniform(0, 2 * math.pi)
             v = np.array([math.cos(phi), math.sin(phi)]) * 1.7
-            om = np.array([math.cos(psi), math.sin(psi)])
-            out = hard_disk_reflect(v, om)
+            out, log = one_disk_pass(v, float(rng.uniform(-0.99, 0.99)),
+                                     radius=r, mode="hard_disk")
+            (ev,) = log.events
+            # unit normal at the impact point, read off the logged path
+            entry = next(xy for (t, xy) in log.path if t == ev.time)
+            om = np.subtract(entry, ev.center) / r
             assert out @ om == pytest.approx(-(v @ om), abs=1e-14)
             assert math.hypot(*out) == pytest.approx(1.7, abs=1e-14)
-
-    def test_non_unit_omega_rejected(self):
-        with pytest.raises(ValueError):
-            hard_disk_reflect([1.0, 0.0], [0.9, 0.0])
 
 
 class TestOracleEquivalence:

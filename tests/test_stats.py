@@ -108,6 +108,6 @@ class TestSmallHelpers:
         times = np.linspace(0, 2, 5)
         pos = np.zeros((7, 5, 2))
         pos[:, :, 0] = times
-        msd, hw = msd_curve(times, pos)
+        msd, hw = msd_curve(pos)
         assert np.allclose(msd, times**2, atol=1e-12)
         assert np.allclose(hw, 0.0, atol=1e-12)
