@@ -15,8 +15,6 @@ from .dynamics import StuckParticleError
 from .experiments import run_experiment, write_outputs
 from .scattering import RegimeError
 
-_LADDER_FLAGS = {"eps_ladder_k": ("kmin", "kmax")}
-
 
 def _add_common(sp):
     sp.add_argument("--config", help="flat key = value config file")
@@ -115,7 +113,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
     for key, val in vars(args).items():
         if key in skip or val is None or key == "set":
             continue
-        if key in _LADDER_FLAGS:
+        if key == "eps_ladder_k":
             try:
                 kmin, kmax = str(val).split("..")
                 overrides["kmin"], overrides["kmax"] = int(kmin), int(kmax)

@@ -201,8 +201,9 @@ def _validate(experiment: str, v: dict):
              "checkpoints", "heat_bins", "sigma0", "t_max", "B")
     if "alpha" in v and not (0.0 < v["alpha"] <= 0.5):
         raise ConfigError(f"alpha must be in (0, 1/2], got {v['alpha']}")
-    if v.get("cell_size", 0.0) < 0.0:
-        raise ConfigError("cell_size must be >= 0 (0 selects the default)")
+    for k in ("cell_size", "t", "dt"):
+        if v.get(k, 0.0) < 0.0:
+            raise ConfigError(f"{k} must be >= 0 (0 selects the default)")
     if "kmin" in v and v["kmin"] > v["kmax"]:
         raise ConfigError("kmin must be <= kmax")
     if v["workers"] < 1:

@@ -3,9 +3,9 @@
 Each ``run_*`` function consumes a validated ExperimentConfig and
 returns a Report: a CSV table plus a JSON-able summary.  All Monte
 Carlo work is split into fixed-size index chunks whose random streams
-are keyed by (seed, item index), and chunk results are folded in index
-order, so rerunning with any worker count reproduces the output byte
-for byte.
+are keyed by (seed, item index), or by (seed, chunk index) for the
+Landau ensemble, and chunk results are folded in index order, so
+rerunning with any worker count reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .kinetic import (JumpProcessParams, _landau_vacf_msd, green_kubo_D,
 from .macroscale import (HeatProblem, SlabSpec, simulate_slab_stationary,
                          solve_heat)
 from .medium import FieldSpec, ScattererField
-from .parallel import run_chunked
+from .parallel import run_ensemble
 from .rng import mix_key, rng_stream
 from .scattering import BarrierParams, scattering_angle
 from .stats import (angle_histogram, chi_square_uniform, linear_fit, msd_curve,
@@ -146,10 +146,8 @@ def _mech_checkpoint_chunk(payload):
 
 def _ensemble(fn, head: tuple, n: int, workers: int) -> tuple:
     """Run chunk worker ``fn`` over items 0..n-1 in CHUNK-sized index
-    ranges (payload ``head + (i0, i1)``) and concatenate each of its
-    outputs in chunk order."""
-    parts = run_chunked(fn, [head + (i0, min(i0 + CHUNK, n))
-                             for i0 in range(0, n, CHUNK)], workers)
+    ranges and concatenate each of its outputs in chunk order."""
+    parts = run_ensemble(fn, head, n, CHUNK, workers)
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
@@ -293,7 +291,7 @@ def run_diffusion(cfg: ExperimentConfig) -> Report:
     t_max = cfg["t"] if cfg["t"] > 0 else 10.0 / c
     dt = cfg["dt"] if cfg["dt"] > 0 else 0.01 / c
     grid, vacf, msd = _landau_vacf_msd(c, speed, cfg["paths"], dt, t_max,
-                                       cfg["seed"])
+                                       cfg["seed"], cfg["workers"])
     d_running = np.zeros_like(grid)
     d_running[1:] = 0.5 * np.cumsum(0.5 * (vacf[1:] + vacf[:-1]) * np.diff(grid))
     rows = [(float(grid[i]), float(msd[i]), float(vacf[i]), float(d_running[i]))

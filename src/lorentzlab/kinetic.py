@@ -31,6 +31,12 @@ slope of E|X(t)-X(0)|^2 / (4 t).  Three routes (closed-form VACF,
 Monte Carlo VACF, Monte Carlo MSD) must agree, which pins the
 normalization internally; ``d_prefactor_diagnostics`` reports how the
 two textbook Green-Kubo prefactor variants relate to the operational D.
+
+One kernel, ``_landau_paths``, samples the angular Brownian motion:
+``sample_landau_path`` is its one-path case, and the Monte Carlo routes
+run it over chunks of ``LANDAU_CHUNK`` paths through
+``parallel.run_ensemble``.  Chunk k draws from ``rng_stream(seed, k)``,
+so the ensemble depends on the chunk size but not on the worker count.
 """
 
 from __future__ import annotations
@@ -41,10 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .parallel import run_ensemble
+from .rng import rng_stream
 from .scattering import BarrierParams, RegimeError, deflection_angle
 
 __all__ = [
-    "KineticCoefficients",
     "JumpProcessParams",
     "BoltzmannPath",
     "LandauPath",
@@ -52,39 +59,12 @@ __all__ = [
     "sample_landau_path",
     "landau_B_quadrature",
     "green_kubo_D",
-    "evolve_boltzmann_density",
-    "EmpiricalDensity",
     "scattering_moment_integrals",
     "d_prefactor_diagnostics",
 ]
 
-
-@dataclass(frozen=True)
-class KineticCoefficients:
-    """Angular-diffusion coefficients and the spatial D they imply.
-
-    B_eps:   finite-epsilon coefficient from the quadrature
-    B_tilde: renormalized coefficient 2 alpha mu / speed**3
-    D:       operational spatial diffusion speed**4 / (2 B_eps)
-    """
-
-    B_eps: float
-    B_tilde: float
-    D: float
-
-    def __post_init__(self):
-        if not (self.B_eps > 0.0 and self.B_tilde > 0.0 and self.D > 0.0):
-            raise ValueError("coefficients must be positive")
-
-    @classmethod
-    def from_params(cls, epsilon: float, alpha: float, mu: float = 1.0,
-                    speed: float = 1.0) -> "KineticCoefficients":
-        b = landau_B_quadrature(epsilon, alpha, mu, speed)
-        return cls(
-            B_eps=b,
-            B_tilde=2.0 * alpha * mu / speed**3,
-            D=speed**4 / (2.0 * b),
-        )
+# Paths per chunk of the Landau ensemble; each chunk owns one stream.
+LANDAU_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -213,12 +193,34 @@ class LandauPath:
         return float(self.angles[-1])
 
 
+def _landau_paths(rng, m: int, steps: np.ndarray, c: float, speed: float,
+                  phi0: float = 0.0):
+    """m angular Brownian paths over the given step lengths.
+
+    Exact Gaussian angle increments of variance 2 c dt per step; the
+    positions, relative to the start, integrate the velocity by the
+    midpoint rule.  Returns angles and x, y displacements, each of
+    shape (m, len(steps) + 1) with the start in column 0.
+    """
+    n_steps = len(steps)
+    incr = rng.standard_normal((m, n_steps)) * np.sqrt(2.0 * c * steps)
+    phi = np.empty((m, n_steps + 1))
+    phi[:, 0] = phi0
+    phi[:, 1:] = phi0 + np.cumsum(incr, axis=1)
+    mid = 0.5 * (phi[:, :-1] + phi[:, 1:])
+    x = np.zeros((m, n_steps + 1))
+    y = np.zeros((m, n_steps + 1))
+    np.cumsum(np.cos(mid) * (speed * steps), axis=1, out=x[:, 1:])
+    np.cumsum(np.sin(mid) * (speed * steps), axis=1, out=y[:, 1:])
+    return phi, x, y
+
+
 def sample_landau_path(x0, v0, t: float, B: float, dt: float, rng) -> LandauPath:
     """Angular Brownian motion with generator (B/speed^2) d^2/dphi^2.
 
-    Exact Gaussian angle increments of variance 2 c dt per step; the
-    speed is preserved exactly by the angle representation; positions
-    integrate the velocity by the midpoint rule per step.
+    ``_landau_paths`` with one path over the ceil(t/dt) steps of the
+    grid ``linspace(0, t)``; the speed is preserved exactly by the angle
+    representation.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -229,22 +231,12 @@ def sample_landau_path(x0, v0, t: float, B: float, dt: float, rng) -> LandauPath
     x0 = np.asarray(x0, dtype=float)
     vx, vy = float(v0[0]), float(v0[1])
     speed = math.hypot(vx, vy)
-    c = B / speed**2
-    n_steps = max(1, int(math.ceil(t / dt))) if t > 0 else 0
+    n_steps = max(1, math.ceil(t / dt)) if t > 0 else 0
     grid = np.linspace(0.0, t, n_steps + 1)
-    phi = np.empty(n_steps + 1)
-    phi[0] = math.atan2(vy, vx)
-    if n_steps:
-        steps = np.diff(grid)
-        incr = rng.standard_normal(n_steps) * np.sqrt(2.0 * c * steps)
-        phi[1:] = phi[0] + np.cumsum(incr)
-    pos = np.empty((n_steps + 1, 2))
-    pos[0] = x0
-    if n_steps:
-        mid = 0.5 * (phi[:-1] + phi[1:])
-        pos[1:, 0] = x0[0] + np.cumsum(steps * speed * np.cos(mid))
-        pos[1:, 1] = x0[1] + np.cumsum(steps * speed * np.sin(mid))
-    return LandauPath(grid, phi, pos, speed)
+    phi, x, y = _landau_paths(rng, 1, np.diff(grid), B / speed**2, speed,
+                              math.atan2(vy, vx))
+    pos = np.column_stack((x0[0] + x[0], x0[1] + y[0]))
+    return LandauPath(grid, phi[0], pos, speed)
 
 
 def landau_B_quadrature(epsilon: float, alpha: float, mu: float = 1.0,
@@ -293,37 +285,23 @@ def scattering_moment_integrals(epsilon: float, alpha: float,
 # Green-Kubo diffusion coefficient, three routes.
 
 
-def _landau_vacf_msd(c: float, speed: float, n_paths: int, dt: float,
-                     t_max: float, seed: int):
-    """Ensemble VACF and MSD of the angular diffusion on a time grid."""
-    from .rng import rng_stream
+def _landau_chunk(payload):
+    """Per-step sums of cos(phi) and |X|^2 over paths i0..i1-1."""
+    (c, speed, dt, n_steps, seed, i0, i1) = payload
+    phi, x, y = _landau_paths(rng_stream(seed, i0 // LANDAU_CHUNK), i1 - i0,
+                              np.full(n_steps, dt), c, speed)
+    return np.cos(phi).sum(axis=0), (x**2 + y**2).sum(axis=0)
 
+
+def _landau_vacf_msd(c: float, speed: float, n_paths: int, dt: float,
+                     t_max: float, seed: int, workers: int = 1):
+    """Ensemble VACF and MSD of the angular diffusion on a time grid."""
     n_steps = int(round(t_max / dt))
+    parts = run_ensemble(_landau_chunk, (c, speed, dt, n_steps, seed),
+                         n_paths, LANDAU_CHUNK, workers)
+    sum_cos, sum_msd = map(sum, zip(*parts))
     grid = np.arange(n_steps + 1) * dt
-    sum_cos = np.zeros(n_steps + 1)
-    sum_msd = np.zeros(n_steps + 1)
-    chunk = max(1, min(n_paths, 4096))
-    done = 0
-    idx = 0
-    sigma = math.sqrt(2.0 * c * dt)
-    while done < n_paths:
-        m = min(chunk, n_paths - done)
-        rng = rng_stream(seed, idx)
-        idx += 1
-        incr = rng.standard_normal((m, n_steps)) * sigma
-        phi = np.cumsum(incr, axis=1)
-        sum_cos[0] += m
-        sum_cos[1:] += np.cos(phi).sum(axis=0)
-        mid = np.empty_like(phi)
-        mid[:, 0] = 0.5 * phi[:, 0]
-        mid[:, 1:] = 0.5 * (phi[:, :-1] + phi[:, 1:])
-        xx = np.cumsum(np.cos(mid) * (speed * dt), axis=1)
-        yy = np.cumsum(np.sin(mid) * (speed * dt), axis=1)
-        sum_msd[1:] += (xx**2 + yy**2).sum(axis=0)
-        done += m
-    vacf = speed**2 * sum_cos / n_paths
-    msd = sum_msd / n_paths
-    return grid, vacf, msd
+    return grid, speed**2 * sum_cos / n_paths, sum_msd / n_paths
 
 
 def green_kubo_D(B: float | None = None, mu: float | None = None,
@@ -343,6 +321,10 @@ def green_kubo_D(B: float | None = None, mu: float | None = None,
     (trapezoid over the empirical VACF, cutoff at 10 correlation
     times), ``msd`` (late-time slope of E|X|^2 / (4 t)).
     """
+    if method not in ("analytic_vacf", "monte_carlo", "msd"):
+        raise ValueError(f"unknown method {method!r}")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     if B is not None:
         if B <= 0.0 or speed <= 0.0:
             raise ValueError("B and speed must be positive")
@@ -368,18 +350,14 @@ def green_kubo_D(B: float | None = None, mu: float | None = None,
                                          t_max, seed)
     if method == "monte_carlo":
         return 0.5 * float(np.trapezoid(vacf, grid))
-    if method == "msd":
-        half = grid >= 0.5 * grid[-1]
-        slope = np.polyfit(grid[half], msd[half], 1)[0]
-        return float(slope) / 4.0
-    raise ValueError(f"unknown method {method!r}")
+    half = grid >= 0.5 * grid[-1]
+    slope = np.polyfit(grid[half], msd[half], 1)[0]
+    return float(slope) / 4.0
 
 
 def _jump_vacf_msd(rate: float, speed: float, n_paths: int, dt: float,
                    t_max: float, seed: int):
     """Grid-sampled VACF/MSD of the hard-disk jump process."""
-    from .rng import rng_stream
-
     n_steps = int(round(t_max / dt))
     grid = np.arange(n_steps + 1) * dt
     jp = JumpProcessParams.hard_disk(rate, speed)
@@ -426,60 +404,3 @@ def d_prefactor_diagnostics(mu: float = 1.0, speed: float = 1.0) -> dict:
         "ratio_inverse_laplacian": inv_lap_form / d_op,
         "ratio_vacf_2pi": vacf_2pi_form / d_op,
     }
-
-
-# ---------------------------------------------------------------------------
-# Ensemble density evolution.
-
-
-@dataclass
-class EmpiricalDensity:
-    """Final-time sample cloud of a transport ensemble."""
-
-    positions: np.ndarray  # (n, 2)
-    angles: np.ndarray  # (n,), radians, not wrapped
-    time: float
-
-    def density_x_angle(self, x_edges, n_angle_bins: int = 256):
-        """Probability density on (x1, angle) bins."""
-        wrapped = np.mod(self.angles, 2.0 * math.pi)
-        h, _, _ = np.histogram2d(
-            self.positions[:, 0], wrapped,
-            bins=[np.asarray(x_edges), n_angle_bins],
-            range=[[x_edges[0], x_edges[-1]], [0.0, 2.0 * math.pi]],
-        )
-        dx = np.diff(np.asarray(x_edges, dtype=float))[:, None]
-        dphi = 2.0 * math.pi / n_angle_bins
-        total = h.sum()
-        if total > 0:
-            h = h / (total * dx * dphi)
-        return h
-
-    def mean_square_displacement(self, origin=(0.0, 0.0)) -> float:
-        d = self.positions - np.asarray(origin)
-        return float(np.mean(np.einsum("ij,ij->i", d, d)))
-
-
-def evolve_boltzmann_density(initial_sampler, t: float,
-                             params: JumpProcessParams, n_paths: int,
-                             seed: int = 0) -> EmpiricalDensity:
-    """Ensemble of jump-process paths started from ``initial_sampler``.
-
-    ``initial_sampler(rng) -> (x0, angle0)`` draws the initial law; the
-    returned cloud is the empirical estimate of the transported density
-    at time t.
-    """
-    from .rng import rng_stream
-
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    pos = np.empty((n_paths, 2))
-    ang = np.empty(n_paths)
-    for i in range(n_paths):
-        rng = rng_stream(seed, i)
-        x0, phi0 = initial_sampler(rng)
-        v0 = (params.speed * math.cos(phi0), params.speed * math.sin(phi0))
-        path = sample_boltzmann_path(x0, v0, t, params, rng)
-        pos[i] = path.final_position
-        ang[i] = path.final_angle
-    return EmpiricalDensity(pos, ang, t)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 
 import numpy as np
 
 from .dynamics import _Engine, _find_containing_disk
 from .medium import FieldSpec, ScattererField
-from .parallel import run_chunked
+from .parallel import run_ensemble
 from .rng import mix_key, rng_stream
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "SlabSpec",
     "SlabResult",
     "solve_heat",
-    "angular_average",
     "stationary_profile",
     "fick_flux",
     "simulate_slab_stationary",
@@ -45,6 +45,9 @@ __all__ = [
 # boundary slip large enough to push the profile endpoints outside their
 # tolerance bands.
 SLAB_RADIUS_FACTOR = 1.0
+
+# Injections per chunk of the slab ensemble.
+SLAB_CHUNK = 1024
 
 
 @dataclass
@@ -96,17 +99,6 @@ def solve_heat(problem: HeatProblem, t: float) -> np.ndarray:
     if rem > 1e-15 * t:
         u = _heat_step(u, problem.D * rem / problem.dx**2)
     return u
-
-
-def angular_average(f: np.ndarray, angle_span: float = 2.0 * math.pi) -> np.ndarray:
-    """Spatial density from a density on (x, angle) bins.
-
-    Sums the angle axis weighted by the bin width, so a probability
-    density over (x, angle) maps to a probability density over x.
-    """
-    f = np.asarray(f, dtype=float)
-    n_phi = f.shape[-1]
-    return f.sum(axis=-1) * (angle_span / n_phi)
 
 
 @dataclass(frozen=True)
@@ -205,14 +197,9 @@ class SlabResult:
     metadata: dict = dc_field(default_factory=dict)
 
 
-def _slab_field_for_injection(base: FieldSpec, injection: int):
-    return ScattererField(base.with_seed(mix_key(base.seed, injection)))
-
-
-def _empty_field_factory(radius: float, injection: int):
-    from .medium import PlantedField
-
-    return PlantedField([], radius)
+def _poisson_injection_field(base: FieldSpec, injection: int):
+    """Injection i's member of the slab's own Poisson ensemble."""
+    return ScattererField(replace(base, seed=mix_key(base.seed, injection)))
 
 
 def _run_injection(field, slab, x0, y0, vx, vy, n_bins, t_max):
@@ -260,7 +247,7 @@ def _run_injection(field, slab, x0, y0, vx, vy, n_bins, t_max):
 
 
 def _slab_chunk(payload):
-    (slab, base_spec, factory, seed, n_bins, t_max, i0, i1, n_total, width) = payload
+    (slab, factory, seed, n_bins, t_max, n_total, width, i0, i1) = payload
     n_faces = n_bins - 1
     # per (side, half): occupation sums; per side: crossing sums
     sums = np.zeros((2, 2, n_bins))
@@ -281,8 +268,7 @@ def _slab_chunk(payload):
             x0 = 0.0
         else:
             x0, vx = slab.L, -vx
-        field = factory(i) if base_spec is None else _slab_field_for_injection(base_spec, i)
-        tau, net, timed_out = _run_injection(field, slab, x0, y0,
+        tau, net, timed_out = _run_injection(factory(i), slab, x0, y0,
                                              vx, vy, n_bins, t_max)
         sums[side, half] += tau
         sqs[side, half] += tau * tau
@@ -297,8 +283,7 @@ def _slab_chunk(payload):
 def simulate_slab_stationary(slab: SlabSpec, field_factory=None,
                              n_injections: int = 100_000, seed: int = 0, *,
                              n_bins: int = 16, t_max: float = 500.0,
-                             workers: int = 1, chunk: int = 1024,
-                             y_period_cells: int = 16,
+                             workers: int = 1, y_period_cells: int = 16,
                              cell_size: float | None = None) -> SlabResult:
     """Boundary-injection estimate of the stationary density and flux.
 
@@ -318,43 +303,28 @@ def simulate_slab_stationary(slab: SlabSpec, field_factory=None,
     that density and zero flux, with or without scatterers.
 
     ``field_factory(i)`` may supply the field for injection i (fixtures,
-    empty fields); the default is the slab's own Poisson ensemble.  A
-    supplied field is taken to have phi = 1, exact for empty fields.
+    empty fields; picklable when ``workers > 1``); the default is the
+    slab's own Poisson ensemble.  A supplied field is taken to have
+    phi = 1, exact for empty fields.  Injections run in chunks of
+    SLAB_CHUNK, and the chunk sums are added in chunk order.
     """
     if n_bins < 2 or n_injections < 2:
         raise ValueError("need at least 2 bins and 2 injections")
-    base_spec = None
     if field_factory is None:
         base_spec = slab_field_spec(slab, mix_key(seed, 0xF1E1D),
                                     y_period_cells=y_period_cells,
                                     cell_size=cell_size)
+        field_factory = partial(_poisson_injection_field, base_spec)
         width = base_spec.y_period
         free = math.exp(-slab.mu_eff * math.pi * slab.collision_radius**2)
     else:
         width = y_period_cells * (cell_size or 4.0 * slab.collision_radius)
         free = 1.0
 
-    payloads = []
-    for i0 in range(0, n_injections, chunk):
-        payloads.append((slab, base_spec, field_factory, seed, n_bins, t_max,
-                         i0, min(i0 + chunk, n_injections), n_injections,
-                         width))
-    parts = run_chunked(_slab_chunk, payloads, workers)
-
-    n_faces = n_bins - 1
-    sums = np.zeros((2, 2, n_bins))
-    sqs = np.zeros((2, 2, n_bins))
-    cnt = np.zeros((2, 2), dtype=np.int64)
-    nsum = np.zeros((2, n_faces))
-    nsq = np.zeros((2, n_faces))
-    timeouts = 0
-    for s, q, c, ns, nq, to in parts:
-        sums += s
-        sqs += q
-        cnt += c
-        nsum += ns
-        nsq += nq
-        timeouts += to
+    parts = run_ensemble(_slab_chunk, (slab, field_factory, seed, n_bins,
+                                       t_max, n_injections, width),
+                         n_injections, SLAB_CHUNK, workers)
+    sums, sqs, cnt, nsum, nsq, timeouts = map(sum, zip(*parts))
 
     dxb = slab.L / n_bins
     weights = np.array([slab.rho1, slab.rho2])

@@ -21,7 +21,7 @@ of centers, for deterministic fixtures in tests.  Both expose
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .rng import HashStream
 
@@ -74,9 +74,6 @@ class FieldSpec:
         if self.delta is not None:
             return self.mu * self.epsilon ** (-self.delta)
         return self.mu * self.eta / self.epsilon
-
-    def with_seed(self, seed: int) -> "FieldSpec":
-        return replace(self, seed=seed)
 
 
 class ScattererField:

@@ -61,10 +61,6 @@ class BarrierParams:
             raise ValueError(f"speed must be positive, got {self.speed}")
 
     @property
-    def barrier_height(self) -> float:
-        return self.epsilon**self.alpha
-
-    @property
     def energy_ratio(self) -> float:
         """2 eps^alpha / speed^2; >= 1 means every impact reflects."""
         return 2.0 * self.epsilon**self.alpha / self.speed**2

@@ -85,9 +85,6 @@ class LinearFit:
     def slope_ci(self) -> tuple[float, float]:
         return self.slope - 1.96 * self.slope_se, self.slope + 1.96 * self.slope_se
 
-    def value(self, x):
-        return self.intercept + self.slope * np.asarray(x, dtype=float)
-
 
 def linear_fit(x, y, se=None) -> LinearFit:
     """Least squares y = a + b x; weighted by 1/se^2 when se is given.

@@ -247,6 +247,7 @@ def test_criterion_9_reproducibility(tmp_path):
         "kinetic-compare": "kmin = 6\nkmax = 7\nsamples = 500\n",
         "fick-slab": "epsilon = 0.03125\ninjections = 3000\n",
         "thermalization": "k = 6\ntimes = 0.5\nsamples = 800\n",
+        "diffusion": "paths = 9000\n",
     }
     all_ok = True
     details = []

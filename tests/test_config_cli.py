@@ -92,6 +92,8 @@ class TestCLI:
         ["thermalization", "--times", ""],
         ["b-divergence", "--eps", "garbage"],
         ["diffusion", "--B", "-1"],
+        ["diffusion", "--paths", "100", "--t", "-3"],
+        ["diffusion", "--paths", "100", "--set", "dt=-0.5"],
     ])
     def test_bad_run_value_is_config_error(self, argv, tmp_path, capsys):
         # caught before the run starts, so nothing is written

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from lorentzlab.config import build_config
+from lorentzlab.experiments import run_experiment
 from lorentzlab.kinetic import (
     JumpProcessParams,
-    KineticCoefficients,
+    _landau_vacf_msd,
     d_prefactor_diagnostics,
-    evolve_boltzmann_density,
     green_kubo_D,
     landau_B_quadrature,
     sample_boltzmann_path,
@@ -124,6 +125,19 @@ class TestLandauPath:
         with pytest.raises(ValueError):
             sample_landau_path((0, 0), (1, 0), 1.0, 1.0, 0.0, rng_stream(0, 0))
 
+    def test_one_path_ensemble_is_the_path(self):
+        # the ensemble's first chunk draws from rng_stream(seed, 0), so a
+        # one-path ensemble is sample_landau_path's path, bit for bit
+        B, speed, seed = 1.3, 1.5, 17
+        grid, vacf, msd = _landau_vacf_msd(B / speed**2, speed, 1, 0.25, 4.0,
+                                           seed)
+        path = sample_landau_path((0, 0), (speed, 0), 4.0, B, 0.25,
+                                  rng_stream(seed, 0))
+        assert np.array_equal(grid, path.times)
+        assert np.array_equal(vacf, speed**2 * np.cos(path.angles) / 1)
+        px, py = path.positions.T
+        assert np.array_equal(msd, (px**2 + py**2) / 1)
+
 
 class TestBQuadrature:
     def test_constant_theta_hook(self):
@@ -170,11 +184,16 @@ class TestBQuadrature:
             assert slope == pytest.approx(2.0 * alpha, rel=tol)
 
     def test_coefficients_container(self):
-        kc = KineticCoefficients.from_params(1e-8, 0.25, 1.0, 1.0)
-        assert kc.B_tilde == pytest.approx(0.5)
-        assert kc.D == pytest.approx(1.0 / (2.0 * kc.B_eps))
-        with pytest.raises(ValueError):
-            KineticCoefficients(B_eps=-1.0, B_tilde=0.5, D=0.1)
+        # the runners' B_tilde = 2 alpha mu / speed^3 and D = speed^4 / (2 B)
+        rep = run_experiment(build_config(
+            "b-divergence", "alpha = 0.25\neps_ladder = 1e-4..1e-8\n"))
+        assert [row[3] for row in rep.rows] == [0.5] * 5
+        rep = run_experiment(build_config(
+            "diffusive-scale", "k = 6\ntime = 0.03125\ntrajectories = 16\n"
+                               "checkpoints = 4\n"))
+        b = rep.summary["B_eps"]
+        assert b == landau_B_quadrature(2.0**-6, 0.25)
+        assert rep.summary["D_kinetic"] == 1.0 / (2.0 * b)
 
 
 class TestMomentIntegrals:
@@ -223,6 +242,8 @@ class TestGreenKubo:
             green_kubo_D(B=-1.0)
         with pytest.raises(ValueError):
             green_kubo_D(B=1.0, method="nope")
+        with pytest.raises(ValueError):
+            green_kubo_D(mu=1.0, method="msd", n_paths=0)
 
     def test_prefactor_diagnostics(self):
         diag = d_prefactor_diagnostics(mu=1.0, speed=1.0)
@@ -231,37 +252,31 @@ class TestGreenKubo:
 
 
 class TestEvolveDensity:
+    """Final-time clouds of the jump process started at the origin."""
+
     @staticmethod
-    def delta_sampler(rng):
-        return np.zeros(2), 0.0
+    def cloud(t, jp, n_paths, seed):
+        paths = [sample_boltzmann_path((0, 0), (1, 0), t, jp, rng_stream(seed, i))
+                 for i in range(n_paths)]
+        return (np.array([p.final_position for p in paths]),
+                np.array([p.final_angle for p in paths]))
 
     def test_t_zero_reproduces_initial(self):
         jp = JumpProcessParams.hard_disk(rate=1.0)
-        dens = evolve_boltzmann_density(self.delta_sampler, 0.0, jp, 500, seed=1)
-        assert np.allclose(dens.positions, 0.0)
-        assert np.allclose(np.mod(dens.angles, 2 * math.pi), 0.0)
+        pos, ang = self.cloud(0.0, jp, 500, seed=1)
+        assert np.allclose(pos, 0.0)
+        assert np.allclose(np.mod(ang, 2 * math.pi), 0.0)
 
     def test_late_time_angular_uniformity(self):
         jp = JumpProcessParams.hard_disk(rate=4.0)
-        dens = evolve_boltzmann_density(self.delta_sampler, 5.0, jp, 8000,
-                                        seed=2)
-        _, p = chi_square_uniform(angle_histogram(dens.angles, 16))
+        _, ang = self.cloud(5.0, jp, 8000, seed=2)
+        _, p = chi_square_uniform(angle_histogram(ang, 16))
         assert p > 0.01
 
     def test_spatial_spread_matches_green_kubo(self):
         jp = JumpProcessParams.hard_disk(rate=4.0)
         d = green_kubo_D(rate=4.0, speed=1.0)
         t = 12.0 / jp.momentum_transfer_rate() * 4
-        dens = evolve_boltzmann_density(self.delta_sampler, t, jp, 6000, seed=3)
-        msd = dens.mean_square_displacement()
+        pos, _ = self.cloud(t, jp, 6000, seed=3)
+        msd = float(np.mean(np.einsum("ij,ij->i", pos, pos)))
         assert msd == pytest.approx(4.0 * d * t, rel=0.1)
-
-    def test_density_normalization(self):
-        jp = JumpProcessParams.hard_disk(rate=2.0)
-        dens = evolve_boltzmann_density(self.delta_sampler, 1.0, jp, 2000,
-                                        seed=4)
-        edges = np.linspace(-1.5, 1.5, 13)
-        h = dens.density_x_angle(edges, n_angle_bins=16)
-        dx = np.diff(edges)[:, None]
-        dphi = 2 * math.pi / 16
-        assert (h * dx * dphi).sum() == pytest.approx(1.0, abs=1e-12)

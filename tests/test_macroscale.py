@@ -9,8 +9,6 @@ import pytest
 from lorentzlab.macroscale import (
     HeatProblem,
     SlabSpec,
-    _empty_field_factory,
-    angular_average,
     fick_flux,
     simulate_slab_stationary,
     slab_field_spec,
@@ -18,6 +16,10 @@ from lorentzlab.macroscale import (
     stationary_profile,
 )
 from lorentzlab.medium import PlantedField
+
+
+def _empty_field_factory(radius: float, injection: int):
+    return PlantedField([], radius)
 
 
 def gaussian_grid(sigma, span, n):
@@ -67,30 +69,6 @@ class TestSolveHeat:
         exact = np.exp(-(gx**2 + gy**2) / (2 * s2)) / (2 * math.pi * s2)
         l2 = math.sqrt(((out - exact) ** 2).sum() * dx * dx)
         assert l2 < 1e-3
-
-
-class TestAngularAverage:
-    def test_isotropic_unchanged(self):
-        f = np.tile(np.linspace(1, 2, 8)[:, None], (1, 16)) / (2 * math.pi)
-        g = angular_average(f)
-        assert np.allclose(g, np.linspace(1, 2, 8), atol=1e-12)
-
-    def test_concentrated_same_marginal(self):
-        # all mass in one angle bin: same spatial profile as the full law
-        nx, nphi = 6, 12
-        f = np.zeros((nx, nphi))
-        profile = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0])
-        f[:, 3] = profile / (2 * math.pi / nphi)
-        g = angular_average(f)
-        assert np.allclose(g, profile, atol=1e-12)
-
-    def test_mass_preserved(self):
-        rng = np.random.default_rng(5)
-        f = rng.random((9, 32))
-        dx = 0.25
-        mass_in = f.sum() * dx * (2 * math.pi / 32)
-        mass_out = angular_average(f).sum() * dx
-        assert mass_out == pytest.approx(mass_in, rel=1e-12)
 
 
 class TestProfileAndFlux:
