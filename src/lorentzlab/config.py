@@ -197,8 +197,13 @@ def _validate(experiment: str, v: dict):
                 raise ConfigError(f"{k} must be positive, got {v[k]}")
 
     positive("speed", "mu", "epsilon", "eta", "L", "samples", "trajectories",
-             "injections", "paths", "bins", "angle_bins", "x_bins",
-             "checkpoints", "heat_bins", "sigma0", "t_max", "B")
+             "injections", "paths", "angle_bins", "x_bins", "heat_bins",
+             "sigma0", "t_max", "B")
+    # the late-half MSD fit and the flux fit over bins - 1 faces need 3
+    # points; epsilon = 2^-k must lie in (0, 1)
+    for k, least in (("checkpoints", 4), ("bins", 4), ("k", 1), ("kmin", 1)):
+        if k in v and v[k] < least:
+            raise ConfigError(f"{k} must be >= {least}, got {v[k]}")
     if "alpha" in v and not (0.0 < v["alpha"] <= 0.5):
         raise ConfigError(f"alpha must be in (0, 1/2], got {v['alpha']}")
     for k in ("cell_size", "t", "dt"):

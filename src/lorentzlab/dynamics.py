@@ -198,8 +198,8 @@ def _exit_refract(ux, uy, mx, my, n):
 class _Engine:
     """One trajectory through one field; drives advance and the slab runs."""
 
-    __slots__ = ("field", "params", "mode", "radius", "n_index", "log",
-                 "on_segment", "x_bounds", "max_events")
+    __slots__ = ("field", "mode", "radius", "n_index", "log", "on_segment",
+                 "x_bounds", "max_events")
 
     def __init__(self, field, params: BarrierParams | None, mode: str,
                  log: TrajectoryLog | None = None, on_segment=None,
@@ -207,7 +207,6 @@ class _Engine:
         if mode not in ("barrier", "hard_disk"):
             raise ValueError(f"unknown mode {mode!r}")
         self.field = field
-        self.params = params
         self.mode = mode
         self.radius = field.epsilon
         if mode == "barrier":

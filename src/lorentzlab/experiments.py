@@ -57,32 +57,43 @@ def _barrier_field(eps, alpha, mu, seed, tag, i, cell):
     return ScattererField(spec)
 
 
-def _mech_final_chunk(payload):
-    """Mechanical trajectories to time T; final angle/position/events.
+def _mech_chunk(payload):
+    """Mechanical trajectories from x0 through the checkpoint times.
 
-    Stream layout per trajectory i: rng_stream(seed, i) draws the
-    initial angle (uniform mode only); the field realization is keyed
-    by (seed, tag, i).
+    Returns per trajectory the final velocity angle, the displacement
+    from x0 at each checkpoint, the final position and the event count
+    summed over checkpoints.  Stream layout per trajectory i: for a
+    uniform initial angle, rng_stream(seed, i) draws the angle and then,
+    if sigma0 > 0, the Gaussian start point; a delta start (angle 0 at
+    the origin) builds no stream.  The field realization is keyed by
+    (seed, tag, i).
     """
-    (eps, alpha, mu, speed, T, seed, tag, initial, cell, i0, i1) = payload
+    (eps, alpha, mu, speed, checks, seed, tag, initial, sigma0, cell,
+     i0, i1) = payload
     params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
     m = i1 - i0
     ang = np.empty(m)
+    disp = np.empty((m, len(checks), 2))
     pos = np.empty((m, 2))
-    n_events = np.empty(m, dtype=np.int64)
+    n_events = np.zeros(m, dtype=np.int64)
     for j, i in enumerate(range(i0, i1)):
+        phi0, x0 = 0.0, np.zeros(2)
         if initial == "uniform":
-            phi0 = rng_stream(seed, i).random() * 2.0 * math.pi
-        else:
-            phi0 = 0.0
-        v0 = (speed * math.cos(phi0), speed * math.sin(phi0))
-        state, log = advance(ParticleState((0.0, 0.0), v0),
-                             _barrier_field(eps, alpha, mu, seed, tag, i, cell),
-                             params, T)
-        ang[j] = math.atan2(state.v[1], state.v[0])
-        pos[j] = state.x
-        n_events[j] = len(log.events)
-    return ang, pos, n_events
+            rng = rng_stream(seed, i)
+            phi0 = rng.random() * 2.0 * math.pi
+            if sigma0 > 0:
+                x0 = rng.standard_normal(2) * sigma0
+        fld = _barrier_field(eps, alpha, mu, seed, tag, i, cell)
+        st = ParticleState(x0, (speed * math.cos(phi0), speed * math.sin(phi0)))
+        prev = 0.0
+        for c, tc in enumerate(checks):
+            st, log = advance(st, fld, params, tc - prev)
+            prev = tc
+            disp[j, c] = st.x - x0
+            n_events[j] += len(log.events)
+        ang[j] = math.atan2(st.v[1], st.v[0])
+        pos[j] = st.x
+    return ang, disp, pos, n_events
 
 
 def _jump_final_chunk(payload):
@@ -117,38 +128,18 @@ def _pathology_chunk(payload):
     return (out,)
 
 
-def _mech_checkpoint_chunk(payload):
-    """Trajectories with positions recorded at checkpoint times.
-
-    Stream layout per trajectory i: rng_stream(seed, i) draws initial
-    angle then (optionally) the Gaussian start point.
-    """
-    (eps, alpha, mu, speed, checks, seed, tag, sigma0, cell, i0, i1) = payload
-    params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
-    m = i1 - i0
-    n_check = len(checks)
-    disp = np.empty((m, n_check, 2))
-    final_abs = np.empty((m, 2))
-    for j, i in enumerate(range(i0, i1)):
-        rng = rng_stream(seed, i)
-        phi0 = rng.random() * 2.0 * math.pi
-        x0 = rng.standard_normal(2) * sigma0 if sigma0 > 0 else np.zeros(2)
-        fld = _barrier_field(eps, alpha, mu, seed, tag, i, cell)
-        st = ParticleState(x0, (speed * math.cos(phi0), speed * math.sin(phi0)))
-        prev = 0.0
-        for c, tc in enumerate(checks):
-            st, _ = advance(st, fld, params, tc - prev)
-            prev = tc
-            disp[j, c] = st.x - x0
-        final_abs[j] = st.x
-    return disp, final_abs
-
-
 def _ensemble(fn, head: tuple, n: int, workers: int) -> tuple:
     """Run chunk worker ``fn`` over items 0..n-1 in CHUNK-sized index
     ranges and concatenate each of its outputs in chunk order."""
     parts = run_ensemble(fn, head, n, CHUNK, workers)
     return tuple(np.concatenate(out) for out in zip(*parts))
+
+
+def _mech_ensemble(cfg, eps, n, checks, tag, initial="delta", sigma0=0.0):
+    """_mech_chunk's outputs for n trajectories in cfg's barrier medium."""
+    return _ensemble(_mech_chunk, (eps, cfg["alpha"], cfg["mu"], cfg["speed"],
+                                   checks, cfg["seed"], tag, initial, sigma0,
+                                   cfg["cell_size"]), n, cfg["workers"])
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +209,8 @@ def run_kinetic_compare(cfg: ExperimentConfig) -> Report:
     tvs, floors = [], []
     for k in range(cfg["kmin"], cfg["kmax"] + 1):
         eps = 2.0**-k
-        mech_a, mech_pos, mech_ev = _ensemble(
-            _mech_final_chunk,
-            (eps, cfg["alpha"], cfg["mu"], cfg["speed"], T, cfg["seed"],
-             1000 + k, "delta", cfg["cell_size"]), n, cfg["workers"])
+        mech_a, _, mech_pos, mech_ev = _mech_ensemble(cfg, eps, n, (T,),
+                                                      1000 + k)
         jump_a, jump_pos, jump_ev = _ensemble(
             _jump_final_chunk,
             (eps, cfg["alpha"], cfg["mu"], cfg["speed"], T, cfg["seed"],
@@ -268,10 +257,7 @@ def run_thermalization(cfg: ExperimentConfig) -> Report:
     rows = []
     p_values = {}
     for idx, t in enumerate(parse_float_list(cfg["times"])):
-        ang, _, _ = _ensemble(
-            _mech_final_chunk,
-            (eps, cfg["alpha"], cfg["mu"], cfg["speed"], t, cfg["seed"],
-             3000 + idx, cfg["initial"], cfg["cell_size"]), n, cfg["workers"])
+        ang = _mech_ensemble(cfg, eps, n, (t,), 3000 + idx, cfg["initial"])[0]
         stat, p = chi_square_uniform(angle_histogram(ang, cfg["angle_bins"]))
         rows.append((t, stat, p))
         p_values[str(t)] = p
@@ -326,10 +312,8 @@ def run_diffusive_scale(cfg: ExperimentConfig) -> Report:
     checks = tuple(t_final * (j + 1) / n_check for j in range(n_check))
     n = cfg["trajectories"]
     sigma0 = cfg["sigma0"]
-    disp, final_abs = _ensemble(
-        _mech_checkpoint_chunk,
-        (eps, alpha, mu, speed, checks, cfg["seed"], 4000, sigma0,
-         cfg["cell_size"]), n, cfg["workers"])
+    _, disp, final_abs, _ = _mech_ensemble(cfg, eps, n, checks, 4000,
+                                           "uniform", sigma0)
     msd, msd_ci = msd_curve(disp)
     rows = [(checks[i], float(msd[i]), float(msd_ci[i]))
             for i in range(n_check)]
@@ -444,7 +428,7 @@ def run_fick_slab(cfg: ExperimentConfig) -> Report:
     implied_d = j_mean * slab.L / drho if drho != 0 else math.nan
     # Green-Kubo cross-check at the realized geometry: limiting jump rate
     # per eta-rescaled time is 2 * radius * mu_eff * speed / eta
-    rate_kin = 2.0 * slab.collision_radius * slab.mu_eff / slab.eta
+    rate_kin = 2.0 * slab.epsilon * slab.mu_eff / slab.eta
     gk_d = green_kubo_D(rate=rate_kin, speed=1.0, method="analytic_vacf")
     halves_compatible = bool(
         np.all(

@@ -38,14 +38,6 @@ __all__ = [
     "slab_field_spec",
 ]
 
-# Collision radius of one slab scatterer as a fraction of SlabSpec.epsilon.
-# epsilon is read as the interaction radius: it enters both the intensity
-# mu_eff = mu * eta / epsilon and the collision distance.  The half-radius
-# reading leaves a mean free path of L/2 at the reference parameters, with
-# boundary slip large enough to push the profile endpoints outside their
-# tolerance bands.
-SLAB_RADIUS_FACTOR = 1.0
-
 # Injections per chunk of the slab ensemble.
 SLAB_CHUNK = 1024
 
@@ -134,10 +126,6 @@ class SlabSpec:
             )
 
     @property
-    def collision_radius(self) -> float:
-        return SLAB_RADIUS_FACTOR * self.epsilon
-
-    @property
     def mu_eff(self) -> float:
         return self.mu * self.eta / self.epsilon
 
@@ -163,18 +151,18 @@ def slab_field_spec(slab: SlabSpec, seed: int, y_period_cells: int = 16,
                     cell_size: float | None = None) -> FieldSpec:
     """Scatterer-field parameters realizing the slab intensity.
 
-    The field's epsilon is the collision radius; eta is rescaled so the
-    realized intensity is exactly mu * eta / SlabSpec.epsilon.  The
+    The field takes the slab's epsilon (the collision radius) and eta,
+    so its realized intensity is exactly SlabSpec.mu_eff.  The
     realization is periodic in y with period y_period_cells cells
-    (default cell size 4 * radius, so the default period is 64 * radius).
+    (default cell size 4 * epsilon, so the default period is
+    64 * epsilon).
     """
-    r = slab.collision_radius
-    cell = cell_size if cell_size else 4.0 * r
+    cell = cell_size if cell_size else 4.0 * slab.epsilon
     return FieldSpec(
         mu=slab.mu,
-        epsilon=r,
+        epsilon=slab.epsilon,
         seed=seed,
-        eta=slab.eta * r / slab.epsilon,
+        eta=slab.eta,
         cell_size=cell,
         y_period=y_period_cells * cell,
     )
@@ -310,16 +298,14 @@ def simulate_slab_stationary(slab: SlabSpec, field_factory=None,
     """
     if n_bins < 2 or n_injections < 2:
         raise ValueError("need at least 2 bins and 2 injections")
+    width = y_period_cells * (cell_size or 4.0 * slab.epsilon)
+    free = 1.0
     if field_factory is None:
         base_spec = slab_field_spec(slab, mix_key(seed, 0xF1E1D),
                                     y_period_cells=y_period_cells,
                                     cell_size=cell_size)
         field_factory = partial(_poisson_injection_field, base_spec)
-        width = base_spec.y_period
-        free = math.exp(-slab.mu_eff * math.pi * slab.collision_radius**2)
-    else:
-        width = y_period_cells * (cell_size or 4.0 * slab.collision_radius)
-        free = 1.0
+        free = math.exp(-slab.mu_eff * math.pi * slab.epsilon**2)
 
     parts = run_ensemble(_slab_chunk, (slab, field_factory, seed, n_bins,
                                        t_max, n_injections, width),
@@ -359,7 +345,7 @@ def simulate_slab_stationary(slab: SlabSpec, field_factory=None,
 
     meta = {
         "y_period": width,
-        "collision_radius": slab.collision_radius,
+        "collision_radius": slab.epsilon,
         "mu_eff": slab.mu_eff,
         "free_area_fraction": free,
         "t_max": t_max,

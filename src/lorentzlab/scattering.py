@@ -153,10 +153,17 @@ def _snell(dx: float, dy: float, mx: float, my: float, ratio: float):
     return sx - c2 * mx, sy - c2 * my
 
 
-def _ray_trace_from_index(rho: float, n: float) -> float:
-    """Trace the ray through the unit disk for refractive index n."""
+def ray_trace_oracle(rho: float, params: BarrierParams) -> float:
+    """Signed scattering angle by explicit geometric construction.
+
+    Entry point on the circle, Snell refraction with ratio n, straight
+    chord, exit refraction; when no transmitted ray exists, a specular
+    chord-reflection at the entry point.  Same domain and sign
+    convention as scattering_angle, independent derivation.
+    """
     if abs(rho) > 1.0:
         raise ValueError(f"|rho| must be <= 1, got {rho}")
+    n = params.n_index
     # incoming along +x on the line y = rho; entry on the unit circle
     ex = -math.sqrt(max(0.0, 1.0 - rho * rho))
     ey = rho
@@ -175,14 +182,3 @@ def _ray_trace_from_index(rho: float, n: float) -> float:
     # exiting to the faster medium: sin_out = n*sin_in <= n < 1, never traps
     fx, fy = out
     return math.atan2(d0[0] * fy - d0[1] * fx, d0[0] * fx + d0[1] * fy)
-
-
-def ray_trace_oracle(rho: float, params: BarrierParams) -> float:
-    """Signed scattering angle by explicit geometric construction.
-
-    Entry point on the circle, Snell refraction with ratio n, straight
-    chord, exit refraction; when no transmitted ray exists, a specular
-    chord-reflection at the entry point.  Same domain and sign
-    convention as scattering_angle, independent derivation.
-    """
-    return _ray_trace_from_index(rho, params.n_index)

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from lorentzlab.cli import main
+from lorentzlab.cli import _collect_overrides, build_parser, main
 from lorentzlab.config import (
+    SCHEMAS,
     ConfigError,
     build_config,
     parse_config_file,
@@ -60,6 +61,11 @@ class TestConfigParsing:
             parse_decade_ladder("nope")
 
 
+def _parsed(argv):
+    """The overrides main passes to build_config for argv."""
+    return _collect_overrides(build_parser().parse_args(argv))
+
+
 class TestCLI:
     def test_success_and_outputs(self, tmp_path):
         rc = main(["scatter-table", "--alpha", "0.25", "--epsilon", "0.01",
@@ -94,12 +100,47 @@ class TestCLI:
         ["diffusion", "--B", "-1"],
         ["diffusion", "--paths", "100", "--t", "-3"],
         ["diffusion", "--paths", "100", "--set", "dt=-0.5"],
+        ["diffusive-scale", "--set", "checkpoints=3"],
+        ["fick-slab", "--set", "bins=3"],
+        ["thermalization", "--k", "0"],
+        ["pathology-scan", "--eps-ladder", "0..1"],
     ])
     def test_bad_run_value_is_config_error(self, argv, tmp_path, capsys):
         # caught before the run starts, so nothing is written
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_malformed_flag_value_is_config_error(self, capsys):
+        assert main(["scatter-table", "--samples", "lots"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,key", [
+        (name, key) for name, schema in SCHEMAS.items() for key in schema])
+    def test_every_key_is_a_flag(self, experiment, key):
+        default = str(SCHEMAS[experiment][key].default)
+        flag = _parsed([experiment, "--" + key.replace("_", "-"), default])
+        via_set = _parsed([experiment, "--set", f"{key}={default}"])
+        assert flag == {key: default}
+        assert (build_config(experiment, "", flag).values
+                == build_config(experiment, "", via_set).values)
+
+    @pytest.mark.parametrize("experiment", list(SCHEMAS))
+    def test_help_lists_every_key(self, experiment, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no help string is wrapped
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([experiment, "--help"])
+        out = capsys.readouterr().out
+        for spec in SCHEMAS[experiment].values():
+            assert spec.help in out
+
+    def test_ladder_spellings(self):
+        assert _parsed(["b-divergence", "--eps", "1e-4..1e-6"]) == {
+            "eps_ladder": "1e-4..1e-6"}
+        for experiment in ("kinetic-compare", "pathology-scan"):
+            cfg = build_config(experiment, "", _parsed(
+                [experiment, "--eps-ladder", "5..7"]))
+            assert (cfg["kmin"], cfg["kmax"]) == (5, 7)
 
     def test_missing_config_file_exit_code(self):
         assert main(["scatter-table", "--config", "/nonexistent.cfg"]) == 2

@@ -1,6 +1,7 @@
 """Heat solver, stationary profile/flux, boundary-driven slab."""
 
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -101,12 +102,19 @@ class TestProfileAndFlux:
             SlabSpec(L=1.0, rho1=2.0, rho2=1.0, eta=2.0, epsilon=2.0**-6)
 
     def test_slab_field_spec_intensity(self):
-        with pytest.warns(RuntimeWarning):
-            slab = SlabSpec(L=1.0, rho1=1.0, rho2=1.0, eta=1.5, epsilon=0.02)
-        fs = slab_field_spec(slab, seed=1)
-        assert fs.mu_eff == pytest.approx(slab.mu * slab.eta / slab.epsilon)
-        assert fs.epsilon == pytest.approx(slab.collision_radius)
-        assert fs.y_period == pytest.approx(16 * fs.cell_size)
+        # the realized intensity is SlabSpec.mu_eff exactly, the value the
+        # free-area fraction and the Green-Kubo rate use; at (1.7, 0.02)
+        # mu * (eta * r / epsilon) / r is one ulp away from it
+        for eta in (1.5, 1.7, 2.3):
+            for epsilon in (0.02, 0.021, 0.03, 2.0**-6):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    slab = SlabSpec(L=1.0, rho1=1.0, rho2=1.0, eta=eta,
+                                    epsilon=epsilon)
+                fs = slab_field_spec(slab, seed=1)
+                assert fs.epsilon == slab.epsilon
+                assert fs.mu_eff == slab.mu_eff
+                assert fs.y_period == pytest.approx(16 * fs.cell_size)
 
 
 class TestSlabSimulation:
@@ -129,7 +137,7 @@ class TestSlabSimulation:
                             epsilon=2.0**-4)
         res = simulate_slab_stationary(slab, n_injections=4000, seed=8,
                                        n_bins=8, t_max=200.0)
-        phi = math.exp(-slab.mu_eff * math.pi * slab.collision_radius**2)
+        phi = math.exp(-slab.mu_eff * math.pi * slab.epsilon**2)
         assert res.metadata["free_area_fraction"] == pytest.approx(phi)
         assert res.n_timeouts == 0
         # bins share trajectories; the mean per-bin SE bounds the SE of
