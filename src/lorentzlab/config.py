@@ -51,7 +51,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "kinetic-compare": {
         **_COMMON,
-        "cell_size": Key(float, 0.0, "field cell size; 0 means 4x the radius"),
         "alpha": Key(float, 0.25, "potential exponent"),
         "mu": Key(float, 1.0, "base intensity"),
         "speed": Key(float, 1.0, "particle speed"),
@@ -64,7 +63,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "thermalization": {
         **_COMMON,
-        "cell_size": Key(float, 0.0, "field cell size; 0 means 4x the radius"),
         "alpha": Key(float, 0.25, "potential exponent"),
         "mu": Key(float, 1.0, "base intensity"),
         "speed": Key(float, 1.0, "particle speed"),
@@ -84,7 +82,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "diffusive-scale": {
         **_COMMON,
-        "cell_size": Key(float, 0.0, "field cell size; 0 means 4x the radius"),
         "alpha": Key(float, 0.25, "potential exponent"),
         "mu": Key(float, 1.0, "base intensity"),
         "speed": Key(float, 1.0, "particle speed"),
@@ -97,7 +94,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "pathology-scan": {
         **_COMMON,
-        "cell_size": Key(float, 0.0, "field cell size; 0 means 4x the radius"),
         "alpha": Key(float, 0.25, "potential exponent"),
         "mu": Key(float, 1.0, "base intensity"),
         "speed": Key(float, 1.0, "particle speed"),
@@ -108,7 +104,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "fick-slab": {
         **_COMMON,
-        "cell_size": Key(float, 0.0, "field cell size; 0 means 4x the radius"),
         "L": Key(float, 1.0, "slab width"),
         "rho1": Key(float, 2.0, "left reservoir density"),
         "rho2": Key(float, 1.0, "right reservoir density"),
@@ -198,7 +193,7 @@ def _validate(experiment: str, v: dict):
 
     positive("speed", "mu", "epsilon", "eta", "L", "samples", "trajectories",
              "injections", "paths", "angle_bins", "x_bins", "heat_bins",
-             "sigma0", "t_max", "B")
+             "sigma0", "t_max", "B", "time")
     # the late-half MSD fit and the flux fit over bins - 1 faces need 3
     # points; epsilon = 2^-k must lie in (0, 1)
     for k, least in (("checkpoints", 4), ("bins", 4), ("k", 1), ("kmin", 1)):
@@ -206,7 +201,7 @@ def _validate(experiment: str, v: dict):
             raise ConfigError(f"{k} must be >= {least}, got {v[k]}")
     if "alpha" in v and not (0.0 < v["alpha"] <= 0.5):
         raise ConfigError(f"alpha must be in (0, 1/2], got {v['alpha']}")
-    for k in ("cell_size", "t", "dt"):
+    for k in ("t", "dt"):
         if v.get(k, 0.0) < 0.0:
             raise ConfigError(f"{k} must be >= 0 (0 selects the default)")
     if "kmin" in v and v["kmin"] > v["kmax"]:
@@ -215,8 +210,8 @@ def _validate(experiment: str, v: dict):
         raise ConfigError("workers must be >= 1")
     if experiment == "thermalization" and v["initial"] not in ("delta", "uniform"):
         raise ConfigError("initial must be 'delta' or 'uniform'")
-    if "times" in v and not parse_float_list(v["times"]):
-        raise ConfigError("times must list at least one time")
+    if "times" in v and not min(parse_float_list(v["times"]), default=-1) >= 0:
+        raise ConfigError(f"times must list times >= 0, got {v['times']!r}")
     if "eps_ladder" in v:
         parse_decade_ladder(v["eps_ladder"])  # raises ConfigError if malformed
 

@@ -24,6 +24,10 @@ from outside); that start raises ValueError.
 The backward flow is velocity reversal (the dynamics is time
 reversible); this is asserted by the time-reversal tests rather than
 implemented as a separate integrator.
+
+One engine, ``_Engine``, runs every trajectory on plain floats; the
+ensemble workers and the slab call it directly.  ``advance`` is the
+logged library entry: ``ParticleState`` in, state and log out.
 """
 
 from __future__ import annotations
@@ -196,10 +200,11 @@ def _exit_refract(ux, uy, mx, my, n):
 
 
 class _Engine:
-    """One trajectory through one field; drives advance and the slab runs."""
+    """One trajectory through one field; ``events`` counts the boundary
+    events of the latest ``run``."""
 
     __slots__ = ("field", "mode", "radius", "n_index", "log", "on_segment",
-                 "x_bounds", "max_events")
+                 "x_bounds", "max_events", "events")
 
     def __init__(self, field, params: BarrierParams | None, mode: str,
                  log: TrajectoryLog | None = None, on_segment=None,
@@ -229,7 +234,7 @@ class _Engine:
         bounds = self.x_bounds
         r = self.radius
         t = 0.0
-        events = 0
+        self.events = 0
         if log is not None:
             log.path.append((0.0, (x, y)))
 
@@ -268,10 +273,10 @@ class _Engine:
                 self._segment(t, t_max, x, y, x1, y1, vx, vy)
                 return x1, y1, vx, vy, t_max, None
 
-            events += 1
-            if events > self.max_events:
+            self.events += 1
+            if self.events > self.max_events:
                 raise StuckParticleError(
-                    f"{events} events before reaching t = {t_max}"
+                    f"{self.events} events before reaching t = {t_max}"
                 )
 
             s_in, (cx, cy) = hit

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, parse_decade_ladder, parse_float_list
-from .dynamics import ParticleState, advance, classify_pathologies
+from .dynamics import TrajectoryLog, _Engine, classify_pathologies
 from .kinetic import (JumpProcessParams, _landau_vacf_msd, green_kubo_D,
                       landau_B_quadrature, sample_boltzmann_path)
 from .macroscale import (HeatProblem, SlabSpec, simulate_slab_stationary,
@@ -50,10 +50,10 @@ class Report:
 # chunk workers (top level: picklable)
 
 
-def _barrier_field(eps, alpha, mu, seed, tag, i, cell):
+def _barrier_field(eps, alpha, mu, seed, tag, i):
     """Barrier-scaled Poisson field of mechanical trajectory i."""
     spec = FieldSpec(mu=mu, epsilon=eps, seed=mix_key(seed, tag, i),
-                     delta=1.0 + 2.0 * alpha, cell_size=cell or None)
+                     delta=1.0 + 2.0 * alpha)
     return ScattererField(spec)
 
 
@@ -68,7 +68,7 @@ def _mech_chunk(payload):
     the origin) builds no stream.  The field realization is keyed by
     (seed, tag, i).
     """
-    (eps, alpha, mu, speed, checks, seed, tag, initial, sigma0, cell,
+    (eps, alpha, mu, speed, checks, seed, tag, initial, sigma0,
      i0, i1) = payload
     params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
     m = i1 - i0
@@ -77,22 +77,23 @@ def _mech_chunk(payload):
     pos = np.empty((m, 2))
     n_events = np.zeros(m, dtype=np.int64)
     for j, i in enumerate(range(i0, i1)):
-        phi0, x0 = 0.0, np.zeros(2)
+        phi0, x0, y0 = 0.0, 0.0, 0.0
         if initial == "uniform":
             rng = rng_stream(seed, i)
             phi0 = rng.random() * 2.0 * math.pi
             if sigma0 > 0:
-                x0 = rng.standard_normal(2) * sigma0
-        fld = _barrier_field(eps, alpha, mu, seed, tag, i, cell)
-        st = ParticleState(x0, (speed * math.cos(phi0), speed * math.sin(phi0)))
+                x0, y0 = (rng.standard_normal(2) * sigma0).tolist()
+        eng = _Engine(_barrier_field(eps, alpha, mu, seed, tag, i), params,
+                      "barrier")
+        x, y, vx, vy = x0, y0, speed * math.cos(phi0), speed * math.sin(phi0)
         prev = 0.0
         for c, tc in enumerate(checks):
-            st, log = advance(st, fld, params, tc - prev)
+            x, y, vx, vy, _, _ = eng.run(x, y, vx, vy, tc - prev)
             prev = tc
-            disp[j, c] = st.x - x0
-            n_events[j] += len(log.events)
-        ang[j] = math.atan2(st.v[1], st.v[0])
-        pos[j] = st.x
+            disp[j, c] = (x - x0, y - y0)
+            n_events[j] += eng.events
+        ang[j] = math.atan2(vy, vx)
+        pos[j] = (x, y)
     return ang, disp, pos, n_events
 
 
@@ -114,14 +115,14 @@ def _jump_final_chunk(payload):
 
 
 def _pathology_chunk(payload):
-    (eps, alpha, mu, speed, T, seed, tag, cell, i0, i1) = payload
+    (eps, alpha, mu, speed, T, seed, tag, i0, i1) = payload
     params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
     m = i1 - i0
     out = np.empty((m, 4), dtype=np.int64)  # rec, int, ov, q
     for j, i in enumerate(range(i0, i1)):
-        fld = _barrier_field(eps, alpha, mu, seed, tag, i, cell)
-        _, log = advance(ParticleState((0.0, 0.0), (speed, 0.0)), fld,
-                         params, T)
+        fld = _barrier_field(eps, alpha, mu, seed, tag, i)
+        log = TrajectoryLog()
+        _Engine(fld, params, "barrier", log=log).run(0.0, 0.0, speed, 0.0, T)
         rep = classify_pathologies(log, fld, params)
         out[j] = (rep.recollisions, rep.interferences, rep.overlaps,
                   rep.q_collisions)
@@ -138,8 +139,8 @@ def _ensemble(fn, head: tuple, n: int, workers: int) -> tuple:
 def _mech_ensemble(cfg, eps, n, checks, tag, initial="delta", sigma0=0.0):
     """_mech_chunk's outputs for n trajectories in cfg's barrier medium."""
     return _ensemble(_mech_chunk, (eps, cfg["alpha"], cfg["mu"], cfg["speed"],
-                                   checks, cfg["seed"], tag, initial, sigma0,
-                                   cfg["cell_size"]), n, cfg["workers"])
+                                   checks, cfg["seed"], tag, initial, sigma0),
+                    n, cfg["workers"])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +368,7 @@ def run_pathology_scan(cfg: ExperimentConfig) -> Report:
         (counts,) = _ensemble(
             _pathology_chunk,
             (eps, cfg["alpha"], cfg["mu"], cfg["speed"], cfg["time"],
-             cfg["seed"], 5000 + k, cfg["cell_size"]), n, cfg["workers"])
+             cfg["seed"], 5000 + k), n, cfg["workers"])
         rec, intf, ov, q = counts.T
         q_tot = max(int(q.sum()), 1)
         frac_rec = float(rec.sum()) / q_tot
@@ -410,7 +411,6 @@ def run_fick_slab(cfg: ExperimentConfig) -> Report:
         slab, n_injections=cfg["injections"], seed=cfg["seed"],
         n_bins=cfg["bins"], t_max=cfg["t_max"], workers=cfg["workers"],
         y_period_cells=cfg["y_period_cells"],
-        cell_size=cfg["cell_size"] or None,
     )
     rows = []
     for i in range(cfg["bins"]):

@@ -29,8 +29,11 @@ heat-equation convention ``d_t rho = D lap rho``: in 2D,
 ``D = (1/2) * integral_0^inf E[v(0).v(t)] dt``, equivalently the late
 slope of E|X(t)-X(0)|^2 / (4 t).  Three routes (closed-form VACF,
 Monte Carlo VACF, Monte Carlo MSD) must agree, which pins the
-normalization internally; ``d_prefactor_diagnostics`` reports how the
-two textbook Green-Kubo prefactor variants relate to the operational D.
+normalization internally.  At c = mu/(2 |v|^3) the operational D is
+|v|^5/mu; the textbook variants (2/mu)|v| int v.(-lap^-1)v dv
+(normalized angular measure) and (2 pi/mu)|v|^2 int_0^inf E[v.V(t)] dt
+(V under the bare Laplace-Beltrami operator) give 2 and 2 pi |v| times
+that.
 
 One kernel, ``_landau_paths``, samples the angular Brownian motion:
 ``sample_landau_path`` is its one-path case, and the Monte Carlo routes
@@ -60,7 +63,6 @@ __all__ = [
     "landau_B_quadrature",
     "green_kubo_D",
     "scattering_moment_integrals",
-    "d_prefactor_diagnostics",
 ]
 
 # Paths per chunk of the Landau ensemble; each chunk owns one stream.
@@ -306,8 +308,8 @@ def _landau_vacf_msd(c: float, speed: float, n_paths: int, dt: float,
 
 def green_kubo_D(B: float | None = None, mu: float | None = None,
                  speed: float = 1.0, method: str = "analytic_vacf", *,
-                 n_paths: int = 100_000, dt: float | None = None,
-                 seed: int = 2024, rate: float | None = None) -> float:
+                 n_paths: int = 100_000, seed: int = 2024,
+                 rate: float | None = None) -> float:
     """Spatial diffusion coefficient, D = (1/2) integral of the VACF.
 
     Landau route: pass ``B``; the angular diffusion constant is
@@ -319,7 +321,8 @@ def green_kubo_D(B: float | None = None, mu: float | None = None,
 
     methods: ``analytic_vacf`` (closed form), ``monte_carlo``
     (trapezoid over the empirical VACF, cutoff at 10 correlation
-    times), ``msd`` (late-time slope of E|X|^2 / (4 t)).
+    times), ``msd`` (late-time slope of E|X|^2 / (4 t)).  The Monte
+    Carlo time step is 1/100 correlation time (Landau) or 1/50 (jumps).
     """
     if method not in ("analytic_vacf", "monte_carlo", "msd"):
         raise ValueError(f"unknown method {method!r}")
@@ -342,11 +345,10 @@ def green_kubo_D(B: float | None = None, mu: float | None = None,
 
     t_max = 10.0 / nu
     if B is not None:
-        if dt is None:
-            dt = 0.01 / nu
-        grid, vacf, msd = _landau_vacf_msd(nu, speed, n_paths, dt, t_max, seed)
+        grid, vacf, msd = _landau_vacf_msd(nu, speed, n_paths, 0.01 / nu,
+                                           t_max, seed)
     else:
-        grid, vacf, msd = _jump_vacf_msd(rate, speed, n_paths, dt or 0.02 / nu,
+        grid, vacf, msd = _jump_vacf_msd(rate, speed, n_paths, 0.02 / nu,
                                          t_max, seed)
     if method == "monte_carlo":
         return 0.5 * float(np.trapezoid(vacf, grid))
@@ -376,31 +378,3 @@ def _jump_vacf_msd(rate: float, speed: float, n_paths: int, dt: float,
         py = base[:, 1] + tt * speed * np.sin(ang)
         sum_msd += px**2 + py**2
     return grid, speed**2 * sum_cos / n_paths, sum_msd / n_paths
-
-
-def d_prefactor_diagnostics(mu: float = 1.0, speed: float = 1.0) -> dict:
-    """Compare two textbook Green-Kubo prefactor variants to the
-    operational D.
-
-    Reference process: angular diffusion whose collision operator is
-    (mu/2)(1/|v|) times the Laplace-Beltrami operator on the speed
-    circle, i.e. angular generator c = mu/(2 speed^3); its operational
-    D (heat-equation convention) is speed^5/mu.  The variant written
-    with the inverse operator, (2/mu)|v| int v.(-lap^-1)v dv under the
-    normalized angular measure, gives 2 speed^5/mu; the variant written
-    as (2 pi/mu)|v|^2 int_0^inf E[v.V(t)] dt with V generated by the
-    bare Laplace-Beltrami operator gives 2 pi speed^6/mu.  The ratios
-    (2 and 2 pi speed) are reported as a diagnostic; nothing downstream
-    consumes either variant.
-    """
-    c39 = mu / (2.0 * speed**3)
-    d_op = speed**2 / (2.0 * c39)  # = speed^5 / mu
-    inv_lap_form = 2.0 * speed**5 / mu
-    vacf_2pi_form = 2.0 * math.pi * speed**6 / mu
-    return {
-        "operational": d_op,
-        "inverse_laplacian_form": inv_lap_form,
-        "vacf_2pi_form": vacf_2pi_form,
-        "ratio_inverse_laplacian": inv_lap_form / d_op,
-        "ratio_vacf_2pi": vacf_2pi_form / d_op,
-    }

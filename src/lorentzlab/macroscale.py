@@ -147,24 +147,21 @@ def fick_flux(slab: SlabSpec, D: float) -> float:
     return -D * (slab.rho2 - slab.rho1) / slab.L
 
 
-def slab_field_spec(slab: SlabSpec, seed: int, y_period_cells: int = 16,
-                    cell_size: float | None = None) -> FieldSpec:
+def slab_field_spec(slab: SlabSpec, seed: int,
+                    y_period_cells: int = 16) -> FieldSpec:
     """Scatterer-field parameters realizing the slab intensity.
 
     The field takes the slab's epsilon (the collision radius) and eta,
     so its realized intensity is exactly SlabSpec.mu_eff.  The
-    realization is periodic in y with period y_period_cells cells
-    (default cell size 4 * epsilon, so the default period is
-    64 * epsilon).
+    realization is periodic in y with period y_period_cells cells of
+    the default size 4 * epsilon, so the default period is 64 * epsilon.
     """
-    cell = cell_size if cell_size else 4.0 * slab.epsilon
     return FieldSpec(
         mu=slab.mu,
         epsilon=slab.epsilon,
         seed=seed,
         eta=slab.eta,
-        cell_size=cell,
-        y_period=y_period_cells * cell,
+        y_period=y_period_cells * 4.0 * slab.epsilon,
     )
 
 
@@ -271,8 +268,8 @@ def _slab_chunk(payload):
 def simulate_slab_stationary(slab: SlabSpec, field_factory=None,
                              n_injections: int = 100_000, seed: int = 0, *,
                              n_bins: int = 16, t_max: float = 500.0,
-                             workers: int = 1, y_period_cells: int = 16,
-                             cell_size: float | None = None) -> SlabResult:
+                             workers: int = 1, y_period_cells: int = 16
+                             ) -> SlabResult:
     """Boundary-injection estimate of the stationary density and flux.
 
     Alternating injections enter at the left wall (density weight rho1)
@@ -298,12 +295,11 @@ def simulate_slab_stationary(slab: SlabSpec, field_factory=None,
     """
     if n_bins < 2 or n_injections < 2:
         raise ValueError("need at least 2 bins and 2 injections")
-    width = y_period_cells * (cell_size or 4.0 * slab.epsilon)
+    width = y_period_cells * 4.0 * slab.epsilon
     free = 1.0
     if field_factory is None:
         base_spec = slab_field_spec(slab, mix_key(seed, 0xF1E1D),
-                                    y_period_cells=y_period_cells,
-                                    cell_size=cell_size)
+                                    y_period_cells=y_period_cells)
         field_factory = partial(_poisson_injection_field, base_spec)
         free = math.exp(-slab.mu_eff * math.pi * slab.epsilon**2)
 

@@ -104,6 +104,10 @@ class TestCLI:
         ["fick-slab", "--set", "bins=3"],
         ["thermalization", "--k", "0"],
         ["pathology-scan", "--eps-ladder", "0..1"],
+        ["pathology-scan", "--time", "-1"],
+        ["thermalization", "--times", "-0.5"],
+        ["diffusive-scale", "--time", "-1"],
+        ["kinetic-compare", "--time", "0"],
     ])
     def test_bad_run_value_is_config_error(self, argv, tmp_path, capsys):
         # caught before the run starts, so nothing is written

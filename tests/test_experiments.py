@@ -7,12 +7,88 @@ import numpy as np
 import pytest
 
 from lorentzlab.config import build_config
-from lorentzlab.experiments import run_experiment
+from lorentzlab.dynamics import (ParticleState, _find_containing_disk, advance,
+                                 classify_pathologies)
+from lorentzlab.experiments import (_barrier_field, _mech_chunk,
+                                    _pathology_chunk, run_experiment)
 from lorentzlab.kinetic import (JumpProcessParams, landau_B_quadrature,
                                 sample_boltzmann_path)
 from lorentzlab.rng import rng_stream
 from lorentzlab.scattering import BarrierParams
 from lorentzlab.stats import angle_histogram, mean_with_ci, tv_distance
+
+
+def _mech_reference(payload):
+    """_mech_chunk written through the logged path: advance per checkpoint
+    on ParticleState arrays, events counted from the logs.  Also returns
+    how many checkpoints before the last stopped inside a disk."""
+    (eps, alpha, mu, speed, checks, seed, tag, initial, sigma0,
+     i0, i1) = payload
+    params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
+    ang, disp, pos, n_events, inside = [], [], [], [], 0
+    for i in range(i0, i1):
+        phi0, x0 = 0.0, np.zeros(2)
+        if initial == "uniform":
+            rng = rng_stream(seed, i)
+            phi0 = rng.random() * 2.0 * math.pi
+            if sigma0 > 0:
+                x0 = rng.standard_normal(2) * sigma0
+        fld = _barrier_field(eps, alpha, mu, seed, tag, i)
+        st = ParticleState(x0, (speed * math.cos(phi0),
+                                speed * math.sin(phi0)))
+        prev, d, ev = 0.0, [], 0
+        for tc in checks:
+            st, log = advance(st, fld, params, tc - prev)
+            prev = tc
+            d.append(st.x - x0)
+            ev += len(log.events)
+            if tc != checks[-1]:
+                inside += _find_containing_disk(fld, *st.x, eps) is not None
+        ang.append(math.atan2(st.v[1], st.v[0]))
+        disp.append(d)
+        pos.append(st.x)
+        n_events.append(ev)
+    return (np.array(ang), np.array(disp), np.array(pos), np.array(n_events),
+            inside)
+
+
+class TestWorkersEqualLoggedPath:
+    """The chunk workers drive the engine on floats; they must reproduce
+    the logged library path bit for bit."""
+
+    @pytest.mark.parametrize("k,checks,initial,sigma0", [
+        (6, (0.5,), "delta", 0.0),
+        (6, (0.1, 0.2, 0.3, 0.4, 0.5), "uniform", 0.3),
+        (3, (0.1, 0.2, 0.3), "uniform", 0.0),  # always reflecting
+    ])
+    def test_mech_chunk(self, k, checks, initial, sigma0):
+        payload = (2.0**-k, 0.25, 1.0, 1.0, checks, 61, 7, initial, sigma0,
+                   0, 40)
+        got = _mech_chunk(payload)
+        *want, inside = _mech_reference(payload)
+        for a, b in zip(got, want):  # angles, displacements, positions, events
+            assert np.array_equal(a, b)
+        assert got[3].sum() > 0
+        if sigma0 > 0:
+            # a checkpoint that stops mid-chord resumes through _escape
+            assert inside > 0
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_pathology_chunk(self, k):
+        eps, T = 2.0**-k, 0.5
+        params = BarrierParams(epsilon=eps, alpha=0.25, speed=1.0)
+        (got,) = _pathology_chunk((eps, 0.25, 1.0, 1.0, T, 62, 5000 + k,
+                                   0, 30))
+        want = []
+        for i in range(30):
+            fld = _barrier_field(eps, 0.25, 1.0, 62, 5000 + k, i)
+            _, log = advance(ParticleState((0.0, 0.0), (1.0, 0.0)), fld,
+                             params, T)
+            rep = classify_pathologies(log, fld, params)
+            want.append((rep.recollisions, rep.interferences, rep.overlaps,
+                         rep.q_collisions))
+        assert np.array_equal(got, np.array(want))
+        assert got[:, 3].sum() > 0
 
 
 class TestKineticCompareShortTime:

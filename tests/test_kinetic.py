@@ -10,7 +10,6 @@ from lorentzlab.experiments import run_experiment
 from lorentzlab.kinetic import (
     JumpProcessParams,
     _landau_vacf_msd,
-    d_prefactor_diagnostics,
     green_kubo_D,
     landau_B_quadrature,
     sample_boltzmann_path,
@@ -244,11 +243,6 @@ class TestGreenKubo:
             green_kubo_D(B=1.0, method="nope")
         with pytest.raises(ValueError):
             green_kubo_D(mu=1.0, method="msd", n_paths=0)
-
-    def test_prefactor_diagnostics(self):
-        diag = d_prefactor_diagnostics(mu=1.0, speed=1.0)
-        assert diag["ratio_inverse_laplacian"] == pytest.approx(2.0)
-        assert diag["ratio_vacf_2pi"] == pytest.approx(2.0 * math.pi)
 
 
 class TestEvolveDensity:

@@ -63,6 +63,30 @@ class TestChiSquare:
         _, p = chi_square_uniform(counts)
         assert p < 1e-10
 
+    def test_equals_scipy_chisquare(self):
+        from scipy.stats import chisquare
+
+        rng = np.random.default_rng(11)
+        for n, lam in ((2, 3.0), (8, 40.0), (32, 600.0), (64, 1.5)):
+            counts = rng.poisson(lam, n)
+            stat, p = chisquare(counts.astype(float))
+            assert chi_square_uniform(counts) == (float(stat), float(p))
+
+    def test_cli_import_skips_scipy_stats(self):
+        import os
+        import subprocess
+        import sys
+
+        import lorentzlab
+
+        src = os.path.dirname(os.path.dirname(lorentzlab.__file__))
+        code = ("import sys, lorentzlab.cli; "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
 
 class TestLinearFit:
     def test_exact_line(self):
