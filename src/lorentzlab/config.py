@@ -34,6 +34,12 @@ _COMMON = {
     "out_prefix": Key(str, "", "output file stem (default: experiment name)"),
 }
 
+_MEDIUM = {
+    "alpha": Key(float, 0.25, "potential exponent"),
+    "mu": Key(float, 1.0, "base intensity"),
+    "speed": Key(float, 1.0, "particle speed"),
+}
+
 SCHEMAS: dict[str, dict[str, Key]] = {
     "scatter-table": {
         **_COMMON,
@@ -44,16 +50,12 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "b-divergence": {
         **_COMMON,
-        "alpha": Key(float, 0.25, "potential exponent"),
-        "mu": Key(float, 1.0, "base intensity"),
-        "speed": Key(float, 1.0, "particle speed"),
+        **_MEDIUM,
         "eps_ladder": Key(str, "1e-4..1e-12", "decade ladder lo..hi"),
     },
     "kinetic-compare": {
         **_COMMON,
-        "alpha": Key(float, 0.25, "potential exponent"),
-        "mu": Key(float, 1.0, "base intensity"),
-        "speed": Key(float, 1.0, "particle speed"),
+        **_MEDIUM,
         "kmin": Key(int, 4, "coarsest epsilon = 2^-kmin"),
         "kmax": Key(int, 8, "finest epsilon = 2^-kmax"),
         "time": Key(float, 1.0, "kinetic time horizon"),
@@ -63,9 +65,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "thermalization": {
         **_COMMON,
-        "alpha": Key(float, 0.25, "potential exponent"),
-        "mu": Key(float, 1.0, "base intensity"),
-        "speed": Key(float, 1.0, "particle speed"),
+        **_MEDIUM,
         "k": Key(int, 8, "epsilon = 2^-k"),
         "times": Key(str, "0.5,1,2", "comma list of kinetic times"),
         "samples": Key(int, 10_000, "trajectories per time"),
@@ -82,9 +82,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "diffusive-scale": {
         **_COMMON,
-        "alpha": Key(float, 0.25, "potential exponent"),
-        "mu": Key(float, 1.0, "base intensity"),
-        "speed": Key(float, 1.0, "particle speed"),
+        **_MEDIUM,
         "k": Key(int, 8, "epsilon = 2^-k"),
         "time": Key(float, 1.0, "diffusive horizon in units of |log eps|"),
         "trajectories": Key(int, 2000, "mechanical trajectories"),
@@ -94,9 +92,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "pathology-scan": {
         **_COMMON,
-        "alpha": Key(float, 0.25, "potential exponent"),
-        "mu": Key(float, 1.0, "base intensity"),
-        "speed": Key(float, 1.0, "particle speed"),
+        **_MEDIUM,
         "kmin": Key(int, 3, "coarsest epsilon = 2^-kmin"),
         "kmax": Key(int, 8, "finest epsilon = 2^-kmax"),
         "time": Key(float, 0.5, "macroscopic time per trajectory"),
@@ -193,7 +189,7 @@ def _validate(experiment: str, v: dict):
 
     positive("speed", "mu", "epsilon", "eta", "L", "samples", "trajectories",
              "injections", "paths", "angle_bins", "x_bins", "heat_bins",
-             "sigma0", "t_max", "B", "time")
+             "sigma0", "t_max", "B", "time", "y_period_cells")
     # the late-half MSD fit and the flux fit over bins - 1 faces need 3
     # points; epsilon = 2^-k must lie in (0, 1)
     for k, least in (("checkpoints", 4), ("bins", 4), ("k", 1), ("kmin", 1)):
@@ -201,6 +197,8 @@ def _validate(experiment: str, v: dict):
             raise ConfigError(f"{k} must be >= {least}, got {v[k]}")
     if "alpha" in v and not (0.0 < v["alpha"] <= 0.5):
         raise ConfigError(f"alpha must be in (0, 1/2], got {v['alpha']}")
+    if experiment == "scatter-table" and not (0.0 < v["epsilon"] < 1.0):
+        raise ConfigError(f"epsilon must be in (0, 1), got {v['epsilon']}")
     for k in ("t", "dt"):
         if v.get(k, 0.0) < 0.0:
             raise ConfigError(f"{k} must be >= 0 (0 selects the default)")

@@ -1,14 +1,15 @@
 """Event-driven particle flow through a scatterer field.
 
 Between scatterers the particle flies straight.  On reaching a disk
-boundary it either crosses along the refracted interior chord (barrier
-mode; interior speed is n * exterior speed, exit deflected by the
-closed-form angle) or reflects specularly (hard-disk mode, and the
-total-reflection branch of the barrier).  Disk/line intersections are
-solved exactly by the quadratic formula; near-tangential hits
-(normalized discriminant < 1e-12) are treated as misses, and after each
-boundary interaction the position is nudged 1e-12 along the new
-velocity so the boundary just left is not re-detected.
+boundary it either crosses along the refracted interior chord (interior
+speed is n * exterior speed, exit deflected by the closed-form angle)
+or reflects specularly (the total-reflection branch).  Hard disks are
+``params=None``: refractive index 0, so every impact reflects, as in
+``deflection_angle(rho, 0)``.  Disk/line intersections are solved
+exactly by the quadratic formula; near-tangential hits (normalized
+discriminant < 1e-12) are treated as misses, and after each boundary
+interaction the position is nudged 1e-12 along the new velocity so the
+boundary just left is not re-detected.
 
 The next hit is found by marching the ray through the field's cells in
 steps of the field's ``march_window``; planted fixtures and Poisson
@@ -19,7 +20,9 @@ Overlapping disks are not composed: a disk that already contains the
 current position is ignored for that flight, the first boundary crossing
 always wins, and the overlap shows up in the pathology report instead.
 A hard-disk run may not start inside a disk (its interior is unreachable
-from outside); that start raises ValueError.
+from outside); that start raises ValueError.  This start rule and the
+event label are all that tell a hard disk from an always-reflecting
+barrier, whose start inside a disk still flies out through it.
 
 The backward flow is velocity reversal (the dynamics is time
 reversible); this is asserted by the time-reversal tests rather than
@@ -48,7 +51,6 @@ __all__ = [
     "advance",
     "backward_flow",
     "classify_pathologies",
-    "first_boundary_hit",
 ]
 
 MAX_EVENTS = 10**6
@@ -200,33 +202,25 @@ def _exit_refract(ux, uy, mx, my, n):
 
 
 class _Engine:
-    """One trajectory through one field; ``events`` counts the boundary
-    events of the latest ``run``."""
+    """One trajectory through one field; ``params=None`` means hard disks.
+    ``events`` counts the boundary events of the latest ``run``."""
 
-    __slots__ = ("field", "mode", "radius", "n_index", "log", "on_segment",
-                 "x_bounds", "max_events", "events")
+    __slots__ = ("field", "hard", "radius", "n_index", "log", "on_segment",
+                 "x_bounds", "events")
 
-    def __init__(self, field, params: BarrierParams | None, mode: str,
+    def __init__(self, field, params: BarrierParams | None,
                  log: TrajectoryLog | None = None, on_segment=None,
-                 x_bounds=None, max_events: int = MAX_EVENTS):
-        if mode not in ("barrier", "hard_disk"):
-            raise ValueError(f"unknown mode {mode!r}")
+                 x_bounds=None):
         self.field = field
-        self.mode = mode
+        self.hard = params is None
         self.radius = field.epsilon
-        if mode == "barrier":
-            if params is None:
-                raise ValueError("barrier mode requires BarrierParams")
-            if abs(field.epsilon - params.epsilon) > 1e-12 * params.epsilon:
-                raise ValueError("field.epsilon and params.epsilon disagree")
-            self.n_index = params.n_index
-        else:
-            # hard disks only reflect; params is unused
-            self.n_index = 0.0
+        if not self.hard and (abs(field.epsilon - params.epsilon)
+                              > 1e-12 * params.epsilon):
+            raise ValueError("field.epsilon and params.epsilon disagree")
+        self.n_index = 0.0 if self.hard else params.n_index
         self.log = log
         self.on_segment = on_segment
         self.x_bounds = x_bounds
-        self.max_events = max_events
 
     def run(self, x, y, vx, vy, t_max):
         """Returns (x, y, vx, vy, t_elapsed, exit_side)."""
@@ -238,10 +232,10 @@ class _Engine:
         if log is not None:
             log.path.append((0.0, (x, y)))
 
-        if self.mode == "hard_disk" or self.n_index > 0.0:
+        if self.hard or self.n_index > 0.0:
             inside = _find_containing_disk(self.field, x, y, r)
             if inside is not None:
-                if self.mode == "hard_disk":
+                if self.hard:
                     # no trajectory from outside reaches a hard disk's interior
                     raise ValueError(
                         f"hard-disk run starts inside the disk at {inside}"
@@ -274,7 +268,7 @@ class _Engine:
                 return x1, y1, vx, vy, t_max, None
 
             self.events += 1
-            if self.events > self.max_events:
+            if self.events > MAX_EVENTS:
                 raise StuckParticleError(
                     f"{self.events} events before reaching t = {t_max}"
                 )
@@ -287,13 +281,13 @@ class _Engine:
             rho = ((cx - xe) * uy - (cy - ye) * ux) / r
             rho = max(-1.0, min(1.0, rho))
 
-            if self.mode == "hard_disk" or self.n_index == 0.0 or abs(rho) > self.n_index:
+            if self.n_index == 0.0 or abs(rho) > self.n_index:
                 ox, oy = xe - cx, ye - cy
                 onorm = math.hypot(ox, oy)
                 ox, oy = ox / onorm, oy / onorm
                 d = 2.0 * (ox * vx + oy * vy)
                 vx, vy = vx - d * ox, vy - d * oy
-                kind = HARD_REFLECT if self.mode == "hard_disk" else TOTAL_REFLECT
+                kind = HARD_REFLECT if self.hard else TOTAL_REFLECT
                 if log is not None:
                     log.events.append(TrajectoryEvent(t, (cx, cy), rho, kind))
                 speed = math.hypot(vx, vy)
@@ -385,60 +379,39 @@ class _Engine:
             self.log.path.append((t1, (x1, y1)))
 
 
-def advance(state: ParticleState, field, params: BarrierParams, t: float,
-            mode: str = "barrier", max_events: int = MAX_EVENTS
-            ) -> tuple[ParticleState, TrajectoryLog]:
+def advance(state: ParticleState, field, params: BarrierParams | None,
+            t: float) -> tuple[ParticleState, TrajectoryLog]:
     """Flow the state for duration t through the field.
 
-    Returns the state at time t and the ordered event/path log.  In
-    barrier mode the particle normally starts outside every disk; a
-    start inside a disk (as returned by a mid-chord stop) resumes the
-    interior chord first; in hard-disk mode such a start raises
-    ValueError.  More than ``max_events`` boundary events raise
-    StuckParticleError.
+    Returns the state at time t and the ordered event/path log;
+    ``params=None`` flows through hard disks.  Through barriers the
+    particle normally starts outside every disk; a start inside a disk
+    (as returned by a mid-chord stop) resumes the interior chord first,
+    while a hard-disk start inside a disk raises ValueError.  More than
+    MAX_EVENTS boundary events raise StuckParticleError.
     """
     if t < 0.0:
         raise ValueError("duration must be nonnegative")
     log = TrajectoryLog()
-    eng = _Engine(field, params, mode, log=log, max_events=max_events)
+    eng = _Engine(field, params, log=log)
     x, y, vx, vy, _, _ = eng.run(state.x[0], state.x[1],
                                  state.v[0], state.v[1], t)
     return ParticleState((x, y), (vx, vy)), log
 
 
-def backward_flow(state: ParticleState, field, params: BarrierParams,
-                  t: float, mode: str = "barrier"):
+def backward_flow(state: ParticleState, field, params: BarrierParams | None,
+                  t: float):
     """advance applied to (x, -v), with the returned velocity negated.
 
     Velocity reversal realizes the backward flow exactly because the
     dynamics is time reversible.
     """
     rev = ParticleState(state.x, -np.asarray(state.v, dtype=float))
-    out, log = advance(rev, field, params, t, mode)
+    out, log = advance(rev, field, params, t)
     return ParticleState(out.x, -out.v), log
 
 
-def first_boundary_hit(state: ParticleState, field, params: BarrierParams,
-                       slab_length: float, t_max: float,
-                       mode: str = "hard_disk"):
-    """Time and side of the first crossing of x1 = 0 or x1 = slab_length.
-
-    Returns (tau, side) with side in {"left", "right"}, or (None,
-    "none") when the trajectory stays inside for all of t_max.  A
-    hard-disk start inside a disk raises ValueError.
-    """
-    if not (0.0 < state.x[0] < slab_length):
-        raise ValueError("state must start strictly inside the slab")
-    eng = _Engine(field, params, mode, x_bounds=(0.0, slab_length))
-    _, _, _, _, t, side = eng.run(state.x[0], state.x[1],
-                                  state.v[0], state.v[1], t_max)
-    if side is None:
-        return None, "none"
-    return t, side
-
-
-def classify_pathologies(log: TrajectoryLog, field, params: BarrierParams
-                         ) -> PathologyReport:
+def classify_pathologies(log: TrajectoryLog, field) -> PathologyReport:
     """Count overlap/recollision/interference events in a trajectory log.
 
     overlaps: unordered pairs of collided scatterers closer than 2 eps;

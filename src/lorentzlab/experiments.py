@@ -83,8 +83,7 @@ def _mech_chunk(payload):
             phi0 = rng.random() * 2.0 * math.pi
             if sigma0 > 0:
                 x0, y0 = (rng.standard_normal(2) * sigma0).tolist()
-        eng = _Engine(_barrier_field(eps, alpha, mu, seed, tag, i), params,
-                      "barrier")
+        eng = _Engine(_barrier_field(eps, alpha, mu, seed, tag, i), params)
         x, y, vx, vy = x0, y0, speed * math.cos(phi0), speed * math.sin(phi0)
         prev = 0.0
         for c, tc in enumerate(checks):
@@ -122,8 +121,8 @@ def _pathology_chunk(payload):
     for j, i in enumerate(range(i0, i1)):
         fld = _barrier_field(eps, alpha, mu, seed, tag, i)
         log = TrajectoryLog()
-        _Engine(fld, params, "barrier", log=log).run(0.0, 0.0, speed, 0.0, T)
-        rep = classify_pathologies(log, fld, params)
+        _Engine(fld, params, log=log).run(0.0, 0.0, speed, 0.0, T)
+        rep = classify_pathologies(log, fld)
         out[j] = (rep.recollisions, rep.interferences, rep.overlaps,
                   rep.q_collisions)
     return (out,)
@@ -190,12 +189,6 @@ def run_b_divergence(cfg: ExperimentConfig) -> Report:
                   rows, summary, cfg)
 
 
-def _spatial_l1(x_mech, x_jump, lo, hi, bins):
-    hm, _ = np.histogram(x_mech, bins=bins, range=(lo, hi))
-    hj, _ = np.histogram(x_jump, bins=bins, range=(lo, hi))
-    return hm, hj, float(np.abs(hm / hm.sum() - hj / hj.sum()).sum())
-
-
 def run_kinetic_compare(cfg: ExperimentConfig) -> Report:
     """Mechanical ensemble vs velocity-jump ensemble along an eps ladder.
 
@@ -216,14 +209,15 @@ def run_kinetic_compare(cfg: ExperimentConfig) -> Report:
             _jump_final_chunk,
             (eps, cfg["alpha"], cfg["mu"], cfg["speed"], T, cfg["seed"],
              2000 + k), n, cfg["workers"])
-        mech_x, jump_x = mech_pos[:, 0], jump_pos[:, 0]
 
         ha = angle_histogram(mech_a, cfg["angle_bins"])
         hb = angle_histogram(jump_a, cfg["angle_bins"])
         tv = tv_distance(ha, hb)
         floor_mean, floor_hi = tv_self_noise(ha, hb, seed=mix_key(cfg["seed"], k))
         span = cfg["speed"] * T
-        hm, hj, l1 = _spatial_l1(mech_x, jump_x, -span, span, cfg["x_bins"])
+        hm, hj = (np.histogram(pos[:, 0], cfg["x_bins"], (-span, span))[0]
+                  for pos in (mech_pos, jump_pos))
+        l1 = 2.0 * tv_distance(hm, hj)  # L1 distance of the x histograms
         l1_floor, _ = tv_self_noise(hm, hj, seed=mix_key(cfg["seed"], k, 3))
         rows.append((eps, tv, floor_mean, floor_hi, l1, 2.0 * l1_floor,
                      float(mech_ev.mean()) / T, float(jump_ev.mean()) / T))

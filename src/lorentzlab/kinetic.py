@@ -11,6 +11,10 @@ equation:
   a collision operator equal to B times the Laplace-Beltrami operator
   on the circle of radius |v|).
 
+The barrier's refractive index comes from ``scattering.refractive_index``
+and its angle law from ``scattering.deflection_angle``: the jump law,
+the ``B`` quadrature and the moment integrals restate neither.
+
 ``landau_B_quadrature`` evaluates the angular-diffusion coefficient at
 finite epsilon,
 
@@ -52,7 +56,7 @@ from scipy.integrate import quad
 
 from .parallel import run_ensemble
 from .rng import rng_stream
-from .scattering import BarrierParams, RegimeError, deflection_angle
+from .scattering import BarrierParams, deflection_angle, refractive_index
 
 __all__ = [
     "JumpProcessParams",
@@ -80,7 +84,6 @@ class JumpProcessParams:
 
     rate: float
     n_index: float
-    speed: float = 1.0
 
     def __post_init__(self):
         if self.rate <= 0.0:
@@ -92,11 +95,11 @@ class JumpProcessParams:
     def from_barrier(cls, params: BarrierParams, mu: float = 1.0
                      ) -> "JumpProcessParams":
         rate = 2.0 * mu * params.epsilon ** (-2.0 * params.alpha) * params.speed
-        return cls(rate=rate, n_index=params.n_index, speed=params.speed)
+        return cls(rate=rate, n_index=params.n_index)
 
     @classmethod
-    def hard_disk(cls, rate: float, speed: float = 1.0) -> "JumpProcessParams":
-        return cls(rate=rate, n_index=0.0, speed=speed)
+    def hard_disk(cls, rate: float) -> "JumpProcessParams":
+        return cls(rate=rate, n_index=0.0)
 
     def mean_cos_jump(self) -> float:
         """E[cos theta] over the jump law (quadrature)."""
@@ -121,7 +124,6 @@ class BoltzmannPath:
     node_times: np.ndarray
     angles: np.ndarray
     positions: np.ndarray
-    speed: float
 
     @property
     def n_jumps(self) -> int:
@@ -174,7 +176,7 @@ def sample_boltzmann_path(x0, v0, t: float, params: JumpProcessParams,
     pos[0] = x0
     pos[1:, 0] = x0[0] + np.cumsum(seg * speed * np.cos(ang))
     pos[1:, 1] = x0[1] + np.cumsum(seg * speed * np.sin(ang))
-    return BoltzmannPath(node_times, ang, pos, speed)
+    return BoltzmannPath(node_times, ang, pos)
 
 
 @dataclass
@@ -184,7 +186,6 @@ class LandauPath:
     times: np.ndarray
     angles: np.ndarray
     positions: np.ndarray
-    speed: float
 
     @property
     def final_position(self) -> np.ndarray:
@@ -233,12 +234,14 @@ def sample_landau_path(x0, v0, t: float, B: float, dt: float, rng) -> LandauPath
     x0 = np.asarray(x0, dtype=float)
     vx, vy = float(v0[0]), float(v0[1])
     speed = math.hypot(vx, vy)
+    if speed <= 0.0:
+        raise ValueError("initial velocity must be nonzero")
     n_steps = max(1, math.ceil(t / dt)) if t > 0 else 0
     grid = np.linspace(0.0, t, n_steps + 1)
     phi, x, y = _landau_paths(rng, 1, np.diff(grid), B / speed**2, speed,
                               math.atan2(vy, vx))
     pos = np.column_stack((x0[0] + x[0], x0[1] + y[0]))
-    return LandauPath(grid, phi[0], pos, speed)
+    return LandauPath(grid, phi[0], pos)
 
 
 def landau_B_quadrature(epsilon: float, alpha: float, mu: float = 1.0,
@@ -246,15 +249,12 @@ def landau_B_quadrature(epsilon: float, alpha: float, mu: float = 1.0,
     """(mu eps^(-2 alpha)/2) |v| * integral of theta^2 over rho in [-1,1].
 
     Adaptive quadrature with the branch point rho = n as a subdivision
-    point, relative error <= 1e-8.  Raises RegimeError when
-    2 eps^alpha >= speed^2.
+    point, relative error <= 1e-8.  Raises ValueError outside
+    BarrierParams' domain and RegimeError when 2 eps^alpha >= speed^2.
     """
-    if epsilon <= 0.0 or not (0.0 < alpha <= 0.5) or mu <= 0.0 or speed <= 0.0:
-        raise ValueError("parameters out of range")
-    ratio = 2.0 * epsilon**alpha / speed**2
-    if ratio >= 1.0:
-        raise RegimeError("2 eps^alpha >= speed^2: no refracted branch")
-    n = math.sqrt(1.0 - ratio)
+    if mu <= 0.0:
+        raise ValueError("mu must be positive")
+    n = refractive_index(BarrierParams(epsilon, alpha, speed))
     integrand = lambda r: deflection_angle(r, n) ** 2  # noqa: E731
     half, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10,
                    limit=500, points=[n])
@@ -270,10 +270,7 @@ def scattering_moment_integrals(epsilon: float, alpha: float,
     to 2 alpha / speed**4 at unit speed normalization; the second
     vanishes (grazing collisions).
     """
-    ratio = 2.0 * epsilon**alpha / speed**2
-    if ratio >= 1.0:
-        raise RegimeError("2 eps^alpha >= speed^2")
-    n = math.sqrt(1.0 - ratio)
+    n = refractive_index(BarrierParams(epsilon, alpha, speed))
     s2 = lambda r: 4.0 * math.sin(deflection_angle(r, n) / 2.0) ** 2  # noqa: E731
     m2, _ = quad(s2, 0.0, 1.0, epsabs=0, epsrel=1e-10, limit=500, points=[n])
     # the fourth moment is tiny; a finite epsabs avoids roundoff stalls
@@ -328,17 +325,18 @@ def green_kubo_D(B: float | None = None, mu: float | None = None,
         raise ValueError(f"unknown method {method!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if speed <= 0.0:
+        raise ValueError("speed must be positive")
     if B is not None:
-        if B <= 0.0 or speed <= 0.0:
-            raise ValueError("B and speed must be positive")
+        if B <= 0.0:
+            raise ValueError("B must be positive")
         nu = B / speed**2  # angular correlation decay rate
     else:
         if rate is None:
             if mu is None or mu <= 0.0:
                 raise ValueError("pass B, mu, or rate")
             rate = 2.0 * mu * speed
-        jp = JumpProcessParams.hard_disk(rate, speed)
-        nu = jp.momentum_transfer_rate()
+        nu = JumpProcessParams.hard_disk(rate).momentum_transfer_rate()
 
     if method == "analytic_vacf":
         return speed**2 / (2.0 * nu)
@@ -362,7 +360,7 @@ def _jump_vacf_msd(rate: float, speed: float, n_paths: int, dt: float,
     """Grid-sampled VACF/MSD of the hard-disk jump process."""
     n_steps = int(round(t_max / dt))
     grid = np.arange(n_steps + 1) * dt
-    jp = JumpProcessParams.hard_disk(rate, speed)
+    jp = JumpProcessParams.hard_disk(rate)
     sum_cos = np.zeros(n_steps + 1)
     sum_msd = np.zeros(n_steps + 1)
     for i in range(n_paths):

@@ -225,8 +225,7 @@ def _run_injection(field, slab, x0, y0, vx, vy, n_bins, t_max):
         if j0 <= j1:
             net[j0 - 1:j1] += sgn
 
-    eng = _Engine(field, None, "hard_disk", on_segment=on_seg,
-                  x_bounds=(0.0, L))
+    eng = _Engine(field, None, on_segment=on_seg, x_bounds=(0.0, L))
     _, _, _, _, _, side = eng.run(x0, y0, vx, vy, t_max)
     return tau, net, side is None
 
@@ -295,12 +294,12 @@ def simulate_slab_stationary(slab: SlabSpec, field_factory=None,
     """
     if n_bins < 2 or n_injections < 2:
         raise ValueError("need at least 2 bins and 2 injections")
-    width = y_period_cells * 4.0 * slab.epsilon
+    spec = slab_field_spec(slab, mix_key(seed, 0xF1E1D),
+                           y_period_cells=y_period_cells)
+    width = spec.y_period
     free = 1.0
     if field_factory is None:
-        base_spec = slab_field_spec(slab, mix_key(seed, 0xF1E1D),
-                                    y_period_cells=y_period_cells)
-        field_factory = partial(_poisson_injection_field, base_spec)
+        field_factory = partial(_poisson_injection_field, spec)
         free = math.exp(-slab.mu_eff * math.pi * slab.epsilon**2)
 
     parts = run_ensemble(_slab_chunk, (slab, field_factory, seed, n_bins,
@@ -309,35 +308,23 @@ def simulate_slab_stationary(slab: SlabSpec, field_factory=None,
     sums, sqs, cnt, nsum, nsq, timeouts = map(sum, zip(*parts))
 
     dxb = slab.L / n_bins
-    weights = np.array([slab.rho1, slab.rho2])
+    w = np.array([[slab.rho1], [slab.rho2]])
 
-    def profile_from(sum_sh, sq_sh, cnt_sh):
-        # sum_sh: (2, n_bins) by side
-        mean = sum_sh / cnt_sh[:, None]
-        var = (sq_sh - cnt_sh[:, None] * mean**2) / np.maximum(
-            cnt_sh[:, None] - 1, 1
-        )
-        rho = (weights[:, None] * mean).sum(axis=0) / (math.pi * dxb * free)
-        se = np.sqrt(
-            ((weights[:, None] / (math.pi * dxb * free)) ** 2 * var
-             / cnt_sh[:, None]).sum(axis=0)
-        )
-        return rho, se
+    def estimate(sums_s, sqs_s, cnt_s, scale, norm):
+        # reservoir-weighted mean over the two sides, and its standard error
+        c = cnt_s[:, None]
+        mean = sums_s / c
+        var = (sqs_s - c * mean**2) / np.maximum(c - 1, 1)
+        return (scale * (w * mean).sum(axis=0) / norm,
+                scale * np.sqrt(((w / norm) ** 2 * var / c).sum(axis=0)))
 
-    rho_hat, rho_se = profile_from(sums.sum(axis=1), sqs.sum(axis=1),
-                                   cnt.sum(axis=1))
-    halves = np.empty((2, n_bins))
-    halves_se = np.empty((2, n_bins))
-    for h in (0, 1):
-        halves[h], halves_se[h] = profile_from(sums[:, h], sqs[:, h], cnt[:, h])
-
-    ncnt = cnt.sum(axis=1).astype(float)
-    nmean = nsum / ncnt[:, None]
-    nvar = (nsq - ncnt[:, None] * nmean**2) / np.maximum(ncnt[:, None] - 1, 1)
-    J_hat = slab.eta * (weights[:, None] * nmean).sum(axis=0) / math.pi
-    J_se = slab.eta * np.sqrt(
-        ((weights[:, None] / math.pi) ** 2 * nvar / ncnt[:, None]).sum(axis=0)
-    )
+    rho_norm = math.pi * dxb * free
+    rho_hat, rho_se = estimate(sums.sum(axis=1), sqs.sum(axis=1),
+                               cnt.sum(axis=1), 1.0, rho_norm)
+    halves, halves_se = np.swapaxes([
+        estimate(sums[:, h], sqs[:, h], cnt[:, h], 1.0, rho_norm)
+        for h in (0, 1)], 0, 1)
+    J_hat, J_se = estimate(nsum, nsq, cnt.sum(axis=1), slab.eta, math.pi)
 
     meta = {
         "y_period": width,

@@ -108,6 +108,8 @@ class TestCLI:
         ["thermalization", "--times", "-0.5"],
         ["diffusive-scale", "--time", "-1"],
         ["kinetic-compare", "--time", "0"],
+        ["scatter-table", "--epsilon", "1.5"],
+        ["fick-slab", "--y-period-cells", "0"],
     ])
     def test_bad_run_value_is_config_error(self, argv, tmp_path, capsys):
         # caught before the run starts, so nothing is written

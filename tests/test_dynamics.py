@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from lorentzlab import dynamics
 from lorentzlab.dynamics import (
     ParticleState,
     StuckParticleError,
     TOTAL_REFLECT,
     BARRIER_TRAVERSE,
     HARD_REFLECT,
+    _Engine,
     advance,
     backward_flow,
     classify_pathologies,
-    first_boundary_hit,
 )
 from lorentzlab.medium import FieldSpec, PlantedField, ScattererField
 from lorentzlab.rng import mix_key
@@ -28,6 +30,14 @@ HARD = BarrierParams(epsilon=0.04, alpha=0.5, speed=0.5)
 
 def state(x, y, vx, vy):
     return ParticleState((x, y), (vx, vy))
+
+
+def first_wall_hit(s, fld, t_max):
+    """Time and side of a hard-disk flight's first crossing of x = 0 or
+    x = 1, or (None, None) when it stays inside for all of t_max."""
+    _, _, _, _, t, side = _Engine(fld, None, x_bounds=(0.0, 1.0)).run(
+        s.x[0], s.x[1], s.v[0], s.v[1], t_max)
+    return (None if side is None else t), side
 
 
 class TestFreeFlight:
@@ -142,7 +152,7 @@ class TestTimeReversal:
             q = len(log.events)
             if not 1 <= q <= 6:
                 continue
-            rep = classify_pathologies(log, fld, p)
+            rep = classify_pathologies(log, fld)
             if rep.overlaps:
                 continue
             total_events += q
@@ -196,7 +206,7 @@ class TestPathologies:
     def test_straight_path_all_zero(self):
         fld = PlantedField([], 0.04)
         _, log = advance(state(0, 0, 0.5, 0), fld, HARD, 4.0)
-        rep = classify_pathologies(log, fld, HARD)
+        rep = classify_pathologies(log, fld)
         assert (rep.overlaps, rep.recollisions, rep.interferences,
                 rep.q_collisions) == (0, 0, 0, 0)
 
@@ -204,7 +214,7 @@ class TestPathologies:
         # bounce A -> B -> A: disk A re-entered after the collision at B
         fld = PlantedField([(1.0, 0.0), (-1.0, 0.0)], 0.04)
         _, log = advance(state(0, 0, 0.5, 0), fld, HARD, 9.7)
-        rep = classify_pathologies(log, fld, HARD)
+        rep = classify_pathologies(log, fld)
         assert rep.q_collisions == 3
         assert rep.recollisions == 1
         assert rep.interferences == 0
@@ -220,7 +230,7 @@ class TestPathologies:
         fld = PlantedField([(0.5, 0.0), (0.8, 0.015)], 0.1)
         v_int = refractive_index(p) * p.speed
         _, log = advance(state(0.45, 0.0, v_int, 0.0), fld, p, 2.5)
-        rep = classify_pathologies(log, fld, p)
+        rep = classify_pathologies(log, fld)
         assert [e.center for e in log.events] == [(0.8, 0.015), (0.5, 0.0)]
         assert rep.q_collisions == 2
         assert rep.interferences == 1
@@ -230,28 +240,27 @@ class TestPathologies:
         # two overlapping disks both hit by the trajectory
         fld = PlantedField([(1.0, 0.035), (1.02, -0.035)], 0.04)
         _, log = advance(state(0, 0, 0.5, 0), fld, HARD, 6.0)
-        rep = classify_pathologies(log, fld, HARD)
+        rep = classify_pathologies(log, fld)
         if rep.q_collisions >= 2:
             assert rep.overlaps == 1
 
 
 class TestFirstBoundaryHit:
     def test_free_crossing_right(self):
-        tau, side = first_boundary_hit(state(0.5, 0, 1, 0),
-                                       PlantedField([], 0.01), None, 1.0, 50.0)
+        tau, side = first_wall_hit(state(0.5, 0, 1, 0), PlantedField([], 0.01),
+                                   50.0)
         assert side == "right"
         assert tau == pytest.approx(0.5, abs=1e-12)
 
     def test_parallel_never_hits(self):
-        tau, side = first_boundary_hit(state(0.5, 0, 0, 1),
-                                       PlantedField([], 0.01), None, 1.0, 25.0)
-        assert (tau, side) == (None, "none")
+        tau, side = first_wall_hit(state(0.5, 0, 0, 1), PlantedField([], 0.01),
+                                   25.0)
+        assert (tau, side) == (None, None)
 
     def test_planted_deflector_sends_back(self):
         # head-on bounce at x = 0.65 returns the particle to the left wall
         fld = PlantedField([(0.75, 0.0)], 0.1)
-        tau, side = first_boundary_hit(state(0.25, 0, 1, 0), fld, None, 1.0,
-                                       50.0)
+        tau, side = first_wall_hit(state(0.25, 0, 1, 0), fld, 50.0)
         assert side == "left"
         assert tau == pytest.approx(0.4 + 0.65, abs=1e-9)
 
@@ -259,21 +268,16 @@ class TestFirstBoundaryHit:
         # a hard disk's interior is unreachable: starting there is an error
         fld = PlantedField([(0.5, 0.005)], 0.01)
         with pytest.raises(ValueError, match="inside the disk"):
-            first_boundary_hit(state(0.5, 0, 1, 0), fld, None, 1.0, 10.0)
-
-    def test_outside_slab_rejected(self):
-        with pytest.raises(ValueError):
-            first_boundary_hit(state(1.5, 0, 1, 0), PlantedField([], 0.01),
-                               None, 1.0, 10.0)
+            first_wall_hit(state(0.5, 0, 1, 0), fld, 10.0)
 
 
 class TestGuards:
-    def test_stuck_particle_error(self):
+    def test_stuck_particle_error(self, monkeypatch):
         # trapped between two mirrors; tiny event budget trips the guard
+        monkeypatch.setattr(dynamics, "MAX_EVENTS", 50)
         fld = PlantedField([(0.0, 0.0), (1.0, 0.0)], 0.2)
         with pytest.raises(StuckParticleError):
-            advance(state(0.5, 0.0, 1.0, 0.0), fld, HARD, 1e6,
-                    mode="hard_disk", max_events=50)
+            advance(state(0.5, 0.0, 1.0, 0.0), fld, None, 1e6)
 
     def test_field_params_epsilon_mismatch(self):
         fld = PlantedField([(1.0, 0.0)], 0.02)
@@ -302,6 +306,37 @@ class TestCollisionStatistics:
 
     def test_hard_disk_mode_reflects(self):
         fld = PlantedField([(1.0, 0.0)], 0.05)
-        out, log = advance(state(0, 0, 1, 0), fld, REFR, 2.0, mode="hard_disk")
+        out, log = advance(state(0, 0, 1, 0), fld, None, 2.0)
         assert [e.kind for e in log.events] == [HARD_REFLECT]
         assert out.v[0] == pytest.approx(-1.0, abs=0)
+
+
+coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+class TestHardDiskIsAlwaysReflectingBarrier:
+    """Hard disks (params=None) and a barrier with n_index 0 run the same
+    flow from a free start; only the event labels differ."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(centers=st.lists(st.tuples(coord, coord), max_size=40),
+           phi=st.floats(0.0, 2.0 * math.pi), t=st.floats(0.0, 6.0))
+    @example(centers=[(0.5, 0.01), (-0.5, 0.0)], phi=0.0, t=6.0)
+    def test_same_flow(self, centers, phi, t):
+        assert HARD.n_index == 0.0
+        r = HARD.epsilon
+        free = [c for c in centers if math.hypot(*c) > r]  # start outside
+        fld = PlantedField(free, r)
+        s0 = state(0.0, 0.0, 0.5 * math.cos(phi), 0.5 * math.sin(phi))
+        hard, log_h = advance(s0, fld, None, t)
+        barrier, log_b = advance(s0, fld, HARD, t)
+        assert np.array_equal(hard.x, barrier.x)
+        assert np.array_equal(hard.v, barrier.v)
+        assert log_h.path == log_b.path
+
+        def trace(log):
+            return [(e.time, e.center, e.rho) for e in log.events]
+
+        assert trace(log_h) == trace(log_b)
+        assert all(e.kind == HARD_REFLECT for e in log_h.events)
+        assert all(e.kind == TOTAL_REFLECT for e in log_b.events)

@@ -84,7 +84,7 @@ class TestWorkersEqualLoggedPath:
             fld = _barrier_field(eps, 0.25, 1.0, 62, 5000 + k, i)
             _, log = advance(ParticleState((0.0, 0.0), (1.0, 0.0)), fld,
                              params, T)
-            rep = classify_pathologies(log, fld, params)
+            rep = classify_pathologies(log, fld)
             want.append((rep.recollisions, rep.interferences, rep.overlaps,
                          rep.q_collisions))
         assert np.array_equal(got, np.array(want))

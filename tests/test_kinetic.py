@@ -83,7 +83,7 @@ class TestBoltzmannPath:
         assert p_value > 0.01
 
     def test_positions_integrate_velocity(self):
-        jp = JumpProcessParams.hard_disk(rate=2.0, speed=1.5)
+        jp = JumpProcessParams.hard_disk(rate=2.0)
         path = sample_boltzmann_path((0, 0), (1.5, 0), 4.0, jp, rng_stream(7, 0))
         seg = np.diff(path.node_times)
         lengths = np.linalg.norm(np.diff(path.positions, axis=0), axis=1)
@@ -123,6 +123,11 @@ class TestLandauPath:
     def test_dt_validation(self):
         with pytest.raises(ValueError):
             sample_landau_path((0, 0), (1, 0), 1.0, 1.0, 0.0, rng_stream(0, 0))
+
+    def test_zero_velocity_rejected(self):
+        with pytest.raises(ValueError, match="velocity must be nonzero"):
+            sample_landau_path((0, 0), (0, 0), 1.0, 1.0, 0.01,
+                               rng_stream(0, 0))
 
     def test_one_path_ensemble_is_the_path(self):
         # the ensemble's first chunk draws from rng_stream(seed, 0), so a
@@ -243,6 +248,12 @@ class TestGreenKubo:
             green_kubo_D(B=1.0, method="nope")
         with pytest.raises(ValueError):
             green_kubo_D(mu=1.0, method="msd", n_paths=0)
+
+    @pytest.mark.parametrize("route", [{"B": 1.0}, {"mu": 1.0}, {"rate": 2.0}])
+    @pytest.mark.parametrize("speed", [-1.0, 0.0])
+    def test_speed_checked_on_every_route(self, route, speed):
+        with pytest.raises(ValueError, match="speed must be positive"):
+            green_kubo_D(speed=speed, **route)
 
 
 class TestEvolveDensity:

@@ -23,16 +23,17 @@ def params_for_index(n: float, speed: float = 1.0) -> BarrierParams:
     return BarrierParams(epsilon=eps, alpha=0.5, speed=speed)
 
 
-def one_disk_pass(v, rho, params=None, radius=None, mode="barrier"):
+def one_disk_pass(v, rho, params=None, radius=None):
     """Flow velocity v past a lone disk at the origin, aimed at signed
-    impact parameter rho; returns the final velocity and the log."""
+    impact parameter rho; returns the final velocity and the log.
+    ``params=None`` is a hard disk of the given radius."""
     r = params.epsilon if radius is None else radius
     speed = math.hypot(v[0], v[1])
     ux, uy = v[0] / speed, v[1] / speed
     # the disk center lies at signed distance rho * r to the right of the ray
     x0 = (-ux + rho * r * uy, -uy - rho * r * ux)
     out, log = advance(ParticleState(x0, v), PlantedField([(0.0, 0.0)], r),
-                       params, 2.0 / speed, mode=mode)
+                       params, 2.0 / speed)
     return out.v, log
 
 
@@ -191,13 +192,13 @@ class TestHardDiskReflect:
     """The flow's specular reflection in hard-disk mode."""
 
     def test_head_on_reversal(self):
-        out, log = one_disk_pass([1.0, 0.0], 0.0, radius=0.05, mode="hard_disk")
+        out, log = one_disk_pass([1.0, 0.0], 0.0, radius=0.05)
         assert len(log.events) == 1
         assert np.allclose(out, [-1.0, 0.0], atol=0.0)
 
     def test_tangential_unchanged(self):
         # a graze at |rho| = 1 is a miss
-        out, log = one_disk_pass([1.0, 0.0], 1.0, radius=0.05, mode="hard_disk")
+        out, log = one_disk_pass([1.0, 0.0], 1.0, radius=0.05)
         assert log.events == []
         assert np.allclose(out, [1.0, 0.0], atol=0.0)
 
@@ -208,7 +209,7 @@ class TestHardDiskReflect:
             phi = rng.uniform(0, 2 * math.pi)
             v = np.array([math.cos(phi), math.sin(phi)]) * 1.7
             out, log = one_disk_pass(v, float(rng.uniform(-0.99, 0.99)),
-                                     radius=r, mode="hard_disk")
+                                     radius=r)
             (ev,) = log.events
             # unit normal at the impact point, read off the logged path
             entry = next(xy for (t, xy) in log.path if t == ev.time)
