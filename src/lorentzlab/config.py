@@ -191,8 +191,10 @@ def _validate(experiment: str, v: dict):
              "injections", "paths", "angle_bins", "x_bins", "heat_bins",
              "sigma0", "t_max", "B", "time", "y_period_cells")
     # the late-half MSD fit and the flux fit over bins - 1 faces need 3
-    # points; epsilon = 2^-k must lie in (0, 1)
-    for k, least in (("checkpoints", 4), ("bins", 4), ("k", 1), ("kmin", 1)):
+    # points, the slab's two reservoirs an injection each; epsilon = 2^-k
+    # must lie in (0, 1)
+    for k, least in (("checkpoints", 4), ("bins", 4), ("injections", 2),
+                     ("k", 1), ("kmin", 1)):
         if k in v and v[k] < least:
             raise ConfigError(f"{k} must be >= {least}, got {v[k]}")
     if "alpha" in v and not (0.0 < v["alpha"] <= 0.5):
@@ -215,7 +217,7 @@ def _validate(experiment: str, v: dict):
 
 
 def parse_decade_ladder(spec: str) -> list[float]:
-    """'1e-4..1e-12' -> [1e-4, 1e-5, ..., 1e-12]."""
+    """'1e-4..1e-12' -> [1e-4, 1e-5, ..., 1e-12]; every epsilon below 1."""
     try:
         lo_s, hi_s = spec.split("..")
         k0 = round(-math.log10(float(lo_s)))
@@ -224,6 +226,9 @@ def parse_decade_ladder(spec: str) -> list[float]:
         raise ConfigError(f"bad ladder spec {spec!r}") from exc
     if k1 < k0:
         k0, k1 = k1, k0
+    if k0 < 1:
+        raise ConfigError(f"ladder {spec!r} reaches epsilon = {10.0**-k0:g}; "
+                          "epsilon must be in (0, 1)")
     return [10.0**-k for k in range(k0, k1 + 1)]
 
 

@@ -29,8 +29,12 @@ reversible); this is asserted by the time-reversal tests rather than
 implemented as a separate integrator.
 
 One engine, ``_Engine``, runs every trajectory on plain floats; the
-ensemble workers and the slab call it directly.  ``advance`` is the
-logged library entry: ``ParticleState`` in, state and log out.
+ensemble workers call it directly.  Its event loop, ``_Engine.walk``,
+asks for the two field queries (the first disk hit along a ray, the
+disk containing a point) instead of making them, so ``_Engine.run``
+answers them one at a time while the slab answers those of many
+trajectories at once.  ``advance`` is the logged library entry:
+``ParticleState`` in, state and log out.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ __all__ = [
 MAX_EVENTS = 10**6
 _PUSH = 1e-12
 _TANGENT_TOL = 1e-12
+
+# the two field queries of _Engine.walk
+HIT_QUERY = "hit"
+INSIDE_QUERY = "inside"
 
 BARRIER_TRAVERSE = "barrier_traverse"
 TOTAL_REFLECT = "total_reflect"
@@ -224,6 +232,28 @@ class _Engine:
 
     def run(self, x, y, vx, vy, t_max):
         """Returns (x, y, vx, vy, t_elapsed, exit_side)."""
+        walk = self.walk(x, y, vx, vy, t_max)
+        answer = None
+        while True:
+            try:
+                query = walk.send(answer)
+            except StopIteration as done:
+                return done.value
+            if query[0] == HIT_QUERY:
+                answer = _first_hit(self.field, *query[1:5], self.radius,
+                                    query[5])
+            else:
+                answer = _find_containing_disk(self.field, query[1],
+                                               query[2], self.radius)
+
+    def walk(self, x, y, vx, vy, t_max):
+        """``run`` as a generator that asks for its field queries.
+
+        Yields ``(INSIDE_QUERY, x, y)``, to be answered with
+        ``_find_containing_disk``'s result, and ``(HIT_QUERY, x, y, ux,
+        uy, s_max)``, to be answered with ``_first_hit``'s; the radius is
+        the engine's.  Returns what ``run`` returns.
+        """
         log = self.log
         bounds = self.x_bounds
         r = self.radius
@@ -233,7 +263,7 @@ class _Engine:
             log.path.append((0.0, (x, y)))
 
         if self.hard or self.n_index > 0.0:
-            inside = _find_containing_disk(self.field, x, y, r)
+            inside = yield (INSIDE_QUERY, x, y)
             if inside is not None:
                 if self.hard:
                     # no trajectory from outside reaches a hard disk's interior
@@ -254,8 +284,8 @@ class _Engine:
             if bounds is not None:
                 bc = _bound_cross(x, ux, s_budget, bounds[0], bounds[1])
             # a disk behind the wall is never reached: search up to the wall
-            hit = _first_hit(self.field, x, y, ux, uy, r,
-                             s_budget if bc is None else bc[0])
+            hit = yield (HIT_QUERY, x, y, ux, uy,
+                         s_budget if bc is None else bc[0])
             if bc is not None and (hit is None or bc[0] <= hit[0]):
                 s_b, side = bc
                 t1 = t + s_b / speed

@@ -16,6 +16,10 @@ collides.
 ``PlantedField`` provides the same query interface for an explicit list
 of centers, for deterministic fixtures in tests.  Both expose
 ``march_window``, the step in which the first-hit search marches a ray.
+
+``strip_centers`` computes the same cells in bulk: one period of a
+y-periodic field over a run of columns, for many seeds at once, on
+uint64 arrays in place of one ``HashStream`` per cell.
 """
 
 from __future__ import annotations
@@ -23,11 +27,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rng import HashStream
+import numpy as np
 
-__all__ = ["FieldSpec", "ScattererField", "PlantedField"]
+from .rng import HashStream, fold_key, mix_key, stream_uniforms
+
+__all__ = ["FieldSpec", "ScattererField", "PlantedField", "strip_centers"]
 
 _MASK64 = (1 << 64) - 1
+# uniforms per cell in the bulk Poisson count; a cell whose count needs
+# more is generated by HashStream
+_KNUTH_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,60 @@ class ScattererField:
         return math.floor(x / self.cell_size), math.floor(y / self.cell_size)
 
 
+def strip_centers(fields, ix0: int, ix1: int):
+    """Centers of cells ix0..ix1 x 0..ny-1 of y-periodic fields, in bulk.
+
+    ``fields`` are ScattererFields that differ only in their seed.
+    Returns (cx, cy, counts): field f's centers are the next counts[f]
+    entries, listed cell by cell in (ix, iy) order and within a cell in
+    ``_generate`` order, bit for bit its values.  Every draw of a cell's
+    HashStream is computed directly: Knuth's product over at most
+    ``_KNUTH_BLOCK`` uniforms gives the count, and the positions follow
+    it.  A cell whose count needs more uniforms, and every cell of a
+    field of mean above 64 (drawn as two halves), is generated by
+    ``_generate``.
+    """
+    f0 = fields[0]
+    ny, cs, lam = f0._ny, f0.cell_size, f0._mean
+    nx = ix1 - ix0 + 1
+    per_field = nx * ny
+    # HashStream(seed, ix, iy)'s key, mix_key(seed, ix, iy)
+    keys = np.array([mix_key(f.spec.seed) for f in fields], dtype=np.uint64)
+    keys = fold_key(keys[:, None], np.arange(ix0, ix1 + 1, dtype=np.int64))
+    keys = fold_key(keys[:, :, None], np.arange(ny, dtype=np.int64)).ravel()
+
+    counts = np.full(keys.size, -1, dtype=np.int64)
+    if lam <= 64.0:
+        # Knuth's running product, advanced only in cells still counting
+        limit = math.exp(-lam)
+        todo = np.arange(keys.size)
+        p = np.ones(keys.size)
+        for k in range(_KNUTH_BLOCK):
+            p *= stream_uniforms(keys[todo], k + 1)
+            stop = p <= limit
+            counts[todo[stop]] = k
+            todo, p = todo[~stop], p[~stop]
+    slow = {}
+    for c in np.flatnonzero(counts < 0).tolist():
+        f, k = divmod(c, per_field)
+        slow[c] = fields[f]._generate(ix0 + k // ny, k % ny)
+        counts[c] = len(slow[c])
+
+    cell = np.repeat(np.arange(keys.size), counts)
+    first = np.cumsum(counts) - counts
+    # point m of a cell draws its x after the count's count + 1 draws
+    # and the 2m before it, then its y
+    draw = counts[cell] + 2 + 2 * (np.arange(cell.size) - first[cell])
+    key = keys[cell]
+    cx = (ix0 + cell % per_field // ny + stream_uniforms(key, draw)) * cs
+    cy = (cell % ny + stream_uniforms(key, draw + 1)) * cs
+    for c, pts in slow.items():
+        at = slice(first[c], first[c] + len(pts))
+        cx[at] = [x for x, _ in pts]
+        cy[at] = [y for _, y in pts]
+    return cx, cy, counts.reshape(len(fields), per_field).sum(axis=1)
+
+
 class PlantedField:
     """Explicit finite center list behind the ScattererField interface."""
 
@@ -146,3 +209,7 @@ class PlantedField:
 
     def scatterers_in_cell(self, cell: tuple[int, int]) -> list[tuple[float, float]]:
         return self._cache.get(cell, [])
+
+    def centers(self) -> list[tuple[float, float]]:
+        """Every center, listed cell by cell in (ix, iy) order."""
+        return [pt for cell in sorted(self._cache) for pt in self._cache[cell]]

@@ -10,6 +10,9 @@ order in which work is scheduled:
   integers.  It is what the scatterer field uses per lattice cell: the
   draws for a cell are a pure function of (seed, cell index), so a cell
   can be re-generated at any time without storing anything.
+  Output i of a stream is splitmix64(key + i*GOLDEN), so
+  ``stream_uniforms`` computes any draw of any cell's stream directly,
+  on uint64 arrays.
 """
 
 from __future__ import annotations
@@ -28,6 +31,36 @@ def splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """``splitmix64`` elementwise on a uint64 array (wrapping arithmetic)."""
+    z = z + _GOLDEN_U64
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def fold_key(key: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """``mix_key`` extended by one part, elementwise: ``mix_key(*parts, p)``
+    is ``fold_key(mix_key(*parts), p)``, for an int64 or uint64 ``part``."""
+    return splitmix64_array(key ^ part.view(np.uint64))
+
+
+def stream_uniforms(key: np.ndarray, index) -> np.ndarray:
+    """``HashStream.uniform`` elementwise: draw number ``index`` (from 1)
+    of the stream whose key, ``mix_key`` of its key tuple, is ``key``."""
+    counter = key + np.asarray(index, dtype=np.uint64) * _GOLDEN_U64
+    return ((splitmix64_array(counter) >> np.uint64(11))
+            * (1.0 / 9007199254740992.0))
 
 
 def mix_key(*parts: int) -> int:

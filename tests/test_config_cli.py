@@ -97,11 +97,14 @@ class TestCLI:
         ["thermalization", "--times", "0.5,abc"],
         ["thermalization", "--times", ""],
         ["b-divergence", "--eps", "garbage"],
+        ["b-divergence", "--eps", "1..1e-4"],
+        ["b-divergence", "--eps", "10..1e-4"],
         ["diffusion", "--B", "-1"],
         ["diffusion", "--paths", "100", "--t", "-3"],
         ["diffusion", "--paths", "100", "--set", "dt=-0.5"],
         ["diffusive-scale", "--set", "checkpoints=3"],
         ["fick-slab", "--set", "bins=3"],
+        ["fick-slab", "--injections", "1"],
         ["thermalization", "--k", "0"],
         ["pathology-scan", "--eps-ladder", "0..1"],
         ["pathology-scan", "--time", "-1"],

@@ -318,7 +318,7 @@ class TestHardDiskIsAlwaysReflectingBarrier:
     """Hard disks (params=None) and a barrier with n_index 0 run the same
     flow from a free start; only the event labels differ."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(centers=st.lists(st.tuples(coord, coord), max_size=40),
            phi=st.floats(0.0, 2.0 * math.pi), t=st.floats(0.0, 6.0))
     @example(centers=[(0.5, 0.01), (-0.5, 0.0)], phi=0.0, t=6.0)

@@ -6,10 +6,19 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from lorentzlab import macroscale
+from lorentzlab.dynamics import (HIT_QUERY, INSIDE_QUERY,
+                                 _find_containing_disk, _first_hit)
 from lorentzlab.macroscale import (
     HeatProblem,
     SlabSpec,
+    _Strips,
+    _injection_start,
+    _poisson_injection_field,
+    _run_injection,
+    _run_lockstep,
     fick_flux,
     simulate_slab_stationary,
     slab_field_spec,
@@ -209,3 +218,167 @@ class TestSlabSimulation:
                                      n_bins=8, t_max=100.0, workers=3)
         assert np.array_equal(a.rho_hat, b.rho_hat)
         assert np.array_equal(a.J_hat, b.J_hat)
+
+
+def lockstep_equals_oracle(fields, slab, starts, n_bins, t_max):
+    """Run the lockstep driver and check each injection against the
+    scalar oracle; returns the driver's (tau, net, timed_out)."""
+    tau, net, timed_out = _run_lockstep(slab, zip(fields, starts),
+                                        len(fields), n_bins, t_max)
+    for j, (field, start) in enumerate(zip(fields, starts)):
+        want_tau, want_net, want_late = _run_injection(field, slab, *start,
+                                                       n_bins, t_max)
+        assert np.array_equal(tau[j], want_tau), j
+        assert np.array_equal(net[j], want_net), j
+        assert timed_out[j] == want_late, j
+    return tau, net, timed_out
+
+
+def poisson_block(epsilon, eta, L, y_period_cells, seed, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        slab = SlabSpec(L=L, rho1=1.0, rho2=1.0, eta=eta, epsilon=epsilon)
+    spec = slab_field_spec(slab, seed, y_period_cells)
+    fields = [_poisson_injection_field(spec, i) for i in range(n)]
+    starts = [_injection_start(slab, seed, spec.y_period, i) for i in range(n)]
+    return slab, fields, starts
+
+
+def assert_flux_constant(net, timed_out):
+    # a path that enters and leaves through the walls crosses every face
+    # the same net number of times: +1 or -1 if it crosses the slab, 0 if
+    # it leaves by the wall it entered
+    for row in net[~timed_out]:
+        assert np.all(row == row[0])
+        assert row[0] in (-1.0, 0.0, 1.0)
+
+
+class TestLockstepDriver:
+    """The lockstep slab driver gives each injection exactly what the
+    scalar oracle ``_run_injection`` gives it."""
+
+    @settings(max_examples=25)
+    @given(epsilon=st.sampled_from([2.0**-6, 0.02, 0.03, 0.05]),
+           eta=st.floats(0.5, 3.0), L=st.floats(0.25, 2.0),
+           n_bins=st.integers(2, 12),
+           t_max=st.sampled_from([5.0, 50.0, 500.0]),
+           y_period_cells=st.sampled_from([1, 2, 3, 16]),
+           seed=st.integers(0, 2**32 - 1))
+    # one cell per period: a query window spans several periods
+    @example(epsilon=0.03, eta=2.0, L=1.0, n_bins=6, t_max=500.0,
+             y_period_cells=1, seed=7)
+    def test_equals_scalar_oracle(self, epsilon, eta, L, n_bins, t_max,
+                                  y_period_cells, seed):
+        slab, fields, starts = poisson_block(epsilon, eta, L, y_period_cells,
+                                             seed, 24)
+        _, net, timed_out = lockstep_equals_oracle(fields, slab, starts,
+                                                   n_bins, t_max)
+        assert_flux_constant(net, timed_out)
+
+    @pytest.mark.parametrize("live,search,generate", [(1, 1, 1), (3, 2, 5)])
+    def test_widths_do_not_change_results(self, monkeypatch, live, search,
+                                          generate):
+        # injections join as others finish, searches and field generation
+        # split into small blocks: every result stays the oracle's
+        slab, fields, starts = poisson_block(2.0**-5, 2.0, 1.0, 16, 3, 12)
+        want = _run_lockstep(slab, zip(fields, starts), len(fields), 8, 500.0)
+        monkeypatch.setattr(macroscale, "_LOCKSTEP", live)
+        monkeypatch.setattr(macroscale, "_SEARCH", search)
+        monkeypatch.setattr(macroscale, "_GENERATE", generate)
+        got = lockstep_equals_oracle(fields, slab, starts, 8, 500.0)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=30)
+    @given(y_period_cells=st.sampled_from([1, 2, 16]),
+           seed=st.integers(0, 2**32 - 1),
+           rays=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-3.0, 3.0),
+                                   st.floats(0.0, 2.0 * math.pi),
+                                   st.floats(0.0, 5.0)),
+                         min_size=1, max_size=12))
+    def test_any_query_equals_scalar_search(self, y_period_cells, seed, rays):
+        # rays anywhere, of any length: several periods long (searched in
+        # rounds) or running outside the slab (the scalar fallback)
+        slab, fields, _ = poisson_block(2.0**-5, 2.0, 1.0, y_period_cells,
+                                        seed, len(rays))
+        strips = _Strips(slab, len(rays))
+        strips.prepare(list(enumerate(fields)))
+        hits, insides = {}, {}
+        for j, (field, (x, y, phi, s_max)) in enumerate(zip(fields, rays)):
+            strips.open(j, field)
+            hits[j] = (HIT_QUERY, x, y, math.cos(phi), math.sin(phi), s_max)
+            insides[j] = (INSIDE_QUERY, x, y)
+        r = slab.epsilon
+        for j, got in strips.answer(hits).items():
+            assert got == _first_hit(fields[j], *hits[j][1:5], r, hits[j][5])
+        for j, got in strips.answer(insides).items():
+            want = _find_containing_disk(fields[j], x=insides[j][1],
+                                         y=insides[j][2], r=r)
+            assert (got is None) == (want is None)
+
+    def test_timeouts_match(self):
+        # a short time guard in a dense, narrow-period strip
+        slab, fields, starts = poisson_block(0.03, 2.0, 1.0, 1, 7, 32)
+        _, _, timed_out = lockstep_equals_oracle(fields, slab, starts, 6, 5.0)
+        assert 0 < timed_out.sum() < len(fields)
+
+    @settings(max_examples=15)
+    @given(eta=st.floats(0.5, 3.0), L=st.floats(0.25, 2.0),
+           n_bins=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+    def test_flux_constant_on_every_trajectory(self, eta, L, n_bins, seed):
+        slab, fields, starts = poisson_block(2.0**-5, eta, L, 16, seed, 64)
+        _, net, timed_out = _run_lockstep(slab, zip(fields, starts),
+                                          len(fields), n_bins, 500.0)
+        assert_flux_constant(net, timed_out)
+
+    R = 2.0**-5  # exact in binary: the tie fixture needs exact arithmetic
+    SLAB = SlabSpec(L=1.0, rho1=1.0, rho2=1.0, eta=1.0, epsilon=R)
+
+    def planted(self, centers, starts, n_bins=4, t_max=50.0):
+        fields = [PlantedField(centers, self.R) for _ in starts]
+        return lockstep_equals_oracle(fields, self.SLAB, starts, n_bins, t_max)
+
+    def test_empty_field(self):
+        starts = [(0.0, 0.3, 0.6, 0.8), (1.0, 0.1, -1.0, 0.0),
+                  (0.0, 0.0, 1.0, 0.0)]
+        tau, net, timed_out = self.planted([], starts)
+        assert np.all(net == [[1.0], [-1.0], [1.0]])
+        assert not timed_out.any()
+        assert tau[2] == pytest.approx(np.full(4, 0.25), rel=1e-12)
+
+    def test_covered_wall_point(self):
+        # the first start lies inside a disk, the second just misses it
+        r = self.R
+        starts = [(0.0, 0.5, 1.0, 0.0), (0.0, 0.5 + 2.0 * r, 1.0, 0.0)]
+        tau, net, timed_out = self.planted([(0.5 * r, 0.5)], starts)
+        assert not tau[0].any() and not net[0].any() and not timed_out[0]
+        assert np.all(net[1] == 1.0)
+
+    def test_disk_straddling_a_wall(self):
+        # disks cut by each wall; injections aimed into them and past them
+        r = self.R
+        centers = [(-0.5 * r, 0.4), (1.0 + 0.5 * r, 0.6), (0.5 * r, 0.2)]
+        starts = [(0.0, 0.4 + 1.2 * r, 0.8, -0.6),
+                  (1.0, 0.6 - 1.5 * r, -0.6, 0.8),
+                  (1.0, 0.6, -1.0, 0.0),
+                  (0.0, 0.2 + 1.1 * r, 0.6, -0.8),
+                  (1.0, 0.2, -1.0, 0.0)]
+        _, net, timed_out = self.planted(centers, starts)
+        assert_flux_constant(net, timed_out)
+        assert net[4, 0] == 0.0  # bounced back out off the left disk
+
+    def test_tangential_graze(self):
+        # a ray at exactly one radius from a center grazes it: a miss
+        r = self.R
+        starts = [(0.0, 0.5, 1.0, 0.0), (0.0, 0.5 + 0.5 * r, 1.0, 0.0)]
+        tau, net, _ = self.planted([(0.5, 0.5 + r)], starts)
+        assert np.all(net[0] == 1.0)
+        assert tau[0] == pytest.approx(np.full(4, 0.25), rel=1e-12)
+        assert np.all(net[1] == 0.0)  # a real hit sends it back
+
+    def test_wall_disk_tie_goes_to_the_wall(self):
+        # the disk's entry point is exactly the right wall point
+        r = self.R
+        starts = [(0.0, 0.5, 1.0, 0.0)]
+        _, net, timed_out = self.planted([(1.0 + r, 0.5)], starts)
+        assert np.all(net[0] == 1.0) and not timed_out[0]
