@@ -28,13 +28,16 @@ The backward flow is velocity reversal (the dynamics is time
 reversible); this is asserted by the time-reversal tests rather than
 implemented as a separate integrator.
 
-One engine, ``_Engine``, runs every trajectory on plain floats; the
-ensemble workers call it directly.  Its event loop, ``_Engine.walk``,
-asks for the two field queries (the first disk hit along a ray, the
-disk containing a point) instead of making them, so ``_Engine.run``
-answers them one at a time while the slab answers those of many
-trajectories at once.  ``advance`` is the logged library entry:
-``ParticleState`` in, state and log out.
+One engine, ``_Engine``, runs every trajectory on plain floats.  Its
+event loop, ``_Engine.walk``, asks for the two field queries (the first
+disk hit along a ray, the disk containing a point) instead of making
+them.  ``_Engine.run`` answers them one at a time with ``_first_hit``
+and ``_find_containing_disk``, the scalar oracle.  The ensemble workers,
+mechanical and slab, run their trajectories in lockstep (``_lockstep``)
+and answer the queries of many at once with ``_FieldBatch``, bit for
+bit the same: it generates the cells each query needs, for a whole
+chunk's Poisson fields, in one numpy pass.  ``advance`` is the logged
+library entry: ``ParticleState`` in, state and log out.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .medium import cell_centers
 from .scattering import BarrierParams, deflection_angle
 
 __all__ = [
@@ -186,17 +190,197 @@ def _first_hit(field, x, y, ux, uy, r, s_max):
 
 
 def _find_containing_disk(field, x, y, r):
+    """The nearest center within r of (x, y), or None; an exact tie
+    goes to the first in scan order."""
     ix, iy = field.cell_of(x, y)
     best = None
     best_d2 = r * r
     for jx in range(ix - 1, ix + 2):
         for jy in range(iy - 1, iy + 2):
             for (cx, cy) in field.scatterers_in_cell((jx, jy)):
-                d2 = (cx - x) ** 2 + (cy - y) ** 2
+                dx, dy = cx - x, cy - y
+                d2 = dx * dx + dy * dy
                 if d2 < best_d2:
                     best_d2 = d2
                     best = (cx, cy)
     return best
+
+
+# cells generated per numpy pass of a _FieldBatch search, at most (a
+# query's whole window is one pass however many cells it has): this
+# bounds the pass's working set, and more per pass saves no time
+_BATCH_CELLS = 1 << 12
+
+
+class _FieldBatch:
+    """Answers ``_Engine.walk``'s field queries for many Poisson fields
+    at once, bit for bit what ``_first_hit`` and ``_find_containing_disk``
+    answer one at a time.
+
+    The fields share every parameter of ``field``, a ScattererField
+    (unbounded or y-periodic), but the seed: row j's field is keyed by
+    keys[j], ``mix_key`` of its seed.  Their cells are generated per
+    query with ``cell_centers``, never stored; a cell's centers are a
+    pure function of its key, so what the scalar search gets from its
+    cache is what this one generates again.
+    """
+
+    def __init__(self, field, keys):
+        self.radius = field.epsilon
+        self.cell_size = field.cell_size
+        self.march_window = field.march_window
+        self.mean = field._mean
+        self.ny = field._ny
+        self.keys = keys
+
+    def centers(self, rows, ix, iy):
+        """(cx, cy, counts) of cells (ix, iy) of the rows' fields."""
+        base = iy % self.ny if self.ny else iy
+        cx, cy, counts = cell_centers(self.keys[rows], ix, base, self.mean,
+                                      self.cell_size)
+        if self.ny:
+            # a y-periodic cell is its base cell, shifted as
+            # scatterers_in_cell shifts it
+            cy += np.repeat((iy - base) * self.cell_size, counts)
+        return cx, cy, counts
+
+    def answer(self, queries: dict) -> dict:
+        """The answer to each of ``queries``, keyed like them by row."""
+        out = {}
+        for kind, search in ((HIT_QUERY, self._first_hits),
+                             (INSIDE_QUERY, self._containing)):
+            rows = [j for j, q in queries.items() if q[0] == kind]
+            if rows:
+                out.update(zip(rows, search(
+                    np.array(rows), np.array([queries[j][1:] for j in rows]))))
+        return out
+
+    def _candidates(self, rows, ix0, ix1, iy0, iy1):
+        """Every center of cells ix0..ix1 x iy0..iy1 of each query's field,
+        in the scalar scan order (ix, then iy, then order in the cell):
+        (query of each center, cx, cy)."""
+        ny = iy1 - iy0 + 1
+        n_cells = (ix1 - ix0 + 1) * ny
+        q = np.repeat(np.arange(len(rows)), n_cells)
+        k = np.arange(q.size) - (np.cumsum(n_cells) - n_cells)[q]
+        cx, cy, counts = self.centers(rows[q], ix0[q] + k // ny[q],
+                                      iy0[q] + k % ny[q])
+        return np.repeat(q, counts), cx, cy
+
+    @staticmethod
+    def _earliest(p, key, n):
+        """Per query, the index of its smallest ``key`` (the first of an
+        exact tie), or -1; p is sorted and the order within a query is
+        scan order."""
+        order = np.lexsort((key, p))  # stable: a tie keeps scan order
+        q, at = np.unique(p[order], return_index=True)
+        best = np.full(n, -1)
+        best[q] = order[at]
+        return best
+
+    def _first_hits(self, rows, q):
+        """``_first_hit`` for many rays: window by window, over the same
+        bounding-box cells, with its disk test in its order of
+        operations; a ray stops at its first window with a hit."""
+        x, y, ux, uy, s_max = q.T
+        r, cs = self.radius, self.cell_size
+        r2 = r * r
+        out = [None] * len(rows)
+        s0 = np.zeros(len(rows))
+        todo = np.flatnonzero(s0 < s_max)
+        while todo.size:
+            s1 = np.minimum(s0[todo] + self.march_window, s_max[todo])
+            xt, yt, uxt, uyt = x[todo], y[todo], ux[todo], uy[todo]
+            ax, ay = xt + s0[todo] * uxt, yt + s0[todo] * uyt
+            bx, by = xt + s1 * uxt, yt + s1 * uyt
+            box = [np.floor(v / cs).astype(np.int64) for v in (
+                np.minimum(ax, bx) - r, np.maximum(ax, bx) + r,
+                np.minimum(ay, by) - r, np.maximum(ay, by) + r)]
+            n_cells = (box[1] - box[0] + 1) * (box[3] - box[2] + 1)
+            found = np.zeros(todo.size, dtype=bool)
+            starts = np.cumsum(n_cells) - n_cells
+            for part in np.split(np.arange(todo.size), np.flatnonzero(
+                    np.diff(starts // _BATCH_CELLS)) + 1):
+                p, cx, cy = self._candidates(rows[todo[part]],
+                                             *(b[part] for b in box))
+                p = part[p]
+                wx, wy = cx - xt[p], cy - yt[p]
+                w2 = wx * wx + wy * wy
+                b = wx * uxt[p] + wy * uyt[p]
+                disc = b * b - (w2 - r2)
+                with np.errstate(invalid="ignore"):
+                    s_in = b - np.sqrt(disc)
+                ok = ~(w2 < r2)  # started inside (overlap): no interaction
+                ok &= ~(disc < _TANGENT_TOL * r2)  # tangential graze: a miss
+                ok &= (0.0 < s_in) & (s_in <= s1[p])
+                c = np.flatnonzero(ok)
+                best = self._earliest(p[c], s_in[c], todo.size)
+                for i in np.flatnonzero(best >= 0).tolist():
+                    k = c[best[i]]
+                    out[todo[i]] = (s_in[k].item(),
+                                    (cx[k].item(), cy[k].item()))
+                    found[i] = True
+            s0[todo] = s1
+            todo = todo[~found & (s1 < s_max[todo])]
+        return out
+
+    def _containing(self, rows, q):
+        """``_find_containing_disk`` for many points: the nearest center
+        within r over the 3 x 3 cells around each."""
+        x, y = q.T
+        cs = self.cell_size
+        r2 = self.radius * self.radius
+        ix = np.floor(x / cs).astype(np.int64)[:, None] + _AROUND_X
+        iy = np.floor(y / cs).astype(np.int64)[:, None] + _AROUND_Y
+        p, cx, cy = self._candidates(np.repeat(rows, 9), ix.ravel(),
+                                     ix.ravel(), iy.ravel(), iy.ravel())
+        p //= 9
+        dx, dy = cx - x[p], cy - y[p]
+        d2 = dx * dx + dy * dy
+        c = np.flatnonzero(d2 < r2)
+        best = self._earliest(p[c], d2[c], len(rows))
+        out = [None] * len(rows)
+        for i in np.flatnonzero(best >= 0).tolist():
+            k = c[best[i]]
+            out[i] = (cx[k].item(), cy[k].item())
+        return out
+
+
+# the 3 x 3 block of cells around a point, in scan order
+_AROUND_X = np.repeat(np.arange(-1, 2), 3)
+_AROUND_Y = np.tile(np.arange(-1, 2), 3)
+
+
+def _lockstep(programs, answer):
+    """Run generators that yield ``_Engine.walk`` queries together.
+
+    Each step collects every live program's pending query, answers them
+    all with one ``answer(queries)`` call (a dict by program index in,
+    one out), and resumes each program with its answer.  Returns each
+    program's return value, in order.
+    """
+    results = [None] * len(programs)
+    queries = {}
+    for j, prog in enumerate(programs):
+        try:
+            queries[j] = next(prog)
+        except StopIteration as done:
+            results[j] = done.value
+    while queries:
+        for j, a in answer(queries).items():
+            try:
+                queries[j] = programs[j].send(a)
+            except StopIteration as done:
+                results[j] = done.value
+                del queries[j]
+    return results
+
+
+def _search(field, query):
+    """The scalar answer to one ``_Engine.walk`` query on ``field``."""
+    if query[0] == HIT_QUERY:
+        return _first_hit(field, *query[1:5], field.epsilon, query[5])
+    return _find_containing_disk(field, query[1], query[2], field.epsilon)
 
 
 def _exit_refract(ux, uy, mx, my, n):
@@ -239,12 +423,7 @@ class _Engine:
                 query = walk.send(answer)
             except StopIteration as done:
                 return done.value
-            if query[0] == HIT_QUERY:
-                answer = _first_hit(self.field, *query[1:5], self.radius,
-                                    query[5])
-            else:
-                answer = _find_containing_disk(self.field, query[1],
-                                               query[2], self.radius)
+            answer = _search(self.field, query)
 
     def walk(self, x, y, vx, vy, t_max):
         """``run`` as a generator that asks for its field queries.
@@ -324,6 +503,13 @@ class _Engine:
                 x, y = xe + _PUSH * vx / speed, ye + _PUSH * vy / speed
                 if log is not None:
                     log.path.append((t, (x, y)))
+                # off a disk that straddles a wall, the push can carry the
+                # particle out through the wall: it has left the slab
+                if bounds is not None:
+                    if x < bounds[0] and vx < 0.0:
+                        return x, y, vx, vy, t, "left"
+                    if x > bounds[1] and vx > 0.0:
+                        return x, y, vx, vy, t, "right"
                 continue
 
             # refracted traversal: the interior chord bends by half the

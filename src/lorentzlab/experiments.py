@@ -6,6 +6,10 @@ Carlo work is split into fixed-size index chunks whose random streams
 are keyed by (seed, item index), or by (seed, chunk index) for the
 Landau ensemble, and chunk results are folded in index order, so
 rerunning with any worker count reproduces the output byte for byte.
+
+The mechanical workers advance a chunk's trajectories in lockstep: each
+is a suspended ``_Engine.walk``, and every step answers all their field
+queries together, each answer the one its own field gives.
 """
 
 from __future__ import annotations
@@ -18,14 +22,15 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, parse_decade_ladder, parse_float_list
-from .dynamics import TrajectoryLog, _Engine, classify_pathologies
+from .dynamics import (TrajectoryLog, _Engine, _FieldBatch, _lockstep,
+                       classify_pathologies)
 from .kinetic import (JumpProcessParams, _landau_vacf_msd, green_kubo_D,
                       landau_B_quadrature, sample_boltzmann_path)
 from .macroscale import (HeatProblem, SlabSpec, simulate_slab_stationary,
                          solve_heat)
 from .medium import FieldSpec, ScattererField
 from .parallel import run_ensemble
-from .rng import mix_key, rng_stream
+from .rng import fold_key, mix_key, rng_stream
 from .scattering import BarrierParams, scattering_angle
 from .stats import (angle_histogram, chi_square_uniform, linear_fit, msd_curve,
                     tv_distance, tv_self_noise)
@@ -57,43 +62,63 @@ def _barrier_field(eps, alpha, mu, seed, tag, i):
     return ScattererField(spec)
 
 
-def _mech_chunk(payload):
-    """Mechanical trajectories from x0 through the checkpoint times.
+def _trajectory(eng, x0, y0, phi0, speed, checks):
+    """One trajectory through the checkpoint times, one ``walk`` per
+    checkpoint; returns (final angle, displacements, final position,
+    events summed over the checkpoints)."""
+    x, y, vx, vy = x0, y0, speed * math.cos(phi0), speed * math.sin(phi0)
+    prev, disp, events = 0.0, [], 0
+    for tc in checks:
+        x, y, vx, vy, _, _ = yield from eng.walk(x, y, vx, vy, tc - prev)
+        prev = tc
+        disp.append((x - x0, y - y0))
+        events += eng.events
+    return math.atan2(vy, vx), disp, (x, y), events
 
-    Returns per trajectory the final velocity angle, the displacement
-    from x0 at each checkpoint, the final position and the event count
-    summed over checkpoints.  Stream layout per trajectory i: for a
-    uniform initial angle, rng_stream(seed, i) draws the angle and then,
-    if sigma0 > 0, the Gaussian start point; a delta start (angle 0 at
-    the origin) builds no stream.  The field realization is keyed by
-    (seed, tag, i).
+
+def _lockstep_chunk(payload, logs=False):
+    """Mechanical trajectories i0..i1 from x0 through the checkpoint
+    times, advanced in lockstep; returns (field, engines, results), each
+    result a ``_trajectory`` return value.
+
+    Stream layout per trajectory i: for a uniform initial angle,
+    rng_stream(seed, i) draws the angle and then, if sigma0 > 0, the
+    Gaussian start point; a delta start (angle 0 at the origin) builds
+    no stream.  The field realization is keyed by (seed, tag, i): its
+    cells are generated and searched for the whole chunk at once
+    (``_FieldBatch``), and ``field``, trajectory i0's, stands for the
+    others' shared parameters.  ``logs`` gives each engine a log.
     """
     (eps, alpha, mu, speed, checks, seed, tag, initial, sigma0,
      i0, i1) = payload
     params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
-    m = i1 - i0
-    ang = np.empty(m)
-    disp = np.empty((m, len(checks), 2))
-    pos = np.empty((m, 2))
-    n_events = np.zeros(m, dtype=np.int64)
-    for j, i in enumerate(range(i0, i1)):
+    field = _barrier_field(eps, alpha, mu, seed, tag, i0)
+    # mix_key(mix_key(seed, tag, i)), the key HashStream folds cells into
+    keys = fold_key(np.uint64(mix_key()), fold_key(
+        np.uint64(mix_key(seed, tag)), np.arange(i0, i1, dtype=np.int64)))
+    engines, programs = [], []
+    for i in range(i0, i1):
         phi0, x0, y0 = 0.0, 0.0, 0.0
         if initial == "uniform":
             rng = rng_stream(seed, i)
             phi0 = rng.random() * 2.0 * math.pi
             if sigma0 > 0:
                 x0, y0 = (rng.standard_normal(2) * sigma0).tolist()
-        eng = _Engine(_barrier_field(eps, alpha, mu, seed, tag, i), params)
-        x, y, vx, vy = x0, y0, speed * math.cos(phi0), speed * math.sin(phi0)
-        prev = 0.0
-        for c, tc in enumerate(checks):
-            x, y, vx, vy, _, _ = eng.run(x, y, vx, vy, tc - prev)
-            prev = tc
-            disp[j, c] = (x - x0, y - y0)
-            n_events[j] += eng.events
-        ang[j] = math.atan2(vy, vx)
-        pos[j] = (x, y)
-    return ang, disp, pos, n_events
+        eng = _Engine(field, params, log=TrajectoryLog() if logs else None)
+        engines.append(eng)
+        programs.append(_trajectory(eng, x0, y0, phi0, speed, checks))
+    return field, engines, _lockstep(programs,
+                                     _FieldBatch(field, keys).answer)
+
+
+def _mech_chunk(payload):
+    """Per trajectory of ``_lockstep_chunk``: the final velocity angle,
+    the displacement from x0 at each checkpoint, the final position and
+    the event count summed over checkpoints."""
+    _, _, results = _lockstep_chunk(payload)
+    ang, disp, pos, n_events = zip(*results)
+    return (np.array(ang), np.array(disp), np.array(pos),
+            np.array(n_events, dtype=np.int64))
 
 
 def _jump_final_chunk(payload):
@@ -114,15 +139,12 @@ def _jump_final_chunk(payload):
 
 
 def _pathology_chunk(payload):
-    (eps, alpha, mu, speed, T, seed, tag, i0, i1) = payload
-    params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
-    m = i1 - i0
-    out = np.empty((m, 4), dtype=np.int64)  # rec, int, ov, q
-    for j, i in enumerate(range(i0, i1)):
-        fld = _barrier_field(eps, alpha, mu, seed, tag, i)
-        log = TrajectoryLog()
-        _Engine(fld, params, log=log).run(0.0, 0.0, speed, 0.0, T)
-        rep = classify_pathologies(log, fld)
+    """Pathology counts (recollisions, interferences, overlaps,
+    collisions) of each logged ``_lockstep_chunk`` trajectory."""
+    field, engines, _ = _lockstep_chunk(payload, logs=True)
+    out = np.empty((len(engines), 4), dtype=np.int64)
+    for j, eng in enumerate(engines):
+        rep = classify_pathologies(eng.log, field)
         out[j] = (rep.recollisions, rep.interferences, rep.overlaps,
                   rep.q_collisions)
     return (out,)
@@ -135,11 +157,12 @@ def _ensemble(fn, head: tuple, n: int, workers: int) -> tuple:
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
-def _mech_ensemble(cfg, eps, n, checks, tag, initial="delta", sigma0=0.0):
-    """_mech_chunk's outputs for n trajectories in cfg's barrier medium."""
-    return _ensemble(_mech_chunk, (eps, cfg["alpha"], cfg["mu"], cfg["speed"],
-                                   checks, cfg["seed"], tag, initial, sigma0),
-                    n, cfg["workers"])
+def _mech_ensemble(cfg, eps, n, checks, tag, initial="delta", sigma0=0.0,
+                  worker=_mech_chunk):
+    """``worker``'s outputs for n trajectories in cfg's barrier medium."""
+    return _ensemble(worker, (eps, cfg["alpha"], cfg["mu"], cfg["speed"],
+                              checks, cfg["seed"], tag, initial, sigma0),
+                     n, cfg["workers"])
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +382,8 @@ def run_pathology_scan(cfg: ExperimentConfig) -> Report:
     per_coll = []
     for k in range(cfg["kmin"], cfg["kmax"] + 1):
         eps = 2.0**-k
-        (counts,) = _ensemble(
-            _pathology_chunk,
-            (eps, cfg["alpha"], cfg["mu"], cfg["speed"], cfg["time"],
-             cfg["seed"], 5000 + k), n, cfg["workers"])
+        (counts,) = _mech_ensemble(cfg, eps, n, (cfg["time"],), 5000 + k,
+                                   worker=_pathology_chunk)
         rec, intf, ov, q = counts.T
         q_tot = max(int(q.sum()), 1)
         frac_rec = float(rec.sum()) / q_tot

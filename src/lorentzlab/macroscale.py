@@ -13,24 +13,22 @@ fixed-point characterization of the stationary density is only the
 rationale for why it converges.
 
 The injections of a chunk advance in lockstep: their engines' field
-queries are answered together, one numpy search per step over each
-injection's strip of centers.
+queries are answered together, one numpy pass per step over the cells
+they need.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
-from .dynamics import (HIT_QUERY, INSIDE_QUERY, _TANGENT_TOL, _Engine,
-                       _find_containing_disk, _first_hit)
-from .medium import FieldSpec, PlantedField, ScattererField, strip_centers
+from .dynamics import (_Engine, _FieldBatch, _find_containing_disk,
+                       _lockstep, _search)
+from .medium import FieldSpec, ScattererField
 from .parallel import run_ensemble
 from .rng import mix_key, rng_stream
 
@@ -47,15 +45,6 @@ __all__ = [
 
 # Injections per chunk of the slab ensemble.
 SLAB_CHUNK = 1024
-# Injections live at once in the lockstep driver, queries per numpy
-# search, and injections whose strips are generated per numpy pass.
-# Each injection's result is its own, so the bytes depend on none of
-# them; the last two bound the working set.
-_LOCKSTEP = 128
-_SEARCH = 32
-_GENERATE = 32
-# y-period images of a strip searched per query round
-_IMAGES = 2
 
 
 @dataclass
@@ -204,8 +193,9 @@ def _poisson_injection_field(base: FieldSpec, injection: int):
 
 
 def _layout(field: ScattererField):
-    """What fixes a Poisson field's cells besides its seed."""
-    return field._mean, field.cell_size, field._ny
+    """What fixes a Poisson field's queries besides its seed."""
+    return (field.epsilon, field.cell_size, field._mean, field._ny,
+            field.march_window)
 
 
 def _bin_segment(tau, net, dxb, t0, t1, ax, ay, bx, by, vx, vy):
@@ -255,288 +245,58 @@ def _run_injection(field, slab, x0, y0, vx, vy, n_bins, t_max):
     return tau, net, side is None
 
 
-class _Strips:
-    """Scatterer centers of the live injections, searched in bulk.
+def _answerer(fields):
+    """``_lockstep``'s answer function for injections on ``fields``: the
+    queries on Poisson fields of the first one's layout in bulk, with
+    ``_FieldBatch``, and any other field's with the scalar search."""
+    first = next((f for f in fields if isinstance(f, ScattererField)), None)
+    bulk = {j for j, f in enumerate(fields)
+            if isinstance(f, ScattererField) and _layout(f) == _layout(first)}
+    batch = _FieldBatch(first, np.array(
+        [mix_key(f.spec.seed) if j in bulk else 0
+         for j, f in enumerate(fields)], dtype=np.uint64)) if bulk else None
 
-    A live injection holds a row: its field's centers in scan order,
-    NaN-padded, and the row's geometry.  A y-periodic Poisson field's row
-    is one period over the columns a slab query can reach; it stands for
-    its images shifted by whole periods, (k * ny) * cell_size as the
-    field shifts them.  These rows are generated ahead, a batch of
-    injections per ``strip_centers`` call.  A planted field's row is
-    every center.  Any other field, and a ray that runs outside its
-    row's columns, gets the scalar search.
-    """
-
-    # (ny, cell size, period, x_lo, x_hi) of a planted field's row
-    APERIODIC = (0, 0.0, np.inf, -np.inf, np.inf)
-
-    def __init__(self, slab, n_rows):
-        r = self.radius = slab.epsilon
-        # a query is answered in bulk only if every center its scalar
-        # search could meet lies this far inside the candidates
-        self.slack = 0.25 * r
-        self.slab = slab
-        self.made = {}  # injection -> (cx, cy, geometry) or None, until opened
-        self.field_of = {}
-        self.row_of = {}
-        self.free = list(range(n_rows - 1, -1, -1))
-        self.cx = np.full((n_rows, 1), np.nan)
-        self.cy = np.full((n_rows, 1), np.nan)
-        self.ny = np.zeros(n_rows, dtype=np.int64)
-        self.cell = np.zeros(n_rows)
-        self.period = np.full(n_rows, np.inf)
-        self.x_lo = np.full(n_rows, -np.inf)
-        self.x_hi = np.full(n_rows, np.inf)
-
-    def prepare(self, batch):
-        """Make the rows-to-be of a batch of (injection, field) pairs."""
-        r = self.radius
-        periodic = []
-        for j, f in batch:
-            self.made[j] = None  # the scalar search's
-            if isinstance(f, PlantedField) and f.epsilon == r:
-                pts = np.array(f.centers(), dtype=float).reshape(-1, 2)
-                self.made[j] = (pts[:, 0], pts[:, 1], self.APERIODIC)
-            # two images of a period of at least 3r cover a ray's reach
-            # with room to advance; one strip_centers call, one layout
-            elif (isinstance(f, ScattererField) and f.epsilon == r
-                  and f._ny * f.cell_size >= 3.0 * r
-                  and (not periodic or _layout(f) == _layout(periodic[0][1]))):
-                periodic.append((j, f))
-        if not periodic:
-            return
-        f0 = periodic[0][1]
-        cs = f0.cell_size
-        cx, cy, counts = strip_centers(
-            [f for _, f in periodic], math.floor(-2.0 * r / cs),
-            math.floor((self.slab.L + 2.0 * r) / cs))
-        geometry = (f0._ny, cs, f0._ny * cs, -0.5 * r, self.slab.L + 0.5 * r)
-        ends = np.cumsum(counts)
-        for (j, _), a, b in zip(periodic, ends - counts, ends):
-            self.made[j] = (cx[a:b], cy[a:b], geometry)
-
-    def open(self, j, field):
-        """Take injection j live, its centers into a row if it has one."""
-        self.field_of[j] = field
-        made = self.made.pop(j)
-        if made is None:
-            return
-        cx, cy, geometry = made
-        row = self.free.pop()
-        if len(cx) > self.cx.shape[1]:
-            grow = ((0, 0), (0, len(cx) - self.cx.shape[1]))
-            self.cx = np.pad(self.cx, grow, constant_values=np.nan)
-            self.cy = np.pad(self.cy, grow, constant_values=np.nan)
-        self.cx[row] = np.nan
-        self.cy[row] = np.nan
-        self.cx[row, :len(cx)] = cx
-        self.cy[row, :len(cy)] = cy
-        (self.ny[row], self.cell[row], self.period[row], self.x_lo[row],
-         self.x_hi[row]) = geometry
-        self.row_of[j] = row
-
-    def close(self, j):
-        """Injection j has finished; free its row."""
-        del self.field_of[j]
-        if j in self.row_of:
-            self.free.append(self.row_of.pop(j))
-
-    def answer(self, queries: dict) -> dict:
-        """Answers to ``_Engine.walk`` queries, keyed like ``queries`` by
-        injection, each the one ``_first_hit`` or ``_find_containing_disk``
-        gives on the injection's field."""
+    def answer(queries):
         out = {}
-        hits, insides = [], []
-        for j, q in queries.items():
-            row = self.row_of.get(j)
-            x0 = x1 = q[1]
-            if q[0] == HIT_QUERY:
-                x1 += q[5] * q[3]
-            if row is None or not (self.x_lo[row] <= min(x0, x1)
-                                   and max(x0, x1) <= self.x_hi[row]):
-                out[j] = self._scalar(j, q)
-            elif q[0] == HIT_QUERY:
-                hits.append(j)
-            else:
-                insides.append(j)
-        for js, search in ((hits, self._first_hits),
-                           (insides, self._containing)):
-            for a in range(0, len(js), _SEARCH):
-                part = js[a:a + _SEARCH]
-                out.update(zip(part, search(
-                    np.array([self.row_of[j] for j in part]),
-                    np.array([queries[j][1:] for j in part]))))
+        if batch is not None:
+            out = batch.answer({j: q for j, q in queries.items()
+                                if j in bulk})
+        out.update((j, _search(fields[j], q)) for j, q in queries.items()
+                   if j not in bulk)
         return out
-
-    def _scalar(self, j, q):
-        if q[0] == HIT_QUERY:
-            return _first_hit(self.field_of[j], *q[1:5], self.radius, q[5])
-        return _find_containing_disk(self.field_of[j], q[1], q[2],
-                                     self.radius)
-
-    def _images(self, rows, y, up):
-        """Row images for a ray from height y going up (or down): the
-        y-range they cover and the shifts of the ``_IMAGES`` images."""
-        period = self.period[rows]
-        reach = self.radius + self.slack
-        first = np.where(up, np.floor((y - reach) / period),
-                         np.floor((y + reach) / period) - (_IMAGES - 1)
-                         ).astype(np.int64)
-        k = first[:, None] + np.arange(_IMAGES)
-        shift = (k * self.ny[rows][:, None]) * self.cell[rows][:, None]
-        return first, period, shift
-
-    def _first_hits(self, rows, q):
-        """``_first_hit`` for many rays.
-
-        A round searches each ray up to s_hi, as far as its two images
-        hold every center within reach of it, and settles the ray if it
-        has a hit by then or s_hi is its s_max; the rest go on from
-        s_hi.  The earliest entry in (0, s_hi] over all disks is what the
-        scalar march finds.  An exact tie between two disks goes to the
-        first in image, then scan order: the scalar's order for a planted
-        field, and a Poisson field has no ties.
-        """
-        out = [None] * len(rows)
-        x, y, ux, uy, s_max = q.T
-        r = self.radius
-        r2 = r * r
-        reach = r + self.slack
-        s_lo = np.zeros(len(rows))
-        todo = np.arange(len(rows))
-        while todo.size:
-            j = rows[todo]
-            xt, yt = x[todo, None], y[todo, None]
-            uxt, uyt = ux[todo, None], uy[todo, None]
-            up = uy[todo] >= 0.0
-            first, period, shift = self._images(
-                j, y[todo] + s_lo[todo] * uy[todo], up)
-            # how far along the ray every center within reach is a
-            # candidate; all of it for an aperiodic row or a level ray
-            with np.errstate(divide="ignore", invalid="ignore"):
-                edge = np.where(up, (first + _IMAGES) * period - reach,
-                                first * period + reach)
-                s_hi = (edge - y[todo]) / uy[todo]
-            s_hi = np.where(np.isfinite(period) & (uy[todo] != 0.0),
-                            np.minimum(s_hi, s_max[todo]), s_max[todo])
-            # keep the centers a ray can enter by s_hi: ahead of it and
-            # within reach of its line (NaN padding drops out here)
-            cy = self.cy[j]
-            wx = self.cx[j] - xt
-            bx = wx * uxt
-            ox = wx * uyt
-            picks = []
-            for k in range(_IMAGES):
-                wy = cy + shift[:, k:k + 1]
-                wy -= yt
-                b = wy * uyt
-                b += bx
-                off = wy * uxt
-                off -= ox
-                near = np.abs(off, out=off) <= reach
-                near &= b > 0.0
-                near &= b <= s_hi[:, None] + reach
-                p, c = np.nonzero(near)
-                picks.append((p, np.full(p.size, k), c, wy[p, c], b[p, c]))
-            p, k, c, wy, b = (np.concatenate(a) for a in zip(*picks))
-            wx = wx[p, c]
-            # _first_hit's disk test, in its order of operations
-            w2 = wx * wx + wy * wy
-            disc = b * b - (w2 - r2)
-            with np.errstate(invalid="ignore"):
-                s_in = b - np.sqrt(disc)
-            ok = ~(w2 < r2)  # started inside (overlap): no interaction
-            ok &= ~(disc < _TANGENT_TOL * r2)  # tangential graze: a miss
-            ok &= (0.0 < s_in) & (s_in <= s_hi[p])
-            p, k, c, s_in = p[ok], k[ok], c[ok], s_in[ok]
-            # each ray's earliest entry; a tie keeps scan order
-            order = np.lexsort((c, k, s_in, p))
-            lead = order[np.unique(p[order], return_index=True)[1]]
-            found = np.zeros(len(todo), dtype=bool)
-            found[p[lead]] = True
-            for i, kk, cc, s in zip(p[lead].tolist(), k[lead].tolist(),
-                                    c[lead].tolist(), s_in[lead].tolist()):
-                t = j[i]
-                out[todo[i]] = (s, (self.cx[t, cc].item(), (
-                    self.cy[t, cc] + shift[i, kk]).item()))
-            done = found | (s_hi >= s_max[todo])
-            s_lo[todo] = s_hi
-            todo = todo[~done]
-        return out
-
-    def _containing(self, rows, q):
-        """``_find_containing_disk`` for many points: whether a disk
-        contains the point, and if so one that does."""
-        x, y = q.T
-        r2 = self.radius * self.radius
-        _, _, shift = self._images(rows, y, np.ones(len(rows), dtype=bool))
-        d2 = (((self.cx[rows] - x[:, None]) ** 2)[:, None, :]
-              + ((self.cy[rows][:, None, :] + shift[:, :, None])
-                 - y[:, None, None]) ** 2)
-        inside = (d2 < r2).reshape(len(rows), -1)
-        first = inside.argmax(axis=1)
-        n_c = self.cx.shape[1]
-        out = [None] * len(rows)
-        for i in np.flatnonzero(inside.any(axis=1)).tolist():
-            k, c = divmod(int(first[i]), n_c)
-            out[i] = (self.cx[rows[i], c].item(),
-                      (self.cy[rows[i], c] + shift[i, k]).item())
-        return out
+    return answer
 
 
-def _run_lockstep(slab, injections, n, n_bins, t_max):
-    """(tau, net, timed_out) of each of the n (field, start) pairs that
+def _injection(eng, start, t_max):
+    """One injection as a ``_lockstep`` program; returns whether it
+    timed out."""
+    walk = eng.walk(*start, t_max)
+    if (yield next(walk)) is not None:
+        # the wall point is covered: the injection never enters
+        return False
+    # resumes the walk with the answer None: a free start
+    return (yield from walk)[5] is None
+
+
+def _run_lockstep(slab, injections, n_bins, t_max):
+    """(tau, net, timed_out) of each (field, start) pair that
     ``injections`` yields, row j equal to ``_run_injection(field, slab,
     *start, n_bins, t_max)`` for the j-th pair.
 
-    Up to ``_LOCKSTEP`` injections are live at once, each a suspended
-    ``_Engine.walk``.  Every step answers all their pending field
-    queries together, then resumes each walk; a finished injection's
-    place goes to the next one waiting.  Pairs are taken
-    ``_GENERATE`` at a time, as their strips are generated.
+    All the injections advance together in ``_lockstep``, whose every
+    step answers their pending field queries at once (``_answerer``).
     """
+    pairs = list(injections)
     dxb = slab.L / n_bins
-    tau = np.zeros((n, n_bins))
-    net = np.zeros((n, n_bins - 1))
-    timed_out = np.zeros(n, dtype=bool)
-    strips = _Strips(slab, _LOCKSTEP)
-    pending = enumerate(injections)
-    ready = deque()
-    walks, queries = {}, {}
-
-    def start_next():
-        if not ready:
-            ready.extend(islice(pending, _GENERATE))
-            strips.prepare([(j, field) for j, (field, _) in ready])
-        if ready:
-            j, (field, start) = ready.popleft()
-            strips.open(j, field)
-            eng = _Engine(field, None, on_segment=partial(
-                _bin_segment, tau[j], net[j], dxb), x_bounds=(0.0, slab.L))
-            walks[j] = eng.walk(*start, t_max)
-            queries[j] = next(walks[j])
-
-    def finish(j):
-        del queries[j], walks[j]
-        strips.close(j)
-        start_next()
-
-    for _ in range(_LOCKSTEP):
-        start_next()
-    while queries:
-        for j, answer in strips.answer(queries).items():
-            if queries[j][0] == INSIDE_QUERY and answer is not None:
-                # the wall point is covered: the injection never enters
-                walks[j].close()
-                finish(j)
-                continue
-            try:
-                queries[j] = walks[j].send(answer)
-            except StopIteration as done:
-                timed_out[j] = done.value[5] is None
-                finish(j)
-    return tau, net, timed_out
+    tau = np.zeros((len(pairs), n_bins))
+    net = np.zeros((len(pairs), n_bins - 1))
+    programs = [
+        _injection(_Engine(field, None, on_segment=partial(
+            _bin_segment, tau[j], net[j], dxb), x_bounds=(0.0, slab.L)),
+            start, t_max)
+        for j, (field, start) in enumerate(pairs)]
+    timed_out = _lockstep(programs, _answerer([f for f, _ in pairs]))
+    return tau, net, np.array(timed_out, dtype=bool)
 
 
 def _injection_start(slab, seed, width, i):
@@ -564,7 +324,7 @@ def _slab_chunk(payload):
     chunk = range(i0, i1)
     taus, nets, timed_out = _run_lockstep(
         slab, ((factory(i), _injection_start(slab, seed, width, i))
-               for i in chunk), len(chunk), n_bins, t_max)
+               for i in chunk), n_bins, t_max)
     for i, tau, net, late in zip(chunk, taus, nets, timed_out):
         side = i % 2  # 0: left reservoir, 1: right
         half = 0 if i < half_at else 1

@@ -17,9 +17,9 @@ collides.
 of centers, for deterministic fixtures in tests.  Both expose
 ``march_window``, the step in which the first-hit search marches a ray.
 
-``strip_centers`` computes the same cells in bulk: one period of a
-y-periodic field over a run of columns, for many seeds at once, on
-uint64 arrays in place of one ``HashStream`` per cell.
+``cell_centers`` computes the same cells in bulk, any cells of many
+seeds at once, on uint64 arrays in place of one ``HashStream`` per
+cell.
 """
 
 from __future__ import annotations
@@ -29,14 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import HashStream, fold_key, mix_key, stream_uniforms
+from .rng import HashStream, fold_key, stream_block, stream_uniforms
 
-__all__ = ["FieldSpec", "ScattererField", "PlantedField", "strip_centers"]
+__all__ = ["FieldSpec", "ScattererField", "PlantedField", "cell_centers"]
 
 _MASK64 = (1 << 64) - 1
-# uniforms per cell in the bulk Poisson count; a cell whose count needs
-# more is generated by HashStream
-_KNUTH_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -136,58 +133,61 @@ class ScattererField:
         return math.floor(x / self.cell_size), math.floor(y / self.cell_size)
 
 
-def strip_centers(fields, ix0: int, ix1: int):
-    """Centers of cells ix0..ix1 x 0..ny-1 of y-periodic fields, in bulk.
+def cell_centers(keys, ix, iy, lam: float, cs: float):
+    """``ScattererField._generate`` for many cells in one numpy pass.
 
-    ``fields`` are ScattererFields that differ only in their seed.
-    Returns (cx, cy, counts): field f's centers are the next counts[f]
-    entries, listed cell by cell in (ix, iy) order and within a cell in
-    ``_generate`` order, bit for bit its values.  Every draw of a cell's
-    HashStream is computed directly: Knuth's product over at most
-    ``_KNUTH_BLOCK`` uniforms gives the count, and the positions follow
-    it.  A cell whose count needs more uniforms, and every cell of a
-    field of mean above 64 (drawn as two halves), is generated by
-    ``_generate``.
+    Cell c is cell (ix[c], iy[c]) of the field whose ``mix_key(seed)``
+    is keys[c]; every cell has mean count ``lam`` and side ``cs``.
+    Returns (cx, cy, counts): cell c's centers are the next counts[c]
+    entries, in ``_generate`` order and bit for bit its values.
+
+    Every draw of a cell's HashStream is computed directly.  The count
+    is ``HashStream.poisson``'s: Knuth's running product, taken down a
+    block of about lam + 2 sqrt(lam) uniforms per cell (the same
+    sequential products), continued from the end of the block in the
+    cells that need more; a mean above 64 is drawn as halves, one after
+    the other on the same stream.  The positions follow the count.
     """
-    f0 = fields[0]
-    ny, cs, lam = f0._ny, f0.cell_size, f0._mean
-    nx = ix1 - ix0 + 1
-    per_field = nx * ny
-    # HashStream(seed, ix, iy)'s key, mix_key(seed, ix, iy)
-    keys = np.array([mix_key(f.spec.seed) for f in fields], dtype=np.uint64)
-    keys = fold_key(keys[:, None], np.arange(ix0, ix1 + 1, dtype=np.int64))
-    keys = fold_key(keys[:, :, None], np.arange(ny, dtype=np.int64)).ravel()
+    keys = fold_key(fold_key(keys, ix), iy)
+    n = keys.size
+    used = np.zeros(n, dtype=np.int64)  # draws taken from each stream
+    counts = np.zeros(n, dtype=np.int64)
+    leaf, leaves = lam, 1
+    while leaf > 64.0:
+        leaf /= 2.0
+        leaves *= 2
+    if lam > 0.0:
+        # math.exp, as HashStream's: numpy's exp differs in the last bit
+        limit = math.exp(-leaf)
+        # most counts end within a block
+        block = int(leaf + 2.0 * math.sqrt(leaf)) + 2
+        for _ in range(leaves):
+            start = used.copy()
+            todo = np.arange(n)
+            p = np.ones(n)
+            while todo.size:
+                at = used[todo]
+                prod = stream_block(keys[todo], at, block)
+                prod[0] *= p
+                for i in range(1, block):
+                    prod[i] *= prod[i - 1]
+                # the products only fall: those above the limit come first
+                above = (prod > limit).sum(axis=0)
+                stop = above < block
+                used[todo] = at + np.where(stop, above + 1, block)
+                p = prod[-1, ~stop]
+                todo = todo[~stop]
+            counts += used - start - 1
 
-    counts = np.full(keys.size, -1, dtype=np.int64)
-    if lam <= 64.0:
-        # Knuth's running product, advanced only in cells still counting
-        limit = math.exp(-lam)
-        todo = np.arange(keys.size)
-        p = np.ones(keys.size)
-        for k in range(_KNUTH_BLOCK):
-            p *= stream_uniforms(keys[todo], k + 1)
-            stop = p <= limit
-            counts[todo[stop]] = k
-            todo, p = todo[~stop], p[~stop]
-    slow = {}
-    for c in np.flatnonzero(counts < 0).tolist():
-        f, k = divmod(c, per_field)
-        slow[c] = fields[f]._generate(ix0 + k // ny, k % ny)
-        counts[c] = len(slow[c])
-
-    cell = np.repeat(np.arange(keys.size), counts)
+    cell = np.repeat(np.arange(n), counts)
     first = np.cumsum(counts) - counts
-    # point m of a cell draws its x after the count's count + 1 draws
-    # and the 2m before it, then its y
-    draw = counts[cell] + 2 + 2 * (np.arange(cell.size) - first[cell])
+    # point m of a cell draws its x after the count's draws and the 2m
+    # before it, then its y
+    draw = used[cell] + 1 + 2 * (np.arange(cell.size) - first[cell])
     key = keys[cell]
-    cx = (ix0 + cell % per_field // ny + stream_uniforms(key, draw)) * cs
-    cy = (cell % ny + stream_uniforms(key, draw + 1)) * cs
-    for c, pts in slow.items():
-        at = slice(first[c], first[c] + len(pts))
-        cx[at] = [x for x, _ in pts]
-        cy[at] = [y for _, y in pts]
-    return cx, cy, counts.reshape(len(fields), per_field).sum(axis=1)
+    cx = (ix[cell] + stream_uniforms(key, draw)) * cs
+    cy = (iy[cell] + stream_uniforms(key, draw + 1)) * cs
+    return cx, cy, counts
 
 
 class PlantedField:
@@ -209,7 +209,3 @@ class PlantedField:
 
     def scatterers_in_cell(self, cell: tuple[int, int]) -> list[tuple[float, float]]:
         return self._cache.get(cell, [])
-
-    def centers(self) -> list[tuple[float, float]]:
-        """Every center, listed cell by cell in (ix, iy) order."""
-        return [pt for cell in sorted(self._cache) for pt in self._cache[cell]]

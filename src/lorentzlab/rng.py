@@ -12,7 +12,7 @@ order in which work is scheduled:
   can be re-generated at any time without storing anything.
   Output i of a stream is splitmix64(key + i*GOLDEN), so
   ``stream_uniforms`` computes any draw of any cell's stream directly,
-  on uint64 arrays.
+  and ``stream_block`` a run of draws of each, on uint64 arrays.
 """
 
 from __future__ import annotations
@@ -61,6 +61,14 @@ def stream_uniforms(key: np.ndarray, index) -> np.ndarray:
     counter = key + np.asarray(index, dtype=np.uint64) * _GOLDEN_U64
     return ((splitmix64_array(counter) >> np.uint64(11))
             * (1.0 / 9007199254740992.0))
+
+
+def stream_block(key: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
+    """Draws at+1 .. at+n of each stream whose key is ``key`` (as for
+    ``stream_uniforms``): row i holds draw at+1+i of every stream."""
+    # draw at+i of a stream is draw i of the stream at draws further on
+    return stream_uniforms(key + at.astype(np.uint64) * _GOLDEN_U64,
+                           np.arange(1, n + 1)[:, None])
 
 
 def mix_key(*parts: int) -> int:

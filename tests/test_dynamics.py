@@ -1,6 +1,7 @@
 """Event-driven flow: planted-fixture geometry, reversal, pathologies."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from lorentzlab.dynamics import (
     TOTAL_REFLECT,
     BARRIER_TRAVERSE,
     HARD_REFLECT,
+    HIT_QUERY,
+    INSIDE_QUERY,
     _Engine,
+    _FieldBatch,
+    _find_containing_disk,
+    _first_hit,
     advance,
     backward_flow,
     classify_pathologies,
@@ -340,3 +346,95 @@ class TestHardDiskIsAlwaysReflectingBarrier:
         assert trace(log_h) == trace(log_b)
         assert all(e.kind == HARD_REFLECT for e in log_h.events)
         assert all(e.kind == TOTAL_REFLECT for e in log_b.events)
+
+
+class _PlantedBatch(_FieldBatch):
+    """``_FieldBatch`` searching planted fields' cells: exact fixtures."""
+
+    def __init__(self, fields):
+        f = fields[0]
+        self.radius, self.cell_size = f.epsilon, f.cell_size
+        self.march_window = f.march_window
+        self.fields = fields
+
+    def centers(self, rows, ix, iy):
+        cells = [self.fields[j].scatterers_in_cell((a, b)) for j, a, b
+                 in zip(rows.tolist(), ix.tolist(), iy.tolist())]
+        pts = np.array([pt for c in cells for pt in c]).reshape(-1, 2)
+        return pts[:, 0], pts[:, 1], np.array([len(c) for c in cells])
+
+
+class TestFieldBatch:
+    """``_FieldBatch`` answers every query as ``_first_hit`` and
+    ``_find_containing_disk`` answer it on the query's own field, bit for
+    bit, exact ties included."""
+
+    @settings(max_examples=40)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+           log_lam=st.floats(math.log(0.01), math.log(200.0)),
+           rays=st.lists(st.tuples(st.integers(0, 2), coord, coord,
+                                   st.floats(0.0, 2.0 * math.pi),
+                                   st.floats(0.0, 4.0),
+                                   st.sampled_from(["free", "center", "rim"])),
+                         min_size=1, max_size=8))
+    # dense: starts inside several overlapping disks; a mean over 64
+    @example(seeds=[7], log_lam=math.log(150.0),
+             rays=[(0, -0.3, 0.2, 1.0, 4.0, "center"),
+                   (0, 0.1, -0.7, 4.0, 3.0, "rim"),
+                   (0, -0.9, -0.9, 0.8, 4.0, "free")])
+    @example(seeds=[1, 2], log_lam=math.log(0.01),
+             rays=[(0, 0.0, 0.0, 0.7, 4.0, "free"),
+                   (1, -0.5, 0.5, 2.0, 1.0, "free")])
+    def test_poisson_fields(self, seeds, log_lam, rays):
+        r = 0.05
+        spec = FieldSpec(mu=math.exp(log_lam) / (4.0 * r) ** 2, epsilon=r,
+                         seed=0, delta=0.0)
+        fields = [ScattererField(FieldSpec(spec.mu, r, s, delta=0.0))
+                  for s in seeds]
+        keys = np.array([mix_key(s) for s in seeds], dtype=np.uint64)
+        rows = [f % len(seeds) for f, *_ in rays]
+        # row j asks for a hit, row n + j for a disk containing its start
+        batch = _FieldBatch(fields[0], keys[rows + rows])
+        hits, insides = {}, {}
+        for j, (f, x, y, phi, windows, at) in enumerate(rays):
+            fld = fields[rows[j]]
+            if at != "free":
+                # start on a disk near the point: at its center, or on its
+                # rim (in a dense field also inside others)
+                near = _find_containing_disk(fld, x, y, 10.0 * r) or (x, y)
+                x, y = near[0] + (r if at == "rim" else 0.0), near[1]
+            # several windows long where a window is at most 1 (lam > 0.4),
+            # part of one below, where one window holds ~(3/lam)^2 cells
+            s_max = windows * min(fld.march_window, 1.0)
+            hits[j] = (HIT_QUERY, x, y, math.cos(phi), math.sin(phi), s_max)
+            insides[len(rays) + j] = (INSIDE_QUERY, x, y)
+        got = batch.answer({**hits, **insides})
+        # a few cells per numpy pass: the queries split into many passes
+        with mock.patch.object(dynamics, "_BATCH_CELLS", 5):
+            assert batch.answer({**hits, **insides}) == got
+        for j, q in hits.items():
+            assert got[j] == _first_hit(fields[rows[j]], *q[1:5], r, q[5])
+        for j, q in insides.items():
+            fld = fields[rows[j - len(rays)]]
+            assert got[j] == _find_containing_disk(fld, q[1], q[2], r)
+
+    R = 2.0**-5  # exact in binary, as the ties need
+
+    def test_ties_go_to_scan_order(self):
+        # two disks mirrored about a level ray are entered at the same s,
+        # and a point midway between them is as near to both; the first
+        # in scan order wins: the lower cell across a cell edge (y = 0.5),
+        # the first listed within a cell (0.5 < y < 0.625)
+        r, d = self.R, 0.5 * self.R
+        for y0, first in ((0.5, 1), (0.5625, 0)):
+            centers = [(1.0, y0 + d), (1.0, y0 - d)]
+            fld = PlantedField(centers, r)
+            batch = _PlantedBatch([fld, fld])
+            queries = {0: (HIT_QUERY, 0.0, y0, 1.0, 0.0, 2.0),
+                       1: (INSIDE_QUERY, 1.0, y0)}
+            got = batch.answer(queries)
+            want_hit = _first_hit(fld, 0.0, y0, 1.0, 0.0, r, 2.0)
+            assert want_hit[1] == centers[first]
+            assert got[0] == want_hit
+            assert got[1] == _find_containing_disk(fld, 1.0, y0, r)
+            assert got[1] == centers[first]

@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from lorentzlab import dynamics
 from lorentzlab.config import build_config
-from lorentzlab.dynamics import (ParticleState, _find_containing_disk, advance,
+from lorentzlab.dynamics import (ParticleState, StuckParticleError,
+                                 _find_containing_disk, advance,
                                  classify_pathologies)
 from lorentzlab.experiments import (_barrier_field, _mech_chunk,
                                     _pathology_chunk, run_experiment)
@@ -60,9 +62,22 @@ class TestWorkersEqualLoggedPath:
         (6, (0.5,), "delta", 0.0),
         (6, (0.1, 0.2, 0.3, 0.4, 0.5), "uniform", 0.3),
         (3, (0.1, 0.2, 0.3), "uniform", 0.0),  # always reflecting
+        (3, (1.0,), "delta", 0.0),  # always reflecting
     ])
     def test_mech_chunk(self, k, checks, initial, sigma0):
-        payload = (2.0**-k, 0.25, 1.0, 1.0, checks, 61, 7, initial, sigma0,
+        self.check_mech_chunk(k, 1.0, checks, initial, sigma0)
+
+    # dense fields: 32 centers a cell (always reflecting), then 16 a cell
+    @pytest.mark.parametrize("k,checks,initial,sigma0", [
+        (4, (0.1, 0.25), "uniform", 0.0),
+        (6, (0.05, 0.1), "uniform", 0.2),
+    ])
+    def test_mech_chunk_dense(self, k, checks, initial, sigma0):
+        self.check_mech_chunk(k, 8.0, checks, initial, sigma0)
+
+    @staticmethod
+    def check_mech_chunk(k, mu, checks, initial, sigma0):
+        payload = (2.0**-k, 0.25, mu, 1.0, checks, 61, 7, initial, sigma0,
                    0, 40)
         got = _mech_chunk(payload)
         *want, inside = _mech_reference(payload)
@@ -75,13 +90,20 @@ class TestWorkersEqualLoggedPath:
 
     @pytest.mark.parametrize("k", [3, 6])
     def test_pathology_chunk(self, k):
+        self.check_pathology_chunk(k, 1.0)
+
+    def test_pathology_chunk_dense(self):
+        self.check_pathology_chunk(4, 8.0)
+
+    @staticmethod
+    def check_pathology_chunk(k, mu):
         eps, T = 2.0**-k, 0.5
         params = BarrierParams(epsilon=eps, alpha=0.25, speed=1.0)
-        (got,) = _pathology_chunk((eps, 0.25, 1.0, 1.0, T, 62, 5000 + k,
-                                   0, 30))
+        (got,) = _pathology_chunk((eps, 0.25, mu, 1.0, (T,), 62, 5000 + k,
+                                   "delta", 0.0, 0, 30))
         want = []
         for i in range(30):
-            fld = _barrier_field(eps, 0.25, 1.0, 62, 5000 + k, i)
+            fld = _barrier_field(eps, 0.25, mu, 62, 5000 + k, i)
             _, log = advance(ParticleState((0.0, 0.0), (1.0, 0.0)), fld,
                              params, T)
             rep = classify_pathologies(log, fld)
@@ -89,6 +111,16 @@ class TestWorkersEqualLoggedPath:
                          rep.q_collisions))
         assert np.array_equal(got, np.array(want))
         assert got[:, 3].sum() > 0
+
+    def test_stuck_particle_error(self, monkeypatch):
+        # a trajectory past the event budget aborts the chunk, as it
+        # aborts the logged path
+        monkeypatch.setattr(dynamics, "MAX_EVENTS", 3)
+        payload = (2.0**-6, 0.25, 1.0, 1.0, (0.5,), 61, 7, "delta", 0.0, 0, 8)
+        with pytest.raises(StuckParticleError):
+            _mech_reference(payload)
+        with pytest.raises(StuckParticleError):
+            _mech_chunk(payload)
 
 
 class TestKineticCompareShortTime:

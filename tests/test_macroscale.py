@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lorentzlab import macroscale
+from lorentzlab import dynamics
 from lorentzlab.dynamics import (HIT_QUERY, INSIDE_QUERY,
                                  _find_containing_disk, _first_hit)
 from lorentzlab.macroscale import (
     HeatProblem,
     SlabSpec,
-    _Strips,
+    _answerer,
     _injection_start,
     _poisson_injection_field,
     _run_injection,
@@ -223,8 +223,8 @@ class TestSlabSimulation:
 def lockstep_equals_oracle(fields, slab, starts, n_bins, t_max):
     """Run the lockstep driver and check each injection against the
     scalar oracle; returns the driver's (tau, net, timed_out)."""
-    tau, net, timed_out = _run_lockstep(slab, zip(fields, starts),
-                                        len(fields), n_bins, t_max)
+    tau, net, timed_out = _run_lockstep(slab, zip(fields, starts), n_bins,
+                                        t_max)
     for j, (field, start) in enumerate(zip(fields, starts)):
         want_tau, want_net, want_late = _run_injection(field, slab, *start,
                                                        n_bins, t_max)
@@ -275,16 +275,13 @@ class TestLockstepDriver:
                                                    n_bins, t_max)
         assert_flux_constant(net, timed_out)
 
-    @pytest.mark.parametrize("live,search,generate", [(1, 1, 1), (3, 2, 5)])
-    def test_widths_do_not_change_results(self, monkeypatch, live, search,
-                                          generate):
-        # injections join as others finish, searches and field generation
-        # split into small blocks: every result stays the oracle's
+    @pytest.mark.parametrize("cells", [1, 5])
+    def test_cell_budget_does_not_change_results(self, monkeypatch, cells):
+        # the searches split into numpy passes of a few cells each: every
+        # result stays the oracle's
         slab, fields, starts = poisson_block(2.0**-5, 2.0, 1.0, 16, 3, 12)
-        want = _run_lockstep(slab, zip(fields, starts), len(fields), 8, 500.0)
-        monkeypatch.setattr(macroscale, "_LOCKSTEP", live)
-        monkeypatch.setattr(macroscale, "_SEARCH", search)
-        monkeypatch.setattr(macroscale, "_GENERATE", generate)
+        want = _run_lockstep(slab, zip(fields, starts), 8, 500.0)
+        monkeypatch.setattr(dynamics, "_BATCH_CELLS", cells)
         got = lockstep_equals_oracle(fields, slab, starts, 8, 500.0)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -297,24 +294,28 @@ class TestLockstepDriver:
                                    st.floats(0.0, 5.0)),
                          min_size=1, max_size=12))
     def test_any_query_equals_scalar_search(self, y_period_cells, seed, rays):
-        # rays anywhere, of any length: several periods long (searched in
-        # rounds) or running outside the slab (the scalar fallback)
+        # rays anywhere, of any length, several periods long; the queries
+        # on a planted field and on a Poisson field of another period go
+        # to the scalar search, the rest are answered in bulk
         slab, fields, _ = poisson_block(2.0**-5, 2.0, 1.0, y_period_cells,
                                         seed, len(rays))
-        strips = _Strips(slab, len(rays))
-        strips.prepare(list(enumerate(fields)))
-        hits, insides = {}, {}
-        for j, (field, (x, y, phi, s_max)) in enumerate(zip(fields, rays)):
-            strips.open(j, field)
-            hits[j] = (HIT_QUERY, x, y, math.cos(phi), math.sin(phi), s_max)
-            insides[j] = (INSIDE_QUERY, x, y)
+        other = slab_field_spec(slab, seed, y_period_cells + 1)
+        fields += [PlantedField([(0.5, 0.0), (0.53, 0.01)], slab.epsilon),
+                   _poisson_injection_field(other, 0)]
+        rows = fields + fields  # a hit query on each, then an inside query
+        queries = {}
+        for j, field in enumerate(fields):
+            x, y, phi, s_max = rays[j % len(rays)]
+            queries[j] = (HIT_QUERY, x, y, math.cos(phi), math.sin(phi),
+                          s_max)
+            queries[len(fields) + j] = (INSIDE_QUERY, x, y)
         r = slab.epsilon
-        for j, got in strips.answer(hits).items():
-            assert got == _first_hit(fields[j], *hits[j][1:5], r, hits[j][5])
-        for j, got in strips.answer(insides).items():
-            want = _find_containing_disk(fields[j], x=insides[j][1],
-                                         y=insides[j][2], r=r)
-            assert (got is None) == (want is None)
+        got = _answerer(rows)(queries)
+        for j, q in queries.items():
+            if q[0] == HIT_QUERY:
+                assert got[j] == _first_hit(rows[j], *q[1:5], r, q[5])
+            else:
+                assert got[j] == _find_containing_disk(rows[j], q[1], q[2], r)
 
     def test_timeouts_match(self):
         # a short time guard in a dense, narrow-period strip
@@ -327,8 +328,8 @@ class TestLockstepDriver:
            n_bins=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
     def test_flux_constant_on_every_trajectory(self, eta, L, n_bins, seed):
         slab, fields, starts = poisson_block(2.0**-5, eta, L, 16, seed, 64)
-        _, net, timed_out = _run_lockstep(slab, zip(fields, starts),
-                                          len(fields), n_bins, 500.0)
+        _, net, timed_out = _run_lockstep(slab, zip(fields, starts), n_bins,
+                                          500.0)
         assert_flux_constant(net, timed_out)
 
     R = 2.0**-5  # exact in binary: the tie fixture needs exact arithmetic
@@ -366,6 +367,18 @@ class TestLockstepDriver:
         _, net, timed_out = self.planted(centers, starts)
         assert_flux_constant(net, timed_out)
         assert net[4, 0] == 0.0  # bounced back out off the left disk
+
+    def test_reflection_pushed_through_a_wall_leaves(self):
+        # the entry point is 1e-13 inside the left wall, on a disk the wall
+        # cuts; the reflected particle still heads out, and the push
+        # carries it across the wall: it leaves there, not at t_max
+        r = self.R
+        y0 = 0.5 + math.sqrt(r * r - (0.5 * r + 1e-13) ** 2)
+        tau, net, timed_out = self.planted([(-0.5 * r, 0.5)],
+                                           [(1.0, y0, -1.0, 0.0)])
+        assert not timed_out[0]
+        assert np.all(net[0] == -1.0)
+        assert tau[0] == pytest.approx(np.full(4, 0.25), rel=1e-9)
 
     def test_tangential_graze(self):
         # a ray at exactly one radius from a center grazes it: a miss

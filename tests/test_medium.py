@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
-from lorentzlab.dynamics import _first_hit
+from lorentzlab.dynamics import _FieldBatch, _first_hit
 from lorentzlab.medium import (FieldSpec, PlantedField, ScattererField,
-                               strip_centers)
+                               cell_centers)
+from lorentzlab.rng import HashStream, mix_key
 
 
 def barrier_spec(**kw):
@@ -121,33 +122,88 @@ class TestCellSampling:
             barrier_spec(y_period=0.3)  # not a whole number of cells
 
 
+class TestCellCenters:
+    """``cell_centers`` gives, bit for bit, the centers ``_generate``
+    gives one cell at a time, whatever the cells, seeds and mean."""
+
+    @settings(max_examples=60)
+    @given(seeds=st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=3),
+           log_lam=st.floats(math.log(0.01), math.log(200.0)),
+           cells=st.lists(st.tuples(st.integers(0, 2), st.integers(-2**40, 40),
+                                    st.integers(-40, 2**40)),
+                          min_size=1, max_size=40))
+    # counts past a block, the split of a mean above 64 (twice at 200)
+    @example(seeds=[3], log_lam=math.log(8.0),
+             cells=[(0, i, -i) for i in range(-20, 20)])
+    @example(seeds=[1, -1], log_lam=math.log(64.5),
+             cells=[(i % 2, i, 7) for i in range(-5, 5)])
+    @example(seeds=[5], log_lam=math.log(200.0),
+             cells=[(0, -1, -1), (0, 0, 0), (0, 3, -2)])
+    def test_equals_scalar_cells(self, seeds, log_lam, cells):
+        cs = 0.25
+        spec = FieldSpec(mu=math.exp(log_lam) / cs**2, epsilon=0.1, seed=0,
+                         delta=0.0, cell_size=cs)
+        fields = [ScattererField(replace(spec, seed=s)) for s in seeds]
+        f, ix, iy = (np.array(c, dtype=np.int64) for c in zip(*cells))
+        f %= len(seeds)
+        keys = np.array([mix_key(s) for s in seeds], dtype=np.uint64)[f]
+        cx, cy, counts = cell_centers(keys, ix, iy, fields[0]._mean, cs)
+        want = [fields[a].scatterers_in_cell((b, c))
+                for a, b, c in zip(f.tolist(), ix.tolist(), iy.tolist())]
+        assert counts.tolist() == [len(w) for w in want]
+        assert list(zip(cx.tolist(), cy.tolist())) == [
+            pt for w in want for pt in w]
+
+    def test_limit_is_math_exp(self):
+        # a cell whose first uniform is exactly exp(-lam) counts 0 there;
+        # numpy's exp, one ulp lower at this lam, would count on
+        for ix in range(2000):
+            u = HashStream(0, ix, 0).uniform()
+            near = -math.log(u)
+            fits = [lam for lam in (near + k * math.ulp(near)
+                                    for k in range(-3, 4))
+                    if math.exp(-lam) == u and np.exp(-lam) < u]
+            if fits:
+                break
+        assert fits
+        lam = fits[0]
+        assert HashStream(0, ix, 0).poisson(lam) == 0
+        _, _, counts = cell_centers(np.array([mix_key(0)], dtype=np.uint64),
+                                    np.array([ix]), np.array([0]), lam, 1.0)
+        assert counts.tolist() == [0]
+
+
 class TestStripCenters:
-    """Bulk generation gives, bit for bit, the centers that
+    """Bulk generation of a strip of a y-periodic field's cells, in any
+    image of the period, gives bit for bit the centers that
     ``scatterers_in_cell`` gives cell by cell."""
 
     @settings(max_examples=60)
     @given(seeds=st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=4),
-           lam=st.floats(0.01, 70.0), ix0=st.integers(-40, 5),
+           lam=st.floats(0.01, 200.0), ix0=st.integers(-40, 5),
            n_cols=st.integers(1, 4), ny=st.integers(1, 5),
            image=st.integers(-3, 3))
     # a mean over 64 is drawn as two halves; a mean of 8 often needs more
-    # uniforms than the bulk Knuth product takes
+    # uniforms than a block of the bulk Knuth product
     @example(seeds=[1, -1], lam=64.5, ix0=-2, n_cols=2, ny=2, image=1)
     @example(seeds=[2**64 + 5], lam=8.0, ix0=-3, n_cols=3, ny=3, image=-2)
+    @example(seeds=[9, 10, 11], lam=140.0, ix0=-1, n_cols=2, ny=4, image=2)
     def test_equals_scalar_cells(self, seeds, lam, ix0, n_cols, ny, image):
         cs = 0.25
         spec = FieldSpec(mu=lam / cs**2, epsilon=0.1, seed=0, delta=0.0,
                          cell_size=cs, y_period=ny * cs)
         fields = [ScattererField(replace(spec, seed=s)) for s in seeds]
+        batch = _FieldBatch(fields[0], np.array([mix_key(s) for s in seeds],
+                                                dtype=np.uint64))
         ix1 = ix0 + n_cols - 1
-        cx, cy, counts = strip_centers(fields, ix0, ix1)
-        shift = (image * ny) * cs  # the shift scatterers_in_cell applies
-        got = list(zip(cx.tolist(), (cy + shift).tolist()))
-        want = [[pt for ix in range(ix0, ix1 + 1) for iy in range(ny)
-                 for pt in f.scatterers_in_cell((ix, iy + image * ny))]
-                for f in fields]
+        f, ix, iy = np.meshgrid(np.arange(len(seeds)), np.arange(ix0, ix1 + 1),
+                                np.arange(ny) + image * ny, indexing="ij")
+        cx, cy, counts = batch.centers(f.ravel(), ix.ravel(), iy.ravel())
+        want = [fields[a].scatterers_in_cell((b, c)) for a, b, c in zip(
+            f.ravel().tolist(), ix.ravel().tolist(), iy.ravel().tolist())]
         assert counts.tolist() == [len(w) for w in want]
-        assert got == [pt for w in want for pt in w]
+        assert list(zip(cx.tolist(), cy.tolist())) == [
+            pt for w in want for pt in w]
 
 
 def brute_first_hit(centers, x, y, ux, uy, r, s_max):
