@@ -24,8 +24,8 @@ from . import __version__
 from .config import ExperimentConfig, parse_decade_ladder, parse_float_list
 from .dynamics import (TrajectoryLog, _Engine, _FieldBatch, _lockstep,
                        classify_pathologies)
-from .kinetic import (JumpProcessParams, _landau_vacf_msd, green_kubo_D,
-                      landau_B_quadrature, sample_boltzmann_path)
+from .kinetic import (JumpProcessParams, _jump_blocks, _landau_vacf_msd,
+                      green_kubo_D, landau_B_quadrature)
 from .macroscale import (HeatProblem, SlabSpec, simulate_slab_stationary,
                          solve_heat)
 from .medium import FieldSpec, ScattererField
@@ -122,20 +122,20 @@ def _mech_chunk(payload):
 
 
 def _jump_final_chunk(payload):
+    """Final angle, final position and jump count of velocity-jump paths
+    i0..i1 (``_jump_blocks``), path i on rng_stream(mix_key(seed, tag), i)."""
     (eps, alpha, mu, speed, T, seed, tag, i0, i1) = payload
     params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
     jp = JumpProcessParams.from_barrier(params, mu)
-    m = i1 - i0
-    ang = np.empty(m)
-    pos = np.empty((m, 2))
-    n_jumps = np.empty(m, dtype=np.int64)
-    for j, i in enumerate(range(i0, i1)):
-        path = sample_boltzmann_path((0.0, 0.0), (speed, 0.0), T, jp,
-                                     rng_stream(mix_key(seed, tag), i))
-        ang[j] = path.final_angle
-        pos[j] = path.final_position
-        n_jumps[j] = path.n_jumps
-    return ang, pos, n_jumps
+    ang, pos, n_jumps = [], [], []
+    for _, phi, x, y, m in _jump_blocks(mix_key(seed, tag), i0, i1, T, speed,
+                                        jp):
+        rows = np.arange(m.size)
+        ang.append(phi[rows, m])
+        pos.append(np.column_stack((x[rows, m + 1], y[rows, m + 1])))
+        n_jumps.append(m)
+    return (np.concatenate(ang), np.concatenate(pos),
+            np.concatenate(n_jumps).astype(np.int64))
 
 
 def _pathology_chunk(payload):

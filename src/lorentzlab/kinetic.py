@@ -39,6 +39,15 @@ normalization internally.  At c = mu/(2 |v|^3) the operational D is
 (V under the bare Laplace-Beltrami operator) give 2 and 2 pi |v| times
 that.
 
+``sample_boltzmann_path`` draws one jump path as it goes from the
+caller's generator.  The ensembles of jump paths (the Monte Carlo
+routes of ``green_kubo_D`` and kinetic-compare's jump ensemble) run
+batched instead: ``_jump_batch`` takes many paths' draws from
+``rng.philox_uniforms`` in one pass and gives each path, bit for bit,
+what ``sample_boltzmann_path`` gives it on ``rng_stream(seed, i)``; the
+only per-element Python left is the ``math`` calls (``log1p`` and the
+deflection law) whose numpy versions round differently.
+
 One kernel, ``_landau_paths``, samples the angular Brownian motion:
 ``sample_landau_path`` is its one-path case, and the Monte Carlo routes
 run it over chunks of ``LANDAU_CHUNK`` paths through
@@ -50,12 +59,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.integrate import quad
 
 from .parallel import run_ensemble
-from .rng import rng_stream
+from .rng import philox_uniforms, rng_stream
 from .scattering import BarrierParams, deflection_angle, refractive_index
 
 __all__ = [
@@ -357,22 +367,131 @@ def green_kubo_D(B: float | None = None, mu: float | None = None,
 
 def _jump_vacf_msd(rate: float, speed: float, n_paths: int, dt: float,
                    t_max: float, seed: int):
-    """Grid-sampled VACF/MSD of the hard-disk jump process."""
+    """Grid-sampled VACF/MSD of the hard-disk jump process.
+
+    Path i is ``sample_boltzmann_path`` from the origin at velocity
+    (speed, 0) on ``rng_stream(seed, i)``, sampled through
+    ``_jump_blocks``.  Each grid time takes the last node at or before
+    it (at most the last segment), found by one ``searchsorted`` of the
+    node times into the grid, and the rows are added into the sums in
+    path order, so the sums are those of the path-by-path loop.
+    """
     n_steps = int(round(t_max / dt))
     grid = np.arange(n_steps + 1) * dt
+    g = grid.size
     jp = JumpProcessParams.hard_disk(rate)
-    sum_cos = np.zeros(n_steps + 1)
-    sum_msd = np.zeros(n_steps + 1)
-    for i in range(n_paths):
-        rng = rng_stream(seed, i)
-        path = sample_boltzmann_path((0.0, 0.0), (speed, 0.0), t_max, jp, rng)
-        k = np.searchsorted(path.node_times, grid, side="right") - 1
-        k = np.clip(k, 0, len(path.angles) - 1)
-        ang = path.angles[k]
-        sum_cos += np.cos(ang - path.angles[0])
-        base = path.positions[k]
-        tt = grid - path.node_times[k]
-        px = base[:, 0] + tt * speed * np.cos(ang)
-        py = base[:, 1] + tt * speed * np.sin(ang)
-        sum_msd += px**2 + py**2
+    sum_cos = np.zeros(g)
+    sum_msd = np.zeros(g)
+    for nodes, phi, x, y, m in _jump_blocks(seed, 0, n_paths, t_max, speed,
+                                            jp, g):
+        p = m.size
+        # nodes at or before grid time j: those whose first grid time at
+        # or after them is j or earlier
+        first = (np.searchsorted(grid, nodes, side="left")
+                 + (g + 1) * np.arange(p)[:, None])
+        k = np.bincount(first.ravel(), minlength=p * (g + 1)).reshape(
+            p, g + 1)[:, :g].cumsum(axis=1) - 1
+        np.minimum(k, m[:, None], out=k)
+        rows = np.arange(p)[:, None]
+
+        def at_k(a):  # a[r, k[r, j]] for every path r and grid time j
+            return a.ravel().take(k + a.shape[1] * rows)
+        cos_k, sin_k = at_k(np.cos(phi)), at_k(np.sin(phi))
+        tt = grid - at_k(nodes)
+        px = at_k(x) + tt * speed * cos_k
+        py = at_k(y) + tt * speed * sin_k
+        sum_cos = _fold_rows(sum_cos, cos_k)
+        sum_msd = _fold_rows(sum_msd, px**2 + py**2)
     return grid, speed**2 * sum_cos / n_paths, sum_msd / n_paths
+
+
+def _fold_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """acc + rows[0] + rows[1] + ..., added in that order (a sum over
+    axis 0 adds row by row; it pairs only along the contiguous axis)."""
+    rows[0] += acc
+    return rows.sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Batched jump paths.
+
+# Entries per path in one numpy pass of the batched jump sampler (its
+# draws, or the grid points it is sampled at), times the paths of the
+# pass, at most: this bounds the pass's working set.  2^18 ran fastest
+# on a 2-core x86 box; 2^19 spills the cache, 2^17 pays more passes
+_JUMP_ENTRIES = 1 << 18
+
+
+def _waits(u: np.ndarray, inv_rate: float) -> np.ndarray:
+    """Exponential waiting times ``-(log1p(-u) * inv_rate)`` by inverse
+    CDF, as ``sample_boltzmann_path`` draws them; ``log1p`` is math's,
+    element by element (numpy's differs in the last bit)."""
+    logs = np.fromiter(map(math.log1p, (-u).ravel().tolist()), float,
+                       u.size).reshape(u.shape)
+    return -(logs * inv_rate)
+
+
+def _jump_batch(seed: int, index: np.ndarray, t: float, speed: float,
+                params: JumpProcessParams, width: int):
+    """Paths of ``sample_boltzmann_path`` from the origin at velocity
+    (speed, 0) over [0, t], row r driven by ``rng_stream(seed, index[r])``
+    bit for bit: draw 2k gives the k-th waiting time and draw 2k + 1 the
+    k-th jump's impact parameter.
+
+    The first ``width`` (even) draws of every row come in one Philox
+    pass; rows whose waiting times have not yet reached t continue from
+    their counter offset, in blocks as wide as all drawn so far.
+    Returns node times (P, J + 1), segment angles (P, J), node positions
+    x, y (P, J + 1) and jump counts m (P,): row r's path has nodes
+    0 .. m[r] + 1 and segments 0 .. m[r], padded on the right by its end
+    time t, its last angle and its final position.
+    """
+    inv_rate = 1.0 / params.rate
+    u = philox_uniforms(seed, index, width)
+    odd = u[:, 1::2]
+    tau = np.cumsum(_waits(u[:, ::2], inv_rate), axis=1)
+    short = np.flatnonzero(tau[:, -1] < t)
+    while short.size:
+        drawn = 2 * tau.shape[1]
+        more = philox_uniforms(seed, index[short], drawn, at=drawn)
+        wait = _waits(more[:, ::2], inv_rate)
+        wait[:, 0] += tau[short, -1]
+        odd = np.concatenate((odd, np.zeros_like(odd)), axis=1)
+        odd[short, drawn // 2:] = more[:, 1::2]
+        tau = np.concatenate((tau, np.full_like(tau, np.inf)), axis=1)
+        tau[short, drawn // 2:] = np.cumsum(wait, axis=1)
+        short = short[tau[short, -1] < t]
+    m = np.argmax(tau >= t, axis=1)
+    p, n_seg = m.size, int(m.max()) + 1
+    jumped = np.arange(n_seg - 1) < m[:, None]
+    rho = 2.0 * odd[:, :n_seg - 1][jumped] - 1.0
+    theta = np.zeros((p, n_seg))
+    theta[:, 1:][jumped] = np.fromiter(
+        map(deflection_angle, rho.tolist(), repeat(params.n_index)), float,
+        rho.size)
+    phi = np.cumsum(theta, axis=1)
+    nodes = np.zeros((p, n_seg + 1))
+    nodes[:, 1:] = np.where(np.arange(n_seg) < m[:, None], tau[:, :n_seg], t)
+    seg = np.diff(nodes, axis=1)
+    x = np.zeros((p, n_seg + 1))
+    y = np.zeros((p, n_seg + 1))
+    np.cumsum(seg * speed * np.cos(phi), axis=1, out=x[:, 1:])
+    np.cumsum(seg * speed * np.sin(phi), axis=1, out=y[:, 1:])
+    return nodes, phi, x, y, m
+
+
+def _jump_blocks(seed: int, i0: int, i1: int, t: float, speed: float,
+                 params: JumpProcessParams, cols: int = 0):
+    """``_jump_batch`` over paths i0 .. i1 - 1, in blocks of paths whose
+    draws (or ``cols`` entries a path, if more) fit ``_JUMP_ENTRIES``.
+
+    The first draw block allows for 4 standard deviations plus 4 jumps
+    over the mean count rate * t, so few paths need a second one.
+    """
+    lam = params.rate * t
+    width = min(4 * math.ceil((lam + 4.0 * math.sqrt(lam) + 5.0) / 2.0),
+                _JUMP_ENTRIES)
+    rows = max(1, _JUMP_ENTRIES // max(width, cols))
+    for a in range(i0, i1, rows):
+        yield _jump_batch(seed, np.arange(a, min(a + rows, i1)), t, speed,
+                          params, width)

@@ -30,7 +30,7 @@ from .dynamics import (_Engine, _FieldBatch, _find_containing_disk,
                        _lockstep, _search)
 from .medium import FieldSpec, ScattererField
 from .parallel import run_ensemble
-from .rng import mix_key, rng_stream
+from .rng import mix_key, philox_uniforms
 
 __all__ = [
     "HeatProblem",
@@ -299,15 +299,21 @@ def _run_lockstep(slab, injections, n_bins, t_max):
     return tau, net, np.array(timed_out, dtype=bool)
 
 
-def _injection_start(slab, seed, width, i):
-    """Wall point and inward flux-weighted velocity of injection i."""
-    rng = rng_stream(seed, i)
-    y0 = rng.random() * width
-    phi = math.asin(2.0 * rng.random() - 1.0)  # flux-weighted inward angle
-    vx, vy = math.cos(phi), math.sin(phi)
-    if i % 2 == 0:  # left reservoir
-        return 0.0, y0, vx, vy
-    return slab.L, y0, -vx, vy
+def _injection_starts(slab, seed, width, i0, i1):
+    """Wall point and inward flux-weighted velocity of injections
+    i0..i1-1: injection i takes its height and its angle from draws 0
+    and 1 of rng_stream(seed, i), all of them in one Philox pass."""
+    u = philox_uniforms(seed, np.arange(i0, i1), 2)
+    starts = []
+    for i, y0, a in zip(range(i0, i1), (u[:, 0] * width).tolist(),
+                        (2.0 * u[:, 1] - 1.0).tolist()):
+        phi = math.asin(a)  # flux-weighted inward angle
+        vx, vy = math.cos(phi), math.sin(phi)
+        if i % 2 == 0:  # left reservoir
+            starts.append((0.0, y0, vx, vy))
+        else:
+            starts.append((slab.L, y0, -vx, vy))
+    return starts
 
 
 def _slab_chunk(payload):
@@ -323,8 +329,9 @@ def _slab_chunk(payload):
     half_at = n_total // 2
     chunk = range(i0, i1)
     taus, nets, timed_out = _run_lockstep(
-        slab, ((factory(i), _injection_start(slab, seed, width, i))
-               for i in chunk), n_bins, t_max)
+        slab, zip(map(factory, chunk),
+                  _injection_starts(slab, seed, width, i0, i1)),
+        n_bins, t_max)
     for i, tau, net, late in zip(chunk, taus, nets, timed_out):
         side = i % 2  # 0: left reservoir, 1: right
         half = 0 if i < half_at else 1

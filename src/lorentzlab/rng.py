@@ -1,11 +1,16 @@
 """Reproducible random number streams.
 
-Two mechanisms, both counter-based so that results never depend on the
+Three mechanisms, all counter-based so that results never depend on the
 order in which work is scheduled:
 
 * ``rng_stream(master_seed, stream_index)`` returns an independent
   numpy ``Generator`` (Philox) for bulk sampling.  Same inputs, same
   stream, on every platform and at every worker count.
+* ``philox_uniforms`` is a numpy port of the Philox4x64-10 generator
+  behind ``rng_stream``: it gives ``rng_stream(seed, i).random()``'s
+  draws for many stream indices i in one pass, bit for bit, and can
+  start at any draw, since draw j is a pure function of the key and
+  the counter j // 4 + 1 (Salmon et al., SC'11).
 * ``HashStream`` is a tiny splitmix64 stream keyed by a tuple of
   integers.  It is what the scatterer field uses per lattice cell: the
   draws for a cell are a pure function of (seed, cell index), so a cell
@@ -89,6 +94,53 @@ def rng_stream(master_seed: int, stream_index: int) -> np.random.Generator:
     k0 = mix_key(master_seed, stream_index, 1)
     k1 = mix_key(master_seed, stream_index, 2)
     return np.random.Generator(np.random.Philox(key=k0 | (k1 << 64)))
+
+
+_M32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+# Philox4x64 round multipliers and key increments (Random123, numpy)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``a * m``, by 32-bit limbs."""
+    a_lo, a_hi = a & _M32, a >> _S32
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (ll >> _S32) + (lh & _M32) + (hl & _M32)
+    hi = a_hi * m_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
+    return hi, a * np.uint64(m)
+
+
+def philox_uniforms(seed: int, index: np.ndarray, n: int, at: int = 0
+                    ) -> np.ndarray:
+    """Draws at .. at+n-1 (counted from 0) of ``rng_stream(seed, i).random``
+    for each stream index i in ``index``: row r is stream index[r]'s.
+
+    Philox4x64-10 with numpy's layout: the key words are
+    ``mix_key(seed, i, 1)`` and ``mix_key(seed, i, 2)``, block b (from 0)
+    is the ten-round bijection of the counter (b + 1, 0, 0, 0), it
+    holds draws 4b .. 4b+3, and a draw is its word's top 53 bits.
+    """
+    idx = np.asarray(index, dtype=np.int64).reshape(-1)
+    base = fold_key(np.uint64(mix_key(seed)), idx)
+    k0 = fold_key(base, np.int64(1))[:, None]
+    k1 = fold_key(base, np.int64(2))[:, None]
+    b0, b1 = at // 4, (at + n - 1) // 4 + 1
+    c0 = np.broadcast_to(np.arange(b0 + 1, b1 + 1, dtype=np.uint64),
+                         (idx.size, b1 - b0))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(idx.size,
+                                                         4 * (b1 - b0))
+    words = words[:, at - 4 * b0:at - 4 * b0 + n]
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
 class HashStream:

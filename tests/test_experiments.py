@@ -11,11 +11,12 @@ from lorentzlab.config import build_config
 from lorentzlab.dynamics import (ParticleState, StuckParticleError,
                                  _find_containing_disk, advance,
                                  classify_pathologies)
-from lorentzlab.experiments import (_barrier_field, _mech_chunk,
-                                    _pathology_chunk, run_experiment)
+from lorentzlab.experiments import (_barrier_field, _jump_final_chunk,
+                                    _mech_chunk, _pathology_chunk,
+                                    run_experiment)
 from lorentzlab.kinetic import (JumpProcessParams, landau_B_quadrature,
                                 sample_boltzmann_path)
-from lorentzlab.rng import rng_stream
+from lorentzlab.rng import mix_key, rng_stream
 from lorentzlab.scattering import BarrierParams
 from lorentzlab.stats import angle_histogram, mean_with_ci, tv_distance
 
@@ -52,6 +53,38 @@ def _mech_reference(payload):
         n_events.append(ev)
     return (np.array(ang), np.array(disp), np.array(pos), np.array(n_events),
             inside)
+
+
+def _jump_final_reference(payload):
+    """_jump_final_chunk as a loop over sample_boltzmann_path, one path
+    at a time."""
+    (eps, alpha, mu, speed, T, seed, tag, i0, i1) = payload
+    params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
+    jp = JumpProcessParams.from_barrier(params, mu)
+    m = i1 - i0
+    ang = np.empty(m)
+    pos = np.empty((m, 2))
+    n_jumps = np.empty(m, dtype=np.int64)
+    for j, i in enumerate(range(i0, i1)):
+        path = sample_boltzmann_path((0.0, 0.0), (speed, 0.0), T, jp,
+                                     rng_stream(mix_key(seed, tag), i))
+        ang[j] = path.final_angle
+        pos[j] = path.final_position
+        n_jumps[j] = path.n_jumps
+    return ang, pos, n_jumps
+
+
+@pytest.mark.parametrize("payload", [
+    (2.0**-6, 0.25, 1.0, 1.0, 0.125, 20240901, 2006, 512, 1024),
+    (2.0**-3, 0.25, 1.0, 1.0, 1.0, 777, 2003, 0, 300),
+    (2.0**-8, 0.25, 2.0, 1.5, 0.5, 5, 2008, 40, 90),
+    (2.0**-5, 0.25, 1.0, 1.0, 0.0, 5, 2005, 0, 20),
+])
+def test_jump_final_chunk_equals_path_loop(payload):
+    got = _jump_final_chunk(payload)
+    want = _jump_final_reference(payload)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestWorkersEqualLoggedPath:

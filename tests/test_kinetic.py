@@ -7,8 +7,12 @@ import pytest
 
 from lorentzlab.config import build_config
 from lorentzlab.experiments import run_experiment
+from lorentzlab import kinetic
 from lorentzlab.kinetic import (
     JumpProcessParams,
+    _jump_batch,
+    _jump_blocks,
+    _jump_vacf_msd,
     _landau_vacf_msd,
     green_kubo_D,
     landau_B_quadrature,
@@ -93,6 +97,113 @@ class TestBoltzmannPath:
         jp = JumpProcessParams.hard_disk(rate=1.0)
         with pytest.raises(ValueError):
             sample_boltzmann_path((0, 0), (1, 0), -1.0, jp, rng_stream(0, 0))
+
+
+def _path_loop_vacf_msd(rate, speed, n_paths, dt, t_max, seed):
+    """_jump_vacf_msd as a loop over sample_boltzmann_path, one path at a
+    time (the reference the batched route must equal bit for bit)."""
+    n_steps = int(round(t_max / dt))
+    grid = np.arange(n_steps + 1) * dt
+    jp = JumpProcessParams.hard_disk(rate)
+    sum_cos = np.zeros(n_steps + 1)
+    sum_msd = np.zeros(n_steps + 1)
+    for i in range(n_paths):
+        path = sample_boltzmann_path((0.0, 0.0), (speed, 0.0), t_max, jp,
+                                     rng_stream(seed, i))
+        k = np.searchsorted(path.node_times, grid, side="right") - 1
+        k = np.clip(k, 0, len(path.angles) - 1)
+        ang = path.angles[k]
+        sum_cos += np.cos(ang - path.angles[0])
+        base = path.positions[k]
+        tt = grid - path.node_times[k]
+        px = base[:, 0] + tt * speed * np.cos(ang)
+        py = base[:, 1] + tt * speed * np.sin(ang)
+        sum_msd += px**2 + py**2
+    return grid, speed**2 * sum_cos / n_paths, sum_msd / n_paths
+
+
+_REFRACTING = JumpProcessParams.from_barrier(
+    BarrierParams(epsilon=2.0**-6, alpha=0.25, speed=1.0), 1.0)
+
+
+class TestJumpBatch:
+    """The batched jump sampler gives every path exactly what
+    ``sample_boltzmann_path`` gives it on the same stream."""
+
+    @staticmethod
+    def assert_rows_are_paths(batch, seed, index, t, speed, jp):
+        nodes, phi, x, y, m = batch
+        for r, i in enumerate(index):
+            path = sample_boltzmann_path((0.0, 0.0), (speed, 0.0), t, jp,
+                                         rng_stream(seed, i))
+            n = path.n_jumps
+            assert m[r] == n
+            assert np.array_equal(nodes[r, :n + 2], path.node_times)
+            assert np.array_equal(phi[r, :n + 1], path.angles)
+            assert np.array_equal(x[r, :n + 2], path.positions[:, 0])
+            assert np.array_equal(y[r, :n + 2], path.positions[:, 1])
+            # the padding repeats the path's end
+            assert np.all(nodes[r, n + 2:] == t)
+            assert np.all(phi[r, n + 1:] == path.angles[-1])
+            assert np.all(x[r, n + 2:] == path.positions[-1, 0])
+        return m
+
+    @pytest.mark.parametrize("jp", [JumpProcessParams.hard_disk(3.0),
+                                    _REFRACTING,
+                                    JumpProcessParams.hard_disk(1e-12)],
+                             ids=["hard", "refracting", "rate1e-12"])
+    @pytest.mark.parametrize("t", [0.0, 0.7, 2.0])
+    def test_rows_equal_sample_boltzmann_path(self, jp, t):
+        (batch,) = _jump_blocks(17, 40, 100, t, 1.3, jp)
+        m = self.assert_rows_are_paths(batch, 17, range(40, 100), t, 1.3, jp)
+        if t == 0.0 or jp.rate < 1.0:
+            assert not m.any()
+
+    @pytest.mark.parametrize("jp", [JumpProcessParams.hard_disk(3.0),
+                                    _REFRACTING], ids=["hard", "refracting"])
+    def test_rows_that_outrun_a_tiny_draw_block(self, jp):
+        # two draws cover no jump, so every row that jumps continues
+        # from its counter offset, some of them several times
+        batch = _jump_batch(5, np.arange(30), 1.0, 1.0, jp, 2)
+        m = self.assert_rows_are_paths(batch, 5, range(30), 1.0, 1.0, jp)
+        assert (m >= 1).sum() > 20 and m.max() >= 4
+
+    def test_blocks_cover_the_range_in_order(self, monkeypatch):
+        monkeypatch.setattr(kinetic, "_JUMP_ENTRIES", 64)
+        jp = JumpProcessParams.hard_disk(3.0)
+        blocks = list(_jump_blocks(9, 10, 47, 1.0, 1.0, jp))
+        assert len(blocks) > 1
+        m = np.concatenate([b[4] for b in blocks])
+        want = [sample_boltzmann_path((0, 0), (1, 0), 1.0, jp,
+                                      rng_stream(9, i)).n_jumps
+                for i in range(10, 47)]
+        assert m.tolist() == want
+
+    def test_waits_are_math_log1p(self):
+        # a first uniform whose log1p numpy rounds differently from math:
+        # the first jump time follows math, as sample_boltzmann_path does
+        for i in range(500):
+            u = rng_stream(1, i).random()
+            if np.log1p(-u) != math.log1p(-u):
+                break
+        assert np.log1p(-u) != math.log1p(-u)
+        jp = JumpProcessParams.hard_disk(1.0)
+        nodes, _, _, _, m = _jump_batch(1, np.array([i]), 1e3, 1.0, jp, 8)
+        assert m[0] >= 1
+        assert nodes[0, 1] == -math.log1p(-u)
+        assert nodes[0, 1] != -np.log1p(-u)
+
+    @pytest.mark.parametrize("rate,speed,seed", [(2.0, 1.0, 20240901),
+                                                 (0.7, 1.0, 3),
+                                                 (5.0, 1.3, 11)])
+    def test_vacf_msd_equals_path_loop(self, rate, speed, seed, monkeypatch):
+        # a small budget splits the paths into several blocks, whose rows
+        # must still be added in path order
+        monkeypatch.setattr(kinetic, "_JUMP_ENTRIES", 1 << 14)
+        nu = JumpProcessParams.hard_disk(rate).momentum_transfer_rate()
+        args = (rate, speed, 200, 0.02 / nu, 10.0 / nu, seed)
+        for got, want in zip(_jump_vacf_msd(*args), _path_loop_vacf_msd(*args)):
+            assert np.array_equal(got, want)
 
 
 class TestLandauPath:

@@ -15,7 +15,7 @@ from lorentzlab.macroscale import (
     HeatProblem,
     SlabSpec,
     _answerer,
-    _injection_start,
+    _injection_starts,
     _poisson_injection_field,
     _run_injection,
     _run_lockstep,
@@ -26,6 +26,7 @@ from lorentzlab.macroscale import (
     stationary_profile,
 )
 from lorentzlab.medium import PlantedField
+from lorentzlab.rng import rng_stream
 
 
 def _empty_field_factory(radius: float, injection: int):
@@ -220,6 +221,25 @@ class TestSlabSimulation:
         assert np.array_equal(a.J_hat, b.J_hat)
 
 
+class TestInjectionStarts:
+    def test_equal_one_stream_per_injection(self):
+        # the Philox pass gives each injection the start its own
+        # rng_stream gives it, drawn one value at a time
+        slab = SlabSpec(L=1.0, rho1=2.0, rho2=1.0, eta=1.0, epsilon=2.0**-8)
+        seed, width = 20240901, 0.25
+        want = []
+        for i in range(37, 300):
+            rng = rng_stream(seed, i)
+            y0 = rng.random() * width
+            phi = math.asin(2.0 * rng.random() - 1.0)
+            vx, vy = math.cos(phi), math.sin(phi)
+            want.append((0.0, y0, vx, vy) if i % 2 == 0
+                        else (slab.L, y0, -vx, vy))
+        got = _injection_starts(slab, seed, width, 37, 300)
+        assert got == want
+        assert all(type(v) is float for start in got for v in start)
+
+
 def lockstep_equals_oracle(fields, slab, starts, n_bins, t_max):
     """Run the lockstep driver and check each injection against the
     scalar oracle; returns the driver's (tau, net, timed_out)."""
@@ -240,7 +260,7 @@ def poisson_block(epsilon, eta, L, y_period_cells, seed, n):
         slab = SlabSpec(L=L, rho1=1.0, rho2=1.0, eta=eta, epsilon=epsilon)
     spec = slab_field_spec(slab, seed, y_period_cells)
     fields = [_poisson_injection_field(spec, i) for i in range(n)]
-    starts = [_injection_start(slab, seed, spec.y_period, i) for i in range(n)]
+    starts = _injection_starts(slab, seed, spec.y_period, 0, n)
     return slab, fields, starts
 
 

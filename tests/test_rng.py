@@ -3,8 +3,10 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from lorentzlab.rng import HashStream, mix_key, rng_stream, splitmix64
+from lorentzlab.rng import (HashStream, mix_key, philox_uniforms, rng_stream,
+                            splitmix64)
 
 
 class TestRngStream:
@@ -29,6 +31,32 @@ class TestRngStream:
         b = rng_stream(9, 1).random(n)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(n)
+
+
+class TestPhiloxUniforms:
+    """The numpy port of Philox4x64-10 gives rng_stream's draws bit for
+    bit, for many streams at once and from any draw on."""
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(-2**70, 2**70),
+           index=st.lists(st.integers(0, 2**40), min_size=1, max_size=4),
+           n=st.one_of(st.integers(1, 9), st.just(400)),
+           at=st.integers(0, 13))
+    def test_equals_rng_stream(self, seed, index, n, at):
+        got = philox_uniforms(seed, np.array(index), n, at=at)
+        assert got.shape == (len(index), n)
+        for row, i in zip(got, index):
+            assert np.array_equal(row, rng_stream(seed, i).random(at + n)[at:])
+
+    def test_continuation_joins_the_stream(self):
+        index = np.arange(100, 140)
+        head = philox_uniforms(3, index, 6)
+        tail = philox_uniforms(3, index, 10, at=6)
+        assert np.array_equal(np.hstack((head, tail)),
+                              philox_uniforms(3, index, 16))
+
+    def test_no_indices(self):
+        assert philox_uniforms(1, np.array([], dtype=np.int64), 5).shape == (0, 5)
 
 
 class TestHashStream:
