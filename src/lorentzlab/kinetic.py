@@ -62,7 +62,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.integrate import quad
 
 from .parallel import run_ensemble
 from .rng import philox_uniforms, rng_stream
@@ -112,10 +111,15 @@ class JumpProcessParams:
         return cls(rate=rate, n_index=0.0)
 
     def mean_cos_jump(self) -> float:
-        """E[cos theta] over the jump law (quadrature)."""
+        """E[cos theta] over the jump law: -1/3 for hard disks, else
+        quadrature."""
+        if self.n_index == 0.0:
+            return -1.0 / 3.0  # E[2 rho^2 - 1], rho ~ U[0, 1]
+        from scipy.integrate import quad
+
         val, _ = quad(lambda r: math.cos(deflection_angle(r, self.n_index)),
                       0.0, 1.0, epsabs=0, epsrel=1e-12,
-                      points=[self.n_index] if self.n_index > 0 else None)
+                      points=[self.n_index])
         return val
 
     def momentum_transfer_rate(self) -> float:
@@ -262,6 +266,8 @@ def landau_B_quadrature(epsilon: float, alpha: float, mu: float = 1.0,
     point, relative error <= 1e-8.  Raises ValueError outside
     BarrierParams' domain and RegimeError when 2 eps^alpha >= speed^2.
     """
+    from scipy.integrate import quad
+
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     n = refractive_index(BarrierParams(epsilon, alpha, speed))
@@ -280,6 +286,8 @@ def scattering_moment_integrals(epsilon: float, alpha: float,
     to 2 alpha / speed**4 at unit speed normalization; the second
     vanishes (grazing collisions).
     """
+    from scipy.integrate import quad
+
     n = refractive_index(BarrierParams(epsilon, alpha, speed))
     s2 = lambda r: 4.0 * math.sin(deflection_angle(r, n) / 2.0) ** 2  # noqa: E731
     m2, _ = quad(s2, 0.0, 1.0, epsabs=0, epsrel=1e-10, limit=500, points=[n])

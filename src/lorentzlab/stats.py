@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 __all__ = [
     "angle_histogram",
@@ -38,6 +37,8 @@ def angle_histogram(angles, n_bins: int = 256) -> np.ndarray:
 
 def chi_square_uniform(counts) -> tuple[float, float]:
     """Chi-square statistic and p-value against the uniform law."""
+    from scipy.special import chdtrc
+
     counts = np.asarray(counts, dtype=float)
     e = counts.mean()
     stat = ((counts - e) ** 2 / e).sum()

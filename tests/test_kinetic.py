@@ -35,9 +35,15 @@ class TestJumpProcessParams:
         assert 0.0 < jp.n_index < 1.0
 
     def test_hard_disk_mean_cos(self):
+        from scipy.integrate import quad
+
         jp = JumpProcessParams.hard_disk(rate=1.0)
-        # E[cos(2 acos b)] = E[2b^2 - 1] = -1/3 over b ~ U[0,1]
-        assert jp.mean_cos_jump() == pytest.approx(-1.0 / 3.0, abs=1e-10)
+        # E[cos(2 acos b)] = E[2b^2 - 1] = -1/3 over b ~ U[0,1], exactly
+        # the double that quadrature of the deflection law gives
+        assert jp.mean_cos_jump() == -1.0 / 3.0
+        val, _ = quad(lambda r: math.cos(deflection_angle(r, 0.0)), 0.0, 1.0,
+                      epsabs=0, epsrel=1e-12)
+        assert val == -1.0 / 3.0
         assert jp.momentum_transfer_rate() == pytest.approx(4.0 / 3.0, abs=1e-9)
 
     def test_angle_law_symmetric(self):

@@ -1,11 +1,17 @@
-"""Package hygiene: every exported name exists."""
+"""Package hygiene: every exported name exists, and scipy is loaded only
+by the subcommands that call it, before their clock starts."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import lorentzlab
+from lorentzlab.experiments import RUNNERS, SCIPY_NEEDS
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lorentzlab.__path__))
 
@@ -21,3 +27,82 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(f"lorentzlab.{name}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+# -- scipy stays off the start-up path ----------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(lorentzlab.__file__))
+
+
+def _python(code: str, *args: str) -> str:
+    """Standard output of ``python -c code args`` in a fresh process."""
+    out = subprocess.run([sys.executable, "-c", code, *args],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": _SRC})
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.parametrize("module", ["lorentzlab.cli", "lorentzlab.kinetic"])
+def test_import_leaves_scipy_out(module):
+    # lorentzlab.kinetic alone is the library route of green_kubo_D
+    code = (f"import sys, {module}; "
+            "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    assert _python(code).strip() == "[]"
+
+
+# Every subcommand at a size that runs in well under a second; a new
+# subcommand fails below until it has an entry here.
+_TINY = {
+    "scatter-table": ["--samples", "5"],
+    "b-divergence": ["--eps-ladder", "1e-4..1e-5"],
+    "kinetic-compare": ["--eps-ladder", "4..4", "--samples", "16",
+                        "--time", "0.125"],
+    "thermalization": ["--k", "4", "--times", "0.125", "--samples", "16"],
+    "diffusion": ["--paths", "16"],
+    "diffusive-scale": ["--k", "6", "--time", "0.03125",
+                        "--trajectories", "16"],
+    "pathology-scan": ["--eps-ladder", "3..3", "--time", "0.0625",
+                       "--trajectories", "16"],
+    "fick-slab": ["--injections", "16"],
+}
+
+# Runs one subcommand through cli.main with its runner wrapped, and prints
+# the scipy modules loaded when the runner, inside run_experiment's clock,
+# starts and when it returns.
+_SPY = """
+import functools, json, sys
+from lorentzlab import cli, experiments
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+name = sys.argv[1]
+runner = experiments.RUNNERS[name]
+seen = {}
+
+@functools.wraps(runner)
+def spy(cfg):
+    seen["start"] = scipy_loaded()
+    report = runner(cfg)
+    seen["end"] = scipy_loaded()
+    return report
+
+experiments.RUNNERS[name] = spy
+status = cli.main(sys.argv[1:])
+print(json.dumps(seen))
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_scipy_loads_only_before_the_clock(name, tmp_path):
+    out = _python(_SPY, name, *_TINY[name], "--out-dir", str(tmp_path))
+    seen = json.loads(out.splitlines()[-1])
+    # nothing of scipy is first imported inside the timed run ...
+    assert seen["end"] == seen["start"]
+    # ... and only the subcommands in SCIPY_NEEDS import it at all
+    if name in SCIPY_NEEDS:
+        assert SCIPY_NEEDS[name] in seen["start"]
+    else:
+        assert seen["end"] == []

@@ -72,21 +72,6 @@ class TestChiSquare:
             stat, p = chisquare(counts.astype(float))
             assert chi_square_uniform(counts) == (float(stat), float(p))
 
-    def test_cli_import_skips_scipy_stats(self):
-        import os
-        import subprocess
-        import sys
-
-        import lorentzlab
-
-        src = os.path.dirname(os.path.dirname(lorentzlab.__file__))
-        code = ("import sys, lorentzlab.cli; "
-                "print('scipy.stats' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
-
 
 class TestLinearFit:
     def test_exact_line(self):
