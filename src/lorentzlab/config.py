@@ -204,6 +204,18 @@ def _validate(experiment: str, v: dict):
     for k in ("t", "dt"):
         if v.get(k, 0.0) < 0.0:
             raise ConfigError(f"{k} must be >= 0 (0 selects the default)")
+    if experiment == "diffusion":
+        for k in ("B", "speed", "t", "dt"):
+            if not math.isfinite(v[k]):
+                raise ConfigError(f"{k} must be finite, got {v[k]}")
+        # resolved as run_diffusion resolves them; the late-half MSD fit
+        # needs 2 points after t = 0
+        c = v["B"] / v["speed"] ** 2
+        t = v["t"] if v["t"] > 0 else 10.0 / c
+        dt = v["dt"] if v["dt"] > 0 else 0.01 / c
+        if round(t / dt) < 2:
+            raise ConfigError(f"t = {t:g} must span at least 2 steps of "
+                              f"dt = {dt:g}")
     if "kmin" in v and v["kmin"] > v["kmax"]:
         raise ConfigError("kmin must be <= kmax")
     if v["workers"] < 1:

@@ -48,11 +48,13 @@ what ``sample_boltzmann_path`` gives it on ``rng_stream(seed, i)``; the
 only per-element Python left is the ``math`` calls (``log1p`` and the
 deflection law) whose numpy versions round differently.
 
-One kernel, ``_landau_paths``, samples the angular Brownian motion:
-``sample_landau_path`` is its one-path case, and the Monte Carlo routes
-run it over chunks of ``LANDAU_CHUNK`` paths through
-``parallel.run_ensemble``.  Chunk k draws from ``rng_stream(seed, k)``,
-so the ensemble depends on the chunk size but not on the worker count.
+One kernel, ``_landau_paths``, samples the angular Brownian motion
+into buffers its caller owns: ``sample_landau_path`` is its one-path
+case, and the Monte Carlo routes run it over chunks of ``LANDAU_CHUNK``
+paths through ``parallel.run_ensemble``.  Chunk k draws from
+``rng_stream(seed, k)``, so the ensemble depends on the chunk size but
+not on the worker count; within a chunk the paths go in row blocks on
+one reused workspace, and the sums do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -80,6 +82,13 @@ __all__ = [
 
 # Paths per chunk of the Landau ensemble; each chunk owns one stream.
 LANDAU_CHUNK = 4096
+
+# Entries per path in one numpy pass of a batched sampler (the jump
+# sampler's draws or the grid points it is sampled at; a Landau block's
+# grid points), times the paths of the pass, at most: this bounds the
+# working set of both.  2^18 ran fastest for the jumps on a 2-core x86
+# box; 2^19 spills the cache, 2^17 pays more passes
+_JUMP_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -210,25 +219,39 @@ class LandauPath:
         return float(self.angles[-1])
 
 
-def _landau_paths(rng, m: int, steps: np.ndarray, c: float, speed: float,
-                  phi0: float = 0.0):
-    """m angular Brownian paths over the given step lengths.
+def _landau_workspace(m: int, n_steps: int) -> list[np.ndarray]:
+    """Buffers for ``_landau_paths`` on m paths of n_steps steps: angles
+    and x, y displacements of n_steps + 1 columns, then two scratch
+    arrays of n_steps columns."""
+    return ([np.empty((m, n_steps + 1)) for _ in range(3)]
+            + [np.empty((m, n_steps)) for _ in range(2)])
 
-    Exact Gaussian angle increments of variance 2 c dt per step; the
+
+def _landau_paths(rng, steps: np.ndarray, c: float, speed: float,
+                  phi0: float, work: list[np.ndarray]):
+    """Angular Brownian paths over the given step lengths, one a row of
+    the ``_landau_workspace`` arrays ``work``.
+
+    Exact Gaussian angle increments of variance 2 c dt per step, drawn
+    from ``rng`` row after row in one call, so consecutive calls on one
+    generator draw what one call over all their rows would; the
     positions, relative to the start, integrate the velocity by the
-    midpoint rule.  Returns angles and x, y displacements, each of
-    shape (m, len(steps) + 1) with the start in column 0.
+    midpoint rule.  Returns angles and x, y displacements, the first
+    three arrays of ``work``, with the start in column 0.
     """
-    n_steps = len(steps)
-    incr = rng.standard_normal((m, n_steps)) * np.sqrt(2.0 * c * steps)
-    phi = np.empty((m, n_steps + 1))
+    phi, x, y, incr, step = work
+    rng.standard_normal(out=incr)
+    incr *= np.sqrt(2.0 * c * steps)
     phi[:, 0] = phi0
-    phi[:, 1:] = phi0 + np.cumsum(incr, axis=1)
-    mid = 0.5 * (phi[:, :-1] + phi[:, 1:])
-    x = np.zeros((m, n_steps + 1))
-    y = np.zeros((m, n_steps + 1))
-    np.cumsum(np.cos(mid) * (speed * steps), axis=1, out=x[:, 1:])
-    np.cumsum(np.sin(mid) * (speed * steps), axis=1, out=y[:, 1:])
+    np.cumsum(incr, axis=1, out=phi[:, 1:])
+    phi[:, 1:] += phi0
+    mid = np.add(phi[:, :-1], phi[:, 1:], out=incr)
+    mid *= 0.5
+    ds = speed * steps
+    for trig, pos in ((np.cos, x), (np.sin, y)):
+        pos[:, 0] = 0.0
+        np.multiply(trig(mid, out=step), ds, out=step)
+        np.cumsum(step, axis=1, out=pos[:, 1:])
     return phi, x, y
 
 
@@ -252,8 +275,9 @@ def sample_landau_path(x0, v0, t: float, B: float, dt: float, rng) -> LandauPath
         raise ValueError("initial velocity must be nonzero")
     n_steps = max(1, math.ceil(t / dt)) if t > 0 else 0
     grid = np.linspace(0.0, t, n_steps + 1)
-    phi, x, y = _landau_paths(rng, 1, np.diff(grid), B / speed**2, speed,
-                              math.atan2(vy, vx))
+    phi, x, y = _landau_paths(rng, np.diff(grid), B / speed**2, speed,
+                              math.atan2(vy, vx),
+                              _landau_workspace(1, n_steps))
     pos = np.column_stack((x0[0] + x[0], x0[1] + y[0]))
     return LandauPath(grid, phi[0], pos)
 
@@ -303,11 +327,27 @@ def scattering_moment_integrals(epsilon: float, alpha: float,
 
 
 def _landau_chunk(payload):
-    """Per-step sums of cos(phi) and |X|^2 over paths i0..i1-1."""
+    """Per-step sums of cos(phi) and |X|^2 over paths i0..i1-1.
+
+    The chunk's stream feeds ``_landau_paths`` in blocks of as many
+    paths as fit ``_JUMP_ENTRIES`` grid points, all on one workspace;
+    each block's rows are added into the sums in path order, so the
+    sums do not depend on the block size.
+    """
     (c, speed, dt, n_steps, seed, i0, i1) = payload
-    phi, x, y = _landau_paths(rng_stream(seed, i0 // LANDAU_CHUNK), i1 - i0,
-                              np.full(n_steps, dt), c, speed)
-    return np.cos(phi).sum(axis=0), (x**2 + y**2).sum(axis=0)
+    rng = rng_stream(seed, i0 // LANDAU_CHUNK)
+    steps = np.full(n_steps, dt)
+    rows = max(1, _JUMP_ENTRIES // (n_steps + 1))
+    work = _landau_workspace(min(rows, i1 - i0), n_steps)
+    sum_cos = sum_msd = np.zeros(n_steps + 1)
+    for a in range(i0, i1, rows):
+        phi, x, y = _landau_paths(rng, steps, c, speed, 0.0,
+                                  [w[:i1 - a] for w in work])
+        sum_cos = _fold_rows(sum_cos, np.cos(phi, out=phi))
+        np.square(x, out=x)
+        x += np.square(y, out=y)
+        sum_msd = _fold_rows(sum_msd, x)
+    return sum_cos, sum_msd
 
 
 def _landau_vacf_msd(c: float, speed: float, n_paths: int, dt: float,
@@ -422,12 +462,6 @@ def _fold_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Batched jump paths.
-
-# Entries per path in one numpy pass of the batched jump sampler (its
-# draws, or the grid points it is sampled at), times the paths of the
-# pass, at most: this bounds the pass's working set.  2^18 ran fastest
-# on a 2-core x86 box; 2^19 spills the cache, 2^17 pays more passes
-_JUMP_ENTRIES = 1 << 18
 
 
 def _waits(u: np.ndarray, inv_rate: float) -> np.ndarray:

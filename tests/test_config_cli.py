@@ -102,6 +102,11 @@ class TestCLI:
         ["diffusion", "--B", "-1"],
         ["diffusion", "--paths", "100", "--t", "-3"],
         ["diffusion", "--paths", "100", "--set", "dt=-0.5"],
+        # horizons under two steps leave the late-half MSD fit one point
+        ["diffusion", "--paths", "100", "--t", "0.005", "--dt", "0.01"],
+        ["diffusion", "--paths", "100", "--t", "0.01", "--dt", "0.01"],
+        ["diffusion", "--paths", "100", "--t", "inf"],
+        ["diffusion", "--paths", "100", "--B", "inf"],
         ["diffusive-scale", "--set", "checkpoints=3"],
         ["fick-slab", "--set", "bins=3"],
         ["fick-slab", "--injections", "1"],

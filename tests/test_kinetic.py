@@ -1,6 +1,7 @@
 """Jump process, angular diffusion, coefficients, Green-Kubo routes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from lorentzlab.config import build_config
 from lorentzlab.experiments import run_experiment
 from lorentzlab import kinetic
 from lorentzlab.kinetic import (
+    LANDAU_CHUNK,
     JumpProcessParams,
     _jump_batch,
     _jump_blocks,
     _jump_vacf_msd,
+    _landau_chunk,
     _landau_vacf_msd,
     green_kubo_D,
     landau_B_quadrature,
@@ -258,6 +261,63 @@ class TestLandauPath:
         assert np.array_equal(vacf, speed**2 * np.cos(path.angles) / 1)
         px, py = path.positions.T
         assert np.array_equal(msd, (px**2 + py**2) / 1)
+
+
+def _one_shot_landau_sums(c, speed, dt, n_steps, seed, i0, i1):
+    """Per-step sums of cos(phi) and |X|^2 over paths i0..i1-1 of one
+    chunk, all drawn and summed in one numpy pass with fresh arrays: the
+    oracle of the blocked ``_landau_chunk``."""
+    steps = np.full(n_steps, dt)
+    rng = rng_stream(seed, i0 // LANDAU_CHUNK)
+    incr = rng.standard_normal((i1 - i0, n_steps)) * np.sqrt(2.0 * c * steps)
+    phi = np.zeros((i1 - i0, n_steps + 1))
+    phi[:, 1:] = 0.0 + np.cumsum(incr, axis=1)
+    mid = 0.5 * (phi[:, :-1] + phi[:, 1:])
+    x = np.zeros_like(phi)
+    y = np.zeros_like(phi)
+    np.cumsum(np.cos(mid) * (speed * steps), axis=1, out=x[:, 1:])
+    np.cumsum(np.sin(mid) * (speed * steps), axis=1, out=y[:, 1:])
+    return np.cos(phi).sum(axis=0), (x**2 + y**2).sum(axis=0)
+
+
+class TestLandauBlocks:
+    """The chunk's row blocks on one workspace give the sums of one pass
+    over the whole chunk, bit for bit, at any block size."""
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_chunk_equals_one_pass(self, rows, monkeypatch):
+        n_steps = 1000
+        if rows is not None:
+            monkeypatch.setattr(kinetic, "_JUMP_ENTRIES", rows * (n_steps + 1))
+        # 300 paths of the second chunk: neither 7 nor 261 divides 300
+        payload = (1.3, 1.5, 0.01, n_steps, 11, LANDAU_CHUNK,
+                   LANDAU_CHUNK + 300)
+        for got, want in zip(_landau_chunk(payload),
+                             _one_shot_landau_sums(*payload)):
+            assert np.array_equal(got, want)
+
+    def test_two_chunk_ensemble(self):
+        c, speed, dt, t_max, seed = 1.3, 1.5, 0.25, 4.0, 5
+        n_paths = LANDAU_CHUNK + 37
+        n_steps = int(round(t_max / dt))
+        sum_cos, sum_msd = map(sum, zip(*(
+            _one_shot_landau_sums(c, speed, dt, n_steps, seed, i0,
+                                  min(i0 + LANDAU_CHUNK, n_paths))
+            for i0 in (0, LANDAU_CHUNK))))
+        grid, vacf, msd = _landau_vacf_msd(c, speed, n_paths, dt, t_max, seed)
+        assert np.array_equal(grid, np.arange(n_steps + 1) * dt)
+        assert np.array_equal(vacf, speed**2 * sum_cos / n_paths)
+        assert np.array_equal(msd, sum_msd / n_paths)
+
+    def test_chunk_memory_is_bounded_by_the_workspace(self):
+        # one numpy pass over the whole chunk peaks at about 220 MB
+        tracemalloc.start()
+        try:
+            _landau_chunk((1.0, 1.0, 0.01, 1000, 20240901, 0, LANDAU_CHUNK))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestBQuadrature:
