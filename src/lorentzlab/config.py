@@ -182,6 +182,12 @@ def build_config(experiment: str, file_text: str = "",
 
 
 def _validate(experiment: str, v: dict):
+    # an infinite mean or scale never ends a run: the cell generator
+    # halves an infinite Poisson mean forever
+    for k, val in v.items():
+        if SCHEMAS[experiment][k].type is float and not math.isfinite(val):
+            raise ConfigError(f"{k} must be finite, got {val}")
+
     def positive(*keys):
         for k in keys:
             if k in v and not v[k] > 0:
@@ -205,9 +211,6 @@ def _validate(experiment: str, v: dict):
         if v.get(k, 0.0) < 0.0:
             raise ConfigError(f"{k} must be >= 0 (0 selects the default)")
     if experiment == "diffusion":
-        for k in ("B", "speed", "t", "dt"):
-            if not math.isfinite(v[k]):
-                raise ConfigError(f"{k} must be finite, got {v[k]}")
         # resolved as run_diffusion resolves them; the late-half MSD fit
         # needs 2 points after t = 0
         c = v["B"] / v["speed"] ** 2

@@ -35,9 +35,10 @@ them.  ``_Engine.run`` answers them one at a time with ``_first_hit``
 and ``_find_containing_disk``, the scalar oracle.  The ensemble workers,
 mechanical and slab, run their trajectories in lockstep (``_lockstep``)
 and answer the queries of many at once with ``_FieldBatch``, bit for
-bit the same: it generates the cells each query needs, for a whole
-chunk's Poisson fields, in one numpy pass.  ``advance`` is the logged
-library entry: ``ParticleState`` in, state and log out.
+bit the same: it takes the cells each query needs, for a whole chunk's
+fields, from one ``cells`` call of their layout field, Poisson or
+planted.  ``advance`` is the logged library entry: ``ParticleState``
+in, state and log out.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .medium import cell_centers
 from .scattering import BarrierParams, deflection_angle
 
 __all__ = [
@@ -213,36 +213,21 @@ _BATCH_CELLS = 1 << 12
 
 
 class _FieldBatch:
-    """Answers ``_Engine.walk``'s field queries for many Poisson fields
-    at once, bit for bit what ``_first_hit`` and ``_find_containing_disk``
-    answer one at a time.
+    """Answers ``_Engine.walk``'s field queries for many fields of one
+    layout at once, bit for bit what ``_first_hit`` and
+    ``_find_containing_disk`` answer one at a time.
 
-    The fields share every parameter of ``field``, a ScattererField
-    (unbounded or y-periodic), but the seed: row j's field is keyed by
-    keys[j], ``mix_key`` of its seed.  Their cells are generated per
-    query with ``cell_centers``, never stored; a cell's centers are a
-    pure function of its key, so what the scalar search gets from its
-    cache is what this one generates again.
+    The fields share every parameter of ``field`` but the seed: row j's
+    field is keyed by keys[j], ``mix_key`` of its seed (a planted field
+    has one list and ignores the keys).  Their cells come from
+    ``field.cells`` per query, never stored; a cell's centers are a pure
+    function of its key, so what the scalar search gets from its cache
+    is what this one generates again.
     """
 
     def __init__(self, field, keys):
-        self.radius = field.epsilon
-        self.cell_size = field.cell_size
-        self.march_window = field.march_window
-        self.mean = field._mean
-        self.ny = field._ny
+        self.field = field
         self.keys = keys
-
-    def centers(self, rows, ix, iy):
-        """(cx, cy, counts) of cells (ix, iy) of the rows' fields."""
-        base = iy % self.ny if self.ny else iy
-        cx, cy, counts = cell_centers(self.keys[rows], ix, base, self.mean,
-                                      self.cell_size)
-        if self.ny:
-            # a y-periodic cell is its base cell, shifted as
-            # scatterers_in_cell shifts it
-            cy += np.repeat((iy - base) * self.cell_size, counts)
-        return cx, cy, counts
 
     def answer(self, queries: dict) -> dict:
         """The answer to each of ``queries``, keyed like them by row."""
@@ -263,8 +248,9 @@ class _FieldBatch:
         n_cells = (ix1 - ix0 + 1) * ny
         q = np.repeat(np.arange(len(rows)), n_cells)
         k = np.arange(q.size) - (np.cumsum(n_cells) - n_cells)[q]
-        cx, cy, counts = self.centers(rows[q], ix0[q] + k // ny[q],
-                                      iy0[q] + k % ny[q])
+        cx, cy, counts = self.field.cells(self.keys[rows[q]],
+                                          ix0[q] + k // ny[q],
+                                          iy0[q] + k % ny[q])
         return np.repeat(q, counts), cx, cy
 
     @staticmethod
@@ -283,13 +269,13 @@ class _FieldBatch:
         bounding-box cells, with its disk test in its order of
         operations; a ray stops at its first window with a hit."""
         x, y, ux, uy, s_max = q.T
-        r, cs = self.radius, self.cell_size
+        r, cs = self.field.epsilon, self.field.cell_size
         r2 = r * r
         out = [None] * len(rows)
         s0 = np.zeros(len(rows))
         todo = np.flatnonzero(s0 < s_max)
         while todo.size:
-            s1 = np.minimum(s0[todo] + self.march_window, s_max[todo])
+            s1 = np.minimum(s0[todo] + self.field.march_window, s_max[todo])
             xt, yt, uxt, uyt = x[todo], y[todo], ux[todo], uy[todo]
             ax, ay = xt + s0[todo] * uxt, yt + s0[todo] * uyt
             bx, by = xt + s1 * uxt, yt + s1 * uyt
@@ -328,8 +314,8 @@ class _FieldBatch:
         """``_find_containing_disk`` for many points: the nearest center
         within r over the 3 x 3 cells around each."""
         x, y = q.T
-        cs = self.cell_size
-        r2 = self.radius * self.radius
+        cs, r = self.field.cell_size, self.field.epsilon
+        r2 = r * r
         ix = np.floor(x / cs).astype(np.int64)[:, None] + _AROUND_X
         iy = np.floor(y / cs).astype(np.int64)[:, None] + _AROUND_Y
         p, cx, cy = self._candidates(np.repeat(rows, 9), ix.ravel(),

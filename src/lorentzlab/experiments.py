@@ -29,9 +29,9 @@ from .kinetic import (JumpProcessParams, _jump_blocks, _landau_vacf_msd,
                       green_kubo_D, landau_B_quadrature)
 from .macroscale import (HeatProblem, SlabSpec, simulate_slab_stationary,
                          solve_heat)
-from .medium import FieldSpec, ScattererField
+from .medium import FieldSpec, ScattererField, member_keys
 from .parallel import run_ensemble
-from .rng import fold_key, mix_key, rng_stream
+from .rng import mix_key, rng_stream
 from .scattering import BarrierParams, scattering_angle
 from .stats import (angle_histogram, chi_square_uniform, linear_fit, msd_curve,
                     tv_distance, tv_self_noise)
@@ -94,9 +94,7 @@ def _lockstep_chunk(payload, logs=False):
      i0, i1) = payload
     params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
     field = _barrier_field(eps, alpha, mu, seed, tag, i0)
-    # mix_key(mix_key(seed, tag, i)), the key HashStream folds cells into
-    keys = fold_key(np.uint64(mix_key()), fold_key(
-        np.uint64(mix_key(seed, tag)), np.arange(i0, i1, dtype=np.int64)))
+    keys = member_keys(mix_key(seed, tag), i0, i1)
     engines, programs = [], []
     for i in range(i0, i1):
         phi0, x0, y0 = 0.0, 0.0, 0.0

@@ -12,23 +12,24 @@ standard particle realization of a boundary-driven steady state; the
 fixed-point characterization of the stationary density is only the
 rationale for why it converges.
 
-The injections of a chunk advance in lockstep: their engines' field
-queries are answered together, one numpy pass per step over the cells
-they need.
+Each injection runs in its own member of the slab's Poisson ensemble,
+keyed by its index (``medium.member_keys``).  The injections of a chunk
+advance in lockstep, on one layout field: their engines' field queries
+are answered together by ``_FieldBatch``, one numpy pass per step over
+the cells they need.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from functools import partial
 
 import numpy as np
 
-from .dynamics import (_Engine, _FieldBatch, _find_containing_disk,
-                       _lockstep, _search)
-from .medium import FieldSpec, ScattererField
+from .dynamics import _Engine, _FieldBatch, _find_containing_disk, _lockstep
+from .medium import FieldSpec, ScattererField, member_keys
 from .parallel import run_ensemble
 from .rng import mix_key, philox_uniforms
 
@@ -187,17 +188,6 @@ class SlabResult:
     metadata: dict = dc_field(default_factory=dict)
 
 
-def _poisson_injection_field(base: FieldSpec, injection: int):
-    """Injection i's member of the slab's own Poisson ensemble."""
-    return ScattererField(replace(base, seed=mix_key(base.seed, injection)))
-
-
-def _layout(field: ScattererField):
-    """What fixes a Poisson field's queries besides its seed."""
-    return (field.epsilon, field.cell_size, field._mean, field._ny,
-            field.march_window)
-
-
 def _bin_segment(tau, net, dxb, t0, t1, ax, ay, bx, by, vx, vy):
     """Add one flight segment to an injection's occupation time per bin
     (``tau``) and net signed crossings per bin face (``net``)."""
@@ -245,28 +235,6 @@ def _run_injection(field, slab, x0, y0, vx, vy, n_bins, t_max):
     return tau, net, side is None
 
 
-def _answerer(fields):
-    """``_lockstep``'s answer function for injections on ``fields``: the
-    queries on Poisson fields of the first one's layout in bulk, with
-    ``_FieldBatch``, and any other field's with the scalar search."""
-    first = next((f for f in fields if isinstance(f, ScattererField)), None)
-    bulk = {j for j, f in enumerate(fields)
-            if isinstance(f, ScattererField) and _layout(f) == _layout(first)}
-    batch = _FieldBatch(first, np.array(
-        [mix_key(f.spec.seed) if j in bulk else 0
-         for j, f in enumerate(fields)], dtype=np.uint64)) if bulk else None
-
-    def answer(queries):
-        out = {}
-        if batch is not None:
-            out = batch.answer({j: q for j, q in queries.items()
-                                if j in bulk})
-        out.update((j, _search(fields[j], q)) for j, q in queries.items()
-                   if j not in bulk)
-        return out
-    return answer
-
-
 def _injection(eng, start, t_max):
     """One injection as a ``_lockstep`` program; returns whether it
     timed out."""
@@ -278,24 +246,23 @@ def _injection(eng, start, t_max):
     return (yield from walk)[5] is None
 
 
-def _run_lockstep(slab, injections, n_bins, t_max):
-    """(tau, net, timed_out) of each (field, start) pair that
-    ``injections`` yields, row j equal to ``_run_injection(field, slab,
-    *start, n_bins, t_max)`` for the j-th pair.
+def _run_lockstep(slab, field, keys, starts, n_bins, t_max):
+    """(tau, net, timed_out) of injection j from starts[j] in the field
+    of ``field``'s layout keyed by keys[j]: row j equals
+    ``_run_injection`` on that field.
 
     All the injections advance together in ``_lockstep``, whose every
-    step answers their pending field queries at once (``_answerer``).
+    step answers their pending field queries at once (``_FieldBatch``).
     """
-    pairs = list(injections)
     dxb = slab.L / n_bins
-    tau = np.zeros((len(pairs), n_bins))
-    net = np.zeros((len(pairs), n_bins - 1))
+    tau = np.zeros((len(starts), n_bins))
+    net = np.zeros((len(starts), n_bins - 1))
     programs = [
         _injection(_Engine(field, None, on_segment=partial(
             _bin_segment, tau[j], net[j], dxb), x_bounds=(0.0, slab.L)),
             start, t_max)
-        for j, (field, start) in enumerate(pairs)]
-    timed_out = _lockstep(programs, _answerer([f for f, _ in pairs]))
+        for j, start in enumerate(starts)]
+    timed_out = _lockstep(programs, _FieldBatch(field, keys).answer)
     return tau, net, np.array(timed_out, dtype=bool)
 
 
@@ -317,7 +284,10 @@ def _injection_starts(slab, seed, width, i0, i1):
 
 
 def _slab_chunk(payload):
-    (slab, factory, seed, n_bins, t_max, n_total, width, i0, i1) = payload
+    """Sums over injections i0..i1, injection i in the member of
+    ``field``'s layout keyed by ``member_keys(parent, i, i + 1)``."""
+    (slab, field, parent, seed, n_bins, t_max, n_total, width,
+     i0, i1) = payload
     n_faces = n_bins - 1
     # per (side, half): occupation sums; per side: crossing sums
     sums = np.zeros((2, 2, n_bins))
@@ -329,9 +299,8 @@ def _slab_chunk(payload):
     half_at = n_total // 2
     chunk = range(i0, i1)
     taus, nets, timed_out = _run_lockstep(
-        slab, zip(map(factory, chunk),
-                  _injection_starts(slab, seed, width, i0, i1)),
-        n_bins, t_max)
+        slab, field, member_keys(parent, i0, i1),
+        _injection_starts(slab, seed, width, i0, i1), n_bins, t_max)
     for i, tau, net, late in zip(chunk, taus, nets, timed_out):
         side = i % 2  # 0: left reservoir, 1: right
         half = 0 if i < half_at else 1
@@ -344,8 +313,8 @@ def _slab_chunk(payload):
     return sums, sqs, cnt, nsum, nsq, timeouts
 
 
-def simulate_slab_stationary(slab: SlabSpec, field_factory=None,
-                             n_injections: int = 100_000, seed: int = 0, *,
+def simulate_slab_stationary(slab: SlabSpec, n_injections: int = 100_000,
+                             seed: int = 0, *,
                              n_bins: int = 16, t_max: float = 500.0,
                              workers: int = 1, y_period_cells: int = 16
                              ) -> SlabResult:
@@ -353,7 +322,8 @@ def simulate_slab_stationary(slab: SlabSpec, field_factory=None,
 
     Alternating injections enter at the left wall (density weight rho1)
     and the right wall (weight rho2) with inward flux-weighted angles;
-    each uses a fresh y-periodic field realization keyed by its index.
+    each runs in its own member of the slab's y-periodic Poisson
+    ensemble, keyed by its index.
     An injection whose wall point lies inside a disk adds no
     occupation and no crossings but still counts as an injection.
 
@@ -366,25 +336,20 @@ def simulate_slab_stationary(slab: SlabSpec, field_factory=None,
     reservoir pair (rho1 = rho2) therefore reproduces a flat profile at
     that density and zero flux, with or without scatterers.
 
-    ``field_factory(i)`` may supply the field for injection i (fixtures,
-    empty fields; picklable when ``workers > 1``); the default is the
-    slab's own Poisson ensemble.  A supplied field is taken to have
-    phi = 1, exact for empty fields.  Injections run in chunks of
-    SLAB_CHUNK, and the chunk sums are added in chunk order; within a
-    chunk they advance in lockstep (``_run_lockstep``), each with the
-    result the scalar ``_run_injection`` gives it.
+    Injections run in chunks of SLAB_CHUNK, and the chunk sums are
+    added in chunk order; within a chunk they advance in lockstep on one
+    layout field (``_run_lockstep``), each with the result the scalar
+    ``_run_injection`` gives it.
     """
     if n_bins < 2 or n_injections < 2:
         raise ValueError("need at least 2 bins and 2 injections")
     spec = slab_field_spec(slab, mix_key(seed, 0xF1E1D),
                            y_period_cells=y_period_cells)
     width = spec.y_period
-    free = 1.0
-    if field_factory is None:
-        field_factory = partial(_poisson_injection_field, spec)
-        free = math.exp(-slab.mu_eff * math.pi * slab.epsilon**2)
+    free = math.exp(-slab.mu_eff * math.pi * slab.epsilon**2)
 
-    parts = run_ensemble(_slab_chunk, (slab, field_factory, seed, n_bins,
+    parts = run_ensemble(_slab_chunk, (slab, ScattererField(spec),
+                                       mix_key(spec.seed), seed, n_bins,
                                        t_max, n_injections, width),
                          n_injections, SLAB_CHUNK, workers)
     sums, sqs, cnt, nsum, nsq, timeouts = map(sum, zip(*parts))

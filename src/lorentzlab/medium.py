@@ -17,9 +17,11 @@ collides.
 of centers, for deterministic fixtures in tests.  Both expose
 ``march_window``, the step in which the first-hit search marches a ray.
 
-``cell_centers`` computes the same cells in bulk, any cells of many
-seeds at once, on uint64 arrays in place of one ``HashStream`` per
-cell.
+An ensemble's members differ only in their seeds; ``member_keys``
+gives member i's key, ``mix_key`` of its seed.  Both field classes
+answer ``cells(keys, ix, iy)``, any cells of any members at once: a
+Poisson field with ``cell_centers``, on uint64 arrays in place of one
+``HashStream`` per cell, a planted field from its one list.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import HashStream, fold_key, stream_block, stream_uniforms
+from .rng import HashStream, fold_key, mix_key, stream_block, stream_uniforms
 
-__all__ = ["FieldSpec", "ScattererField", "PlantedField", "cell_centers"]
+__all__ = ["FieldSpec", "ScattererField", "PlantedField", "cell_centers",
+           "member_keys"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -129,8 +132,28 @@ class ScattererField:
             for _ in range(count)
         ]
 
+    def cells(self, keys, ix, iy):
+        """(cx, cy, counts) of cells (ix[c], iy[c]) of the fields of this
+        layout keyed by keys[c]: what ``scatterers_in_cell`` gives cell by
+        cell, y-period shift included, in one ``cell_centers`` pass."""
+        base = iy % self._ny if self._ny else iy
+        cx, cy, counts = cell_centers(keys, ix, base, self._mean,
+                                      self.cell_size)
+        if self._ny:
+            cy += np.repeat((iy - base) * self.cell_size, counts)
+        return cx, cy, counts
+
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         return math.floor(x / self.cell_size), math.floor(y / self.cell_size)
+
+
+def member_keys(parent: int, i0: int, i1: int) -> np.ndarray:
+    """The keys of ensemble members i0..i1-1 whose field seeds are
+    ``mix_key(*parts, i)``, given ``parent = mix_key(*parts)``: member
+    i's key, ``mix_key(mix_key(*parts, i))``, is what ``HashStream``
+    folds its cells into and what ``cells`` takes."""
+    return fold_key(np.uint64(mix_key()), fold_key(
+        np.uint64(parent), np.arange(i0, i1, dtype=np.int64)))
 
 
 def cell_centers(keys, ix, iy, lam: float, cs: float):
@@ -209,3 +232,11 @@ class PlantedField:
 
     def scatterers_in_cell(self, cell: tuple[int, int]) -> list[tuple[float, float]]:
         return self._cache.get(cell, [])
+
+    def cells(self, keys, ix, iy):
+        """``ScattererField.cells`` for the one planted list, whatever the
+        keys."""
+        got = [self._cache.get(c, []) for c in zip(ix.tolist(), iy.tolist())]
+        pts = np.array([pt for c in got for pt in c]).reshape(-1, 2)
+        return pts[:, 0], pts[:, 1], np.array([len(c) for c in got],
+                                              dtype=np.int64)

@@ -118,6 +118,11 @@ class TestCLI:
         ["kinetic-compare", "--time", "0"],
         ["scatter-table", "--epsilon", "1.5"],
         ["fick-slab", "--y-period-cells", "0"],
+        # an infinite mean would never finish generating a cell
+        ["fick-slab", "--mu", "inf"],
+        ["fick-slab", "--eta", "inf"],
+        ["kinetic-compare", "--mu", "inf"],
+        ["kinetic-compare", "--speed", "inf"],
     ])
     def test_bad_run_value_is_config_error(self, argv, tmp_path, capsys):
         # caught before the run starts, so nothing is written

@@ -348,22 +348,6 @@ class TestHardDiskIsAlwaysReflectingBarrier:
         assert all(e.kind == TOTAL_REFLECT for e in log_b.events)
 
 
-class _PlantedBatch(_FieldBatch):
-    """``_FieldBatch`` searching planted fields' cells: exact fixtures."""
-
-    def __init__(self, fields):
-        f = fields[0]
-        self.radius, self.cell_size = f.epsilon, f.cell_size
-        self.march_window = f.march_window
-        self.fields = fields
-
-    def centers(self, rows, ix, iy):
-        cells = [self.fields[j].scatterers_in_cell((a, b)) for j, a, b
-                 in zip(rows.tolist(), ix.tolist(), iy.tolist())]
-        pts = np.array([pt for c in cells for pt in c]).reshape(-1, 2)
-        return pts[:, 0], pts[:, 1], np.array([len(c) for c in cells])
-
-
 class TestFieldBatch:
     """``_FieldBatch`` answers every query as ``_first_hit`` and
     ``_find_containing_disk`` answer it on the query's own field, bit for
@@ -429,7 +413,7 @@ class TestFieldBatch:
         for y0, first in ((0.5, 1), (0.5625, 0)):
             centers = [(1.0, y0 + d), (1.0, y0 - d)]
             fld = PlantedField(centers, r)
-            batch = _PlantedBatch([fld, fld])
+            batch = _FieldBatch(fld, np.zeros(2, dtype=np.uint64))
             queries = {0: (HIT_QUERY, 0.0, y0, 1.0, 0.0, 2.0),
                        1: (INSIDE_QUERY, 1.0, y0)}
             got = batch.answer(queries)

@@ -2,35 +2,30 @@
 
 import math
 import warnings
-from functools import partial
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lorentzlab import dynamics
-from lorentzlab.dynamics import (HIT_QUERY, INSIDE_QUERY,
+from lorentzlab.dynamics import (HIT_QUERY, INSIDE_QUERY, _FieldBatch,
                                  _find_containing_disk, _first_hit)
 from lorentzlab.macroscale import (
     HeatProblem,
     SlabSpec,
-    _answerer,
     _injection_starts,
-    _poisson_injection_field,
     _run_injection,
     _run_lockstep,
+    _slab_chunk,
     fick_flux,
     simulate_slab_stationary,
     slab_field_spec,
     solve_heat,
     stationary_profile,
 )
-from lorentzlab.medium import PlantedField
-from lorentzlab.rng import rng_stream
-
-
-def _empty_field_factory(radius: float, injection: int):
-    return PlantedField([], radius)
+from lorentzlab.medium import PlantedField, ScattererField, member_keys
+from lorentzlab.rng import mix_key, rng_stream
 
 
 def gaussian_grid(sigma, span, n):
@@ -129,11 +124,11 @@ class TestProfileAndFlux:
 
 class TestSlabSimulation:
     def test_free_streaming_equilibrium(self):
-        # no scatterers, equal reservoirs: flat profile at rho, zero flux
-        slab = SlabSpec(L=1.0, rho1=1.5, rho2=1.5, eta=1.0, epsilon=0.02)
-        res = simulate_slab_stationary(
-            slab, field_factory=partial(_empty_field_factory, 0.02),
-            n_injections=8000, seed=3, n_bins=10, t_max=50.0)
+        # a vanishing intensity (no scatterers in any cell reached), equal
+        # reservoirs: flat profile at rho, zero flux
+        slab = SlabSpec(L=1.0, rho1=1.5, rho2=1.5, eta=1e-12, epsilon=0.02)
+        res = simulate_slab_stationary(slab, n_injections=8000, seed=3,
+                                       n_bins=10, t_max=50.0)
         # near-tangential injections legitimately outlive t_max
         assert res.n_timeouts < 10
         assert np.all(np.abs(res.rho_hat - 1.5) <= 3.0 * res.rho_se)
@@ -156,33 +151,27 @@ class TestSlabSimulation:
         assert np.all(np.abs(res.J_hat) <= 3.0 * res.J_se)
 
     def test_covered_injection_adds_nothing_but_counts(self):
-        # a row of disks along x = 0 covers the whole left wall for the
-        # chosen injections; everything else is empty space
+        # a row of disks along x = 0 covers the whole left wall; the
+        # chunk's injections 0 and 2 enter there, 1 and 3 at the right
         r = 0.02
         slab = SlabSpec(L=1.0, rho1=1.0, rho2=0.0, eta=1.0, epsilon=r)
         width = 16 * 4.0 * r
         wall = [(0.0, k * r) for k in range(int(width / r) + 2)]
 
-        def run(covered):
-            def factory(i):
-                return PlantedField(wall if i in covered else [], r)
-            return simulate_slab_stationary(slab, field_factory=factory,
-                                            n_injections=4, seed=11,
-                                            n_bins=4, t_max=1e9)
+        def run(centers):
+            return _slab_chunk((slab, PlantedField(centers, r), 0, 11, 4,
+                                1e9, 4, width, 0, 4))
 
-        # injections 0 and 2 enter from the left (weight rho1 = 1)
-        both, first_out, second_out = run(()), run((0,)), run((2,))
-        # a covered injection adds zero occupation but stays in the
-        # per-side count of 2, so the two runs with one covered
-        # injection each add up to the run with none
-        assert np.allclose(first_out.rho_hat + second_out.rho_hat,
-                           both.rho_hat, rtol=1e-12, atol=0.0)
-        assert np.all(first_out.rho_hat > 0.0)
-        # a free left injection crosses every face once: net +1
-        assert np.allclose(both.J_hat, slab.eta / math.pi, rtol=1e-12)
-        assert np.allclose(first_out.J_hat, slab.eta / (2 * math.pi),
-                           rtol=1e-12)
-        assert first_out.n_timeouts == 0
+        sums, _, cnt, nsum, _, timeouts = run(wall)
+        free_sums, _, free_cnt, free_nsum, _, _ = run([])
+        # a covered injection adds zero occupation and zero crossings,
+        # where a free one adds both (net +1 across every face)
+        assert not sums[0].any() and not nsum[0].any()
+        assert np.all(free_sums[0] > 0.0) and np.all(free_nsum[0] == 2.0)
+        # but it stays in its side's count, one per half
+        assert cnt.tolist() == free_cnt.tolist() == [[1, 1], [1, 1]]
+        # the right injections still run, off the wall of disks
+        assert np.all(sums[1] > 0.0) and timeouts == 0
 
     def test_one_sided_injection_monotone(self):
         # rho2 = 0: all mass enters from the left; profile decreases
@@ -240,13 +229,15 @@ class TestInjectionStarts:
         assert all(type(v) is float for start in got for v in start)
 
 
-def lockstep_equals_oracle(fields, slab, starts, n_bins, t_max):
-    """Run the lockstep driver and check each injection against the
-    scalar oracle; returns the driver's (tau, net, timed_out)."""
-    tau, net, timed_out = _run_lockstep(slab, zip(fields, starts), n_bins,
+def lockstep_equals_oracle(slab, field, keys, fields, starts, n_bins,
+                           t_max):
+    """Run ``_run_lockstep`` on ``field``'s layout keyed by ``keys`` and
+    check each injection against the scalar oracle on its own field of
+    ``fields``; returns the lockstep's (tau, net, timed_out)."""
+    tau, net, timed_out = _run_lockstep(slab, field, keys, starts, n_bins,
                                         t_max)
-    for j, (field, start) in enumerate(zip(fields, starts)):
-        want_tau, want_net, want_late = _run_injection(field, slab, *start,
+    for j, (fld, start) in enumerate(zip(fields, starts)):
+        want_tau, want_net, want_late = _run_injection(fld, slab, *start,
                                                        n_bins, t_max)
         assert np.array_equal(tau[j], want_tau), j
         assert np.array_equal(net[j], want_net), j
@@ -255,13 +246,18 @@ def lockstep_equals_oracle(fields, slab, starts, n_bins, t_max):
 
 
 def poisson_block(epsilon, eta, L, y_period_cells, seed, n):
+    """A slab, and its first n injections as ``_slab_chunk`` runs them:
+    the layout field, the keys, each injection's own field and the
+    starts."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         slab = SlabSpec(L=L, rho1=1.0, rho2=1.0, eta=eta, epsilon=epsilon)
     spec = slab_field_spec(slab, seed, y_period_cells)
-    fields = [_poisson_injection_field(spec, i) for i in range(n)]
+    keys = member_keys(mix_key(spec.seed), 0, n)
+    fields = [ScattererField(replace(spec, seed=mix_key(spec.seed, i)))
+              for i in range(n)]
     starts = _injection_starts(slab, seed, spec.y_period, 0, n)
-    return slab, fields, starts
+    return slab, ScattererField(spec), keys, fields, starts
 
 
 def assert_flux_constant(net, timed_out):
@@ -289,20 +285,20 @@ class TestLockstepDriver:
              y_period_cells=1, seed=7)
     def test_equals_scalar_oracle(self, epsilon, eta, L, n_bins, t_max,
                                   y_period_cells, seed):
-        slab, fields, starts = poisson_block(epsilon, eta, L, y_period_cells,
-                                             seed, 24)
-        _, net, timed_out = lockstep_equals_oracle(fields, slab, starts,
-                                                   n_bins, t_max)
+        block = poisson_block(epsilon, eta, L, y_period_cells, seed, 24)
+        _, net, timed_out = lockstep_equals_oracle(*block, n_bins, t_max)
         assert_flux_constant(net, timed_out)
 
     @pytest.mark.parametrize("cells", [1, 5])
     def test_cell_budget_does_not_change_results(self, monkeypatch, cells):
         # the searches split into numpy passes of a few cells each: every
         # result stays the oracle's
-        slab, fields, starts = poisson_block(2.0**-5, 2.0, 1.0, 16, 3, 12)
-        want = _run_lockstep(slab, zip(fields, starts), 8, 500.0)
+        slab, field, keys, fields, starts = poisson_block(2.0**-5, 2.0, 1.0,
+                                                          16, 3, 12)
+        want = _run_lockstep(slab, field, keys, starts, 8, 500.0)
         monkeypatch.setattr(dynamics, "_BATCH_CELLS", cells)
-        got = lockstep_equals_oracle(fields, slab, starts, 8, 500.0)
+        got = lockstep_equals_oracle(slab, field, keys, fields, starts, 8,
+                                     500.0)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
@@ -314,41 +310,47 @@ class TestLockstepDriver:
                                    st.floats(0.0, 5.0)),
                          min_size=1, max_size=12))
     def test_any_query_equals_scalar_search(self, y_period_cells, seed, rays):
-        # rays anywhere, of any length, several periods long; the queries
-        # on a planted field and on a Poisson field of another period go
-        # to the scalar search, the rest are answered in bulk
-        slab, fields, _ = poisson_block(2.0**-5, 2.0, 1.0, y_period_cells,
-                                        seed, len(rays))
-        other = slab_field_spec(slab, seed, y_period_cells + 1)
-        fields += [PlantedField([(0.5, 0.0), (0.53, 0.01)], slab.epsilon),
-                   _poisson_injection_field(other, 0)]
-        rows = fields + fields  # a hit query on each, then an inside query
-        queries = {}
-        for j, field in enumerate(fields):
-            x, y, phi, s_max = rays[j % len(rays)]
-            queries[j] = (HIT_QUERY, x, y, math.cos(phi), math.sin(phi),
-                          s_max)
-            queries[len(fields) + j] = (INSIDE_QUERY, x, y)
+        # rays anywhere, of any length, several periods long, to a batch
+        # over a Poisson layout, over one of another period, and over a
+        # planted field
+        slab, field, keys, fields, _ = poisson_block(
+            2.0**-5, 2.0, 1.0, y_period_cells, seed, len(rays))
+        _, other, other_keys, others, _ = poisson_block(
+            2.0**-5, 2.0, 1.0, y_period_cells + 1, seed, len(rays))
+        planted = PlantedField([(0.5, 0.0), (0.53, 0.01)], slab.epsilon)
         r = slab.epsilon
-        got = _answerer(rows)(queries)
-        for j, q in queries.items():
-            if q[0] == HIT_QUERY:
-                assert got[j] == _first_hit(rows[j], *q[1:5], r, q[5])
-            else:
-                assert got[j] == _find_containing_disk(rows[j], q[1], q[2], r)
+        for layout, keys, fields in (
+                (field, keys, fields), (other, other_keys, others),
+                (planted, np.zeros(len(rays), dtype=np.uint64),
+                 [planted] * len(rays))):
+            # row j asks for a hit, row n + j for a disk containing its start
+            batch = _FieldBatch(layout, np.concatenate([keys, keys]))
+            queries = {}
+            for j, (x, y, phi, s_max) in enumerate(rays):
+                queries[j] = (HIT_QUERY, x, y, math.cos(phi), math.sin(phi),
+                              s_max)
+                queries[len(rays) + j] = (INSIDE_QUERY, x, y)
+            got = batch.answer(queries)
+            for j, q in queries.items():
+                fld = fields[j % len(rays)]
+                if q[0] == HIT_QUERY:
+                    assert got[j] == _first_hit(fld, *q[1:5], r, q[5])
+                else:
+                    assert got[j] == _find_containing_disk(fld, q[1], q[2], r)
 
     def test_timeouts_match(self):
         # a short time guard in a dense, narrow-period strip
-        slab, fields, starts = poisson_block(0.03, 2.0, 1.0, 1, 7, 32)
-        _, _, timed_out = lockstep_equals_oracle(fields, slab, starts, 6, 5.0)
-        assert 0 < timed_out.sum() < len(fields)
+        block = poisson_block(0.03, 2.0, 1.0, 1, 7, 32)
+        _, _, timed_out = lockstep_equals_oracle(*block, 6, 5.0)
+        assert 0 < timed_out.sum() < len(timed_out)
 
     @settings(max_examples=15)
     @given(eta=st.floats(0.5, 3.0), L=st.floats(0.25, 2.0),
            n_bins=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
     def test_flux_constant_on_every_trajectory(self, eta, L, n_bins, seed):
-        slab, fields, starts = poisson_block(2.0**-5, eta, L, 16, seed, 64)
-        _, net, timed_out = _run_lockstep(slab, zip(fields, starts), n_bins,
+        slab, field, keys, _, starts = poisson_block(2.0**-5, eta, L, 16,
+                                                     seed, 64)
+        _, net, timed_out = _run_lockstep(slab, field, keys, starts, n_bins,
                                           500.0)
         assert_flux_constant(net, timed_out)
 
@@ -356,8 +358,10 @@ class TestLockstepDriver:
     SLAB = SlabSpec(L=1.0, rho1=1.0, rho2=1.0, eta=1.0, epsilon=R)
 
     def planted(self, centers, starts, n_bins=4, t_max=50.0):
-        fields = [PlantedField(centers, self.R) for _ in starts]
-        return lockstep_equals_oracle(fields, self.SLAB, starts, n_bins, t_max)
+        field = PlantedField(centers, self.R)
+        return lockstep_equals_oracle(
+            self.SLAB, field, np.zeros(len(starts), dtype=np.uint64),
+            [field] * len(starts), starts, n_bins, t_max)
 
     def test_empty_field(self):
         starts = [(0.0, 0.3, 0.6, 0.8), (1.0, 0.1, -1.0, 0.0),

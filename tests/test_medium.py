@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
-from lorentzlab.dynamics import _FieldBatch, _first_hit
+from lorentzlab.dynamics import _first_hit
 from lorentzlab.medium import (FieldSpec, PlantedField, ScattererField,
                                cell_centers)
 from lorentzlab.rng import HashStream, mix_key
@@ -193,12 +193,12 @@ class TestStripCenters:
         spec = FieldSpec(mu=lam / cs**2, epsilon=0.1, seed=0, delta=0.0,
                          cell_size=cs, y_period=ny * cs)
         fields = [ScattererField(replace(spec, seed=s)) for s in seeds]
-        batch = _FieldBatch(fields[0], np.array([mix_key(s) for s in seeds],
-                                                dtype=np.uint64))
+        keys = np.array([mix_key(s) for s in seeds], dtype=np.uint64)
         ix1 = ix0 + n_cols - 1
         f, ix, iy = np.meshgrid(np.arange(len(seeds)), np.arange(ix0, ix1 + 1),
                                 np.arange(ny) + image * ny, indexing="ij")
-        cx, cy, counts = batch.centers(f.ravel(), ix.ravel(), iy.ravel())
+        cx, cy, counts = fields[0].cells(keys[f.ravel()], ix.ravel(),
+                                         iy.ravel())
         want = [fields[a].scatterers_in_cell((b, c)) for a, b, c in zip(
             f.ravel().tolist(), ix.ravel().tolist(), iy.ravel().tolist())]
         assert counts.tolist() == [len(w) for w in want]

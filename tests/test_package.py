@@ -2,6 +2,7 @@
 by the subcommands that call it, before their clock starts."""
 
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -106,3 +107,22 @@ def test_scipy_loads_only_before_the_clock(name, tmp_path):
         assert SCIPY_NEEDS[name] in seen["start"]
     else:
         assert seen["end"] == []
+
+
+# -- the benchmark tracer still finds every name it wraps ----------------------
+
+_TRACING = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "tracing.py")
+
+
+def test_tracer_wraps_existing_names_and_comes_off():
+    # perfbench/tracing.py wraps functions and methods of this package by
+    # name: a renamed or deleted one fails here, not only in a traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  _TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Patcher() as patcher:
+        tracing.install_layers(patcher, tracing.Tracer())
+        assert tracing.leftover_wrappers()
+    assert tracing.leftover_wrappers() == []
