@@ -20,6 +20,13 @@ class ConfigError(ValueError):
     """Bad key, bad value, or malformed config file (exit code 2)."""
 
 
+# Most expected scatterer centers in one field cell at a run's coarsest
+# epsilon.  The cell generator draws a mean above 64 as halves, one
+# after the other, so its work grows with the mean and a mean of 1e300
+# never ends; the densest run any test or benchmark makes has about 32.
+MAX_CENTERS_PER_CELL = 4096.0
+
+
 @dataclass(frozen=True)
 class Key:
     type: type
@@ -229,6 +236,24 @@ def _validate(experiment: str, v: dict):
         raise ConfigError(f"times must list times >= 0, got {v['times']!r}")
     if "eps_ladder" in v:
         parse_decade_ladder(v["eps_ladder"])  # raises ConfigError if malformed
+    per_cell = _centers_per_cell(experiment, v)
+    if per_cell > MAX_CENTERS_PER_CELL:
+        raise ConfigError(
+            f"{per_cell:g} expected centers per field cell at the coarsest "
+            f"epsilon exceed {MAX_CENTERS_PER_CELL:g}")
+
+
+def _centers_per_cell(experiment: str, v: dict) -> float:
+    """mu_eff * (4 eps)**2, the mean count of a field cell of side
+    4 eps, at the run's coarsest epsilon; 0 for a run with no field.
+    Written so that no epsilon, however small, is divided by."""
+    if experiment == "fick-slab":  # mu_eff = mu eta / eps
+        return 16.0 * v["mu"] * v["eta"] * v["epsilon"]
+    k = v.get("kmin", v.get("k"))
+    if k is None:
+        return 0.0
+    # barrier scaling, mu_eff = mu eps^-(1 + 2 alpha)
+    return 16.0 * v["mu"] * (2.0 ** -k) ** (1.0 - 2.0 * v["alpha"])
 
 
 def parse_decade_ladder(spec: str) -> list[float]:

@@ -14,7 +14,6 @@ queries together, each answer the one its own field gives.
 
 from __future__ import annotations
 
-import importlib
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -483,19 +482,7 @@ RUNNERS = {
 }
 
 
-# The scipy submodule each runner calls into.  run_experiment imports it
-# before starting the clock, so duration_s never holds the import; the
-# subcommands not listed never load scipy.
-SCIPY_NEEDS = {
-    "b-divergence": "scipy.integrate",
-    "thermalization": "scipy.special",
-    "diffusive-scale": "scipy.integrate",
-}
-
-
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    if cfg.experiment in SCIPY_NEEDS:
-        importlib.import_module(SCIPY_NEEDS[cfg.experiment])
     t0 = time.perf_counter()
     report = RUNNERS[cfg.experiment](cfg)
     report.duration_s = time.perf_counter() - t0

@@ -37,12 +37,51 @@ def angle_histogram(angles, n_bins: int = 256) -> np.ndarray:
 
 def chi_square_uniform(counts) -> tuple[float, float]:
     """Chi-square statistic and p-value against the uniform law."""
-    from scipy.special import chdtrc
-
     counts = np.asarray(counts, dtype=float)
     e = counts.mean()
-    stat = ((counts - e) ** 2 / e).sum()
-    return float(stat), float(chdtrc(len(counts) - 1, stat))
+    stat = float(((counts - e) ** 2 / e).sum())
+    return stat, _chi_square_tail(len(counts) - 1, stat)
+
+
+def _chi_square_tail(df: int, x: float) -> float:
+    """P(chi^2_df > x) for a whole number df >= 1, in closed form; nan
+    for df < 1, which leaves no degree of freedom (a one-bin histogram).
+
+    With y = x/2: e^-y sum_{j<df/2} y^j / j! for even df, and
+    erfc(sqrt y) + e^-y sum_{j<(df-1)/2} y^(j+1/2) / Gamma(j + 3/2) for
+    odd df.  Each term is the one before times y / (j + (df % 2) / 2),
+    so the sum takes products only.  Above y = 512, e^-y is taken as
+    2^s equal factors (y / 2^s is exact), each folded in when the terms
+    grow large, so no partial product leaves the float range.
+    """
+    if df < 1:
+        return math.nan
+    y = 0.5 * x
+    if y == math.inf:
+        return 0.0
+    if df % 2:  # the first term is y^(1/2) / Gamma(3/2)
+        tail, term, shift = (math.erfc(math.sqrt(y)),
+                             2.0 * math.sqrt(y / math.pi), 0.5)
+    else:
+        tail, term, shift = 0.0, 1.0, 0.0
+    parts = 1
+    while y > 512.0 * parts:
+        parts *= 2
+    factor = math.exp(-y / parts)
+    term *= factor
+    parts -= 1
+    total = 0.0
+    for j in range(1, df // 2 + 1):
+        total += term
+        term *= y / (j + shift)
+        if term > 1e250 and parts:
+            term *= factor
+            total *= factor
+            parts -= 1
+    while parts and total:
+        total *= factor
+        parts -= 1
+    return tail + total
 
 
 def tv_distance(counts_p, counts_q) -> float:

@@ -7,6 +7,7 @@ import pytest
 
 from lorentzlab.cli import _collect_overrides, build_parser, main
 from lorentzlab.config import (
+    MAX_CENTERS_PER_CELL,
     SCHEMAS,
     ConfigError,
     build_config,
@@ -123,12 +124,28 @@ class TestCLI:
         ["fick-slab", "--eta", "inf"],
         ["kinetic-compare", "--mu", "inf"],
         ["kinetic-compare", "--speed", "inf"],
+        # nor would a finite one of 1e300 centers per cell
+        ["fick-slab", "--mu", "1e300", "--injections", "16"],
+        ["kinetic-compare", "--mu", "1e300", "--eps-ladder", "4..4",
+         "--samples", "16"],
     ])
     def test_bad_run_value_is_config_error(self, argv, tmp_path, capsys):
         # caught before the run starts, so nothing is written
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("experiment,centers_per_unit_mu", [
+        ("fick-slab", 16.0 * 2.0 * 2.0**-6),  # 16 mu eta eps
+        ("kinetic-compare", 16.0 * 2.0**-2),  # 16 mu eps^(1 - 2 alpha), k = 4
+        ("thermalization", 16.0 * 2.0**-4),   # the same at k = 8
+    ])
+    def test_centers_per_cell_bound(self, experiment, centers_per_unit_mu):
+        # the default config's coarsest cell reaches the bound at this mu
+        mu = MAX_CENTERS_PER_CELL / centers_per_unit_mu
+        build_config(experiment, "", {"mu": mu * (1.0 - 1e-9)})
+        with pytest.raises(ConfigError, match="centers per field cell"):
+            build_config(experiment, "", {"mu": mu * (1.0 + 1e-9)})
 
     def test_malformed_flag_value_is_config_error(self, capsys):
         assert main(["scatter-table", "--samples", "lots"]) == 2

@@ -12,9 +12,11 @@ from lorentzlab import kinetic
 from lorentzlab.kinetic import (
     LANDAU_CHUNK,
     JumpProcessParams,
+    _gauss_kronrod,
     _jump_batch,
     _jump_blocks,
     _jump_vacf_msd,
+    _kronrod15,
     _landau_chunk,
     _landau_vacf_msd,
     green_kubo_D,
@@ -24,7 +26,8 @@ from lorentzlab.kinetic import (
     scattering_moment_integrals,
 )
 from lorentzlab.rng import rng_stream
-from lorentzlab.scattering import BarrierParams, RegimeError, deflection_angle
+from lorentzlab.scattering import (BarrierParams, RegimeError,
+                                   deflection_angle, refractive_index)
 from lorentzlab.stats import angle_histogram, chi_square_uniform
 
 theta_of_rho = np.vectorize(deflection_angle)
@@ -375,6 +378,74 @@ class TestBQuadrature:
         b = rep.summary["B_eps"]
         assert b == landau_B_quadrature(2.0**-6, 0.25)
         assert rep.summary["D_kinetic"] == 1.0 / (2.0 * b)
+
+
+def _law_integral_40_digits(g, n):
+    """40-digit integral over rho in [0, 1] of g(theta(rho)), theta the
+    deflection law at index n (the float taken exactly); g takes and
+    returns mpmath numbers."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        n = mpmath.mpf(n)
+        inner = mpmath.quad(
+            lambda r: g(2 * (mpmath.asin(r / n) - mpmath.asin(r))), [0, n])
+        outer = mpmath.quad(lambda r: g(2 * mpmath.acos(r)), [n, 1])
+        return float(inner + outer)
+
+
+# the pilot grid of docs/pilot_calibration.md, criterion 1
+_PILOT = [(eps, alpha) for eps in (1e-4, 1e-8, 1e-12)
+          for alpha in (0.1, 0.25, 0.4)]
+
+
+class TestGaussKronrod:
+    def test_panel_exact_to_degree_22(self):
+        for d in range(23):
+            val, _ = _kronrod15(lambda r: r**d, 0.0, 1.0)
+            assert val == pytest.approx(1.0 / (d + 1), rel=1.5e-15)
+        val, _ = _kronrod15(lambda r: r**25, 0.0, 1.0)
+        assert abs(26.0 * val - 1.0) > 1e-14  # past its degree
+
+    @pytest.mark.parametrize("eps,alpha", _PILOT)
+    def test_B_within_2e_12_of_40_digits(self, eps, alpha):
+        n = refractive_index(BarrierParams(eps, alpha))
+        half = _law_integral_40_digits(lambda t: t**2, n)
+        assert landau_B_quadrature(eps, alpha) == pytest.approx(
+            eps ** (-2.0 * alpha) * half, rel=2e-12)
+
+    @pytest.mark.parametrize("eps,alpha", _PILOT)
+    def test_moments_and_mean_cos_within_their_tolerances(self, eps, alpha):
+        import mpmath
+
+        n = refractive_index(BarrierParams(eps, alpha))
+        m2 = _law_integral_40_digits(lambda t: 4 * mpmath.sin(t / 2) ** 2, n)
+        m4 = _law_integral_40_digits(lambda t: 16 * mpmath.sin(t / 2) ** 4,
+                                     n)
+        scale = 2.0 * eps ** (-2.0 * alpha) / abs(math.log(eps))
+        got2, got4 = scattering_moment_integrals(eps, alpha)
+        assert got2 == pytest.approx(scale * m2, rel=1e-10)
+        assert got4 == pytest.approx(scale * m4, rel=1e-8)
+        assert JumpProcessParams(1.0, n).mean_cos_jump() == pytest.approx(
+            _law_integral_40_digits(mpmath.cos, n), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.4])
+    def test_stops_at_the_subdivision_limit(self, alpha):
+        # at eps = 1e-30 the integrand's roundoff keeps the estimate above
+        # 1e-12 (quad warns there): the rule stops at its interval limit,
+        # the 2 it starts with and the bisections, 15 evaluations each
+        n = refractive_index(BarrierParams(1e-30, alpha))
+        calls = []
+
+        def theta2(r):
+            calls.append(r)
+            return deflection_angle(r, n) ** 2
+
+        half, err = _gauss_kronrod(theta2, (0.0, n, 1.0), 0.0, 1e-12)
+        assert len(calls) == 15 * (2 + 2 * (kinetic._QUAD_LIMIT - 2))
+        assert err > 1e-12 * half
+        exact = _law_integral_40_digits(lambda t: t**2, n)
+        assert half == pytest.approx(exact, rel=1e-4)
 
 
 class TestMomentIntegrals:

@@ -1,5 +1,5 @@
-"""Package hygiene: every exported name exists, and scipy is loaded only
-by the subcommands that call it, before their clock starts."""
+"""Package hygiene: every exported name exists, and nothing in the
+package loads scipy."""
 
 import importlib
 import importlib.util
@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import lorentzlab
-from lorentzlab.experiments import RUNNERS, SCIPY_NEEDS
+from lorentzlab.experiments import RUNNERS
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lorentzlab.__path__))
 
@@ -30,7 +30,7 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-# -- scipy stays off the start-up path ----------------------------------------
+# -- scipy is not a run-time dependency ---------------------------------------
 
 _SRC = os.path.dirname(os.path.dirname(lorentzlab.__file__))
 
@@ -44,9 +44,9 @@ def _python(code: str, *args: str) -> str:
     return out.stdout
 
 
-@pytest.mark.parametrize("module", ["lorentzlab.cli", "lorentzlab.kinetic"])
+@pytest.mark.parametrize("module", [f"lorentzlab.{m}" for m in MODULES])
 def test_import_leaves_scipy_out(module):
-    # lorentzlab.kinetic alone is the library route of green_kubo_D
+    # each module alone, as a library caller imports it
     code = (f"import sys, {module}; "
             "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
     assert _python(code).strip() == "[]"
@@ -68,45 +68,23 @@ _TINY = {
     "fick-slab": ["--injections", "16"],
 }
 
-# Runs one subcommand through cli.main with its runner wrapped, and prints
-# the scipy modules loaded when the runner, inside run_experiment's clock,
-# starts and when it returns.
+# Runs one subcommand through cli.main and prints the scipy modules loaded
+# when it has returned.
 _SPY = """
-import functools, json, sys
-from lorentzlab import cli, experiments
+import json, sys
+from lorentzlab import cli
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-
-name = sys.argv[1]
-runner = experiments.RUNNERS[name]
-seen = {}
-
-@functools.wraps(runner)
-def spy(cfg):
-    seen["start"] = scipy_loaded()
-    report = runner(cfg)
-    seen["end"] = scipy_loaded()
-    return report
-
-experiments.RUNNERS[name] = spy
 status = cli.main(sys.argv[1:])
-print(json.dumps(seen))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.partition(".")[0] == "scipy")))
 sys.exit(status)
 """
 
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))
-def test_scipy_loads_only_before_the_clock(name, tmp_path):
+def test_no_subcommand_loads_scipy(name, tmp_path):
     out = _python(_SPY, name, *_TINY[name], "--out-dir", str(tmp_path))
-    seen = json.loads(out.splitlines()[-1])
-    # nothing of scipy is first imported inside the timed run ...
-    assert seen["end"] == seen["start"]
-    # ... and only the subcommands in SCIPY_NEEDS import it at all
-    if name in SCIPY_NEEDS:
-        assert SCIPY_NEEDS[name] in seen["start"]
-    else:
-        assert seen["end"] == []
+    assert json.loads(out.splitlines()[-1]) == []
 
 
 # -- the benchmark tracer still finds every name it wraps ----------------------

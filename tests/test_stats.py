@@ -7,6 +7,7 @@ import pytest
 
 from lorentzlab.stats import (
     angle_histogram,
+    _chi_square_tail,
     chi_square_uniform,
     linear_fit,
     mean_with_ci,
@@ -14,6 +15,15 @@ from lorentzlab.stats import (
     tv_distance,
     tv_self_noise,
 )
+
+
+def _tail_40_digits(df, x):
+    """P(chi^2_df > x) as a 40-digit regularized upper incomplete gamma."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2,
+                                     regularized=True))
 
 
 class TestHistogramsAndTV:
@@ -64,13 +74,44 @@ class TestChiSquare:
         assert p < 1e-10
 
     def test_equals_scipy_chisquare(self):
+        # the statistic is scipy's bit for bit; the p-value is the closed
+        # form, nearer the exact tail than scipy's chdtrc, which gives
+        # 0.15729920705028105 at (df, x) = (1, 2) where erfc(1) rounds to
+        # 0.15729920705028513
         from scipy.stats import chisquare
 
         rng = np.random.default_rng(11)
         for n, lam in ((2, 3.0), (8, 40.0), (32, 600.0), (64, 1.5)):
             counts = rng.poisson(lam, n)
             stat, p = chisquare(counts.astype(float))
-            assert chi_square_uniform(counts) == (float(stat), float(p))
+            got_stat, got_p = chi_square_uniform(counts)
+            assert got_stat == float(stat)
+            assert got_p == pytest.approx(float(p), rel=1e-13)
+            assert got_p == pytest.approx(_tail_40_digits(n - 1, got_stat),
+                                          rel=2e-14)
+
+    @pytest.mark.parametrize("df", [1, 2, 31, 63, 1023])
+    def test_tail_matches_40_digit_gamma(self, df):
+        # from the bulk to far in the tail; at df = 1023 and x >= 1.1 df
+        # the e^-y factor is folded in parts
+        for f in (0.01, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0):
+            x = f * df
+            assert _chi_square_tail(df, x) == pytest.approx(
+                _tail_40_digits(df, x), rel=2e-14)
+
+    def test_two_and_three_bins_are_exact(self):
+        # df = 1 is erfc(sqrt(x/2)) and df = 2 is exp(-x/2), nothing added
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            stat, p = chi_square_uniform(rng.poisson(20.0, 2))
+            assert p == math.erfc(math.sqrt(stat / 2))
+            stat, p = chi_square_uniform(rng.poisson(20.0, 3))
+            assert p == math.exp(-stat / 2)
+
+    def test_tail_limits(self):
+        assert _chi_square_tail(7, 0.0) == 1.0
+        assert _chi_square_tail(7, math.inf) == 0.0
+        assert math.isnan(_chi_square_tail(0, 0.0))  # one bin, as chdtrc
 
 
 class TestLinearFit:
