@@ -230,8 +230,13 @@ def _validate(experiment: str, v: dict):
         raise ConfigError("kmin must be <= kmax")
     if v["workers"] < 1:
         raise ConfigError("workers must be >= 1")
-    if experiment == "thermalization" and v["initial"] not in ("delta", "uniform"):
-        raise ConfigError("initial must be 'delta' or 'uniform'")
+    if experiment == "thermalization":
+        if v["initial"] not in ("delta", "uniform"):
+            raise ConfigError("initial must be 'delta' or 'uniform'")
+        # a one-bin chi-square has no degree of freedom
+        if v["angle_bins"] < 2:
+            raise ConfigError(
+                f"angle_bins must be >= 2, got {v['angle_bins']}")
     if "times" in v and not min(parse_float_list(v["times"]), default=-1) >= 0:
         raise ConfigError(f"times must list times >= 0, got {v['times']!r}")
     if "eps_ladder" in v:

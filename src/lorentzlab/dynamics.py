@@ -32,13 +32,15 @@ One engine, ``_Engine``, runs every trajectory on plain floats.  Its
 event loop, ``_Engine.walk``, asks for the two field queries (the first
 disk hit along a ray, the disk containing a point) instead of making
 them.  ``_Engine.run`` answers them one at a time with ``_first_hit``
-and ``_find_containing_disk``, the scalar oracle.  The ensemble workers,
-mechanical and slab, run their trajectories in lockstep (``_lockstep``)
-and answer the queries of many at once with ``_FieldBatch``, bit for
-bit the same: it takes the cells each query needs, for a whole chunk's
+and ``_find_containing_disk``, the scalar oracle.  The mechanical
+ensemble workers run their trajectories in lockstep (``_lockstep``) and
+answer the queries of many at once with ``_FieldBatch``, bit for bit
+the same: it takes the cells each query needs, for a whole chunk's
 fields, from one ``cells`` call of their layout field, Poisson or
-planted.  ``advance`` is the logged library entry: ``ParticleState``
-in, state and log out.
+planted.  The slab's hard-disk walk keeps its state in arrays instead
+of generators (``macroscale._run_chunks``) and takes ``_FieldBatch``'s
+answers as arrays.  ``advance`` is the logged library entry:
+``ParticleState`` in, state and log out.
 """
 
 from __future__ import annotations
@@ -230,14 +232,23 @@ class _FieldBatch:
         self.keys = keys
 
     def answer(self, queries: dict) -> dict:
-        """The answer to each of ``queries``, keyed like them by row."""
+        """The answer to each of ``queries``, keyed like them by row: the
+        dict form of ``_first_hits`` and ``_containing``, for
+        ``_lockstep``."""
         out = {}
-        for kind, search in ((HIT_QUERY, self._first_hits),
-                             (INSIDE_QUERY, self._containing)):
+        for kind in (HIT_QUERY, INSIDE_QUERY):
             rows = [j for j, q in queries.items() if q[0] == kind]
-            if rows:
-                out.update(zip(rows, search(
-                    np.array(rows), np.array([queries[j][1:] for j in rows]))))
+            if not rows:
+                continue
+            cols = np.array([queries[j][1:] for j in rows]).T
+            if kind == HIT_QUERY:
+                s, cx, cy = self._first_hits(np.array(rows), *cols).tolist()
+                out.update((j, None if math.isnan(a) else (a, (b, c)))
+                           for j, a, b, c in zip(rows, s, cx, cy))
+            else:
+                cx, cy = self._containing(np.array(rows), *cols).tolist()
+                out.update((j, None if math.isnan(b) else (b, c))
+                           for j, b, c in zip(rows, cx, cy))
         return out
 
     def _candidates(self, rows, ix0, ix1, iy0, iy1):
@@ -264,14 +275,14 @@ class _FieldBatch:
         best[q] = order[at]
         return best
 
-    def _first_hits(self, rows, q):
+    def _first_hits(self, rows, x, y, ux, uy, s_max):
         """``_first_hit`` for many rays: window by window, over the same
         bounding-box cells, with its disk test in its order of
-        operations; a ray stops at its first window with a hit."""
-        x, y, ux, uy, s_max = q.T
+        operations; a ray stops at its first window with a hit.
+        Returns the arrays (s, cx, cy) of the hits, NaN for a miss."""
         r, cs = self.field.epsilon, self.field.cell_size
         r2 = r * r
-        out = [None] * len(rows)
+        out = np.full((3, len(rows)), np.nan)
         s0 = np.zeros(len(rows))
         todo = np.flatnonzero(s0 < s_max)
         while todo.size:
@@ -301,19 +312,18 @@ class _FieldBatch:
                 ok &= (0.0 < s_in) & (s_in <= s1[p])
                 c = np.flatnonzero(ok)
                 best = self._earliest(p[c], s_in[c], todo.size)
-                for i in np.flatnonzero(best >= 0).tolist():
-                    k = c[best[i]]
-                    out[todo[i]] = (s_in[k].item(),
-                                    (cx[k].item(), cy[k].item()))
-                    found[i] = True
+                i = np.flatnonzero(best >= 0)
+                k = c[best[i]]
+                out[:, todo[i]] = s_in[k], cx[k], cy[k]
+                found[i] = True
             s0[todo] = s1
             todo = todo[~found & (s1 < s_max[todo])]
         return out
 
-    def _containing(self, rows, q):
+    def _containing(self, rows, x, y):
         """``_find_containing_disk`` for many points: the nearest center
-        within r over the 3 x 3 cells around each."""
-        x, y = q.T
+        within r over the 3 x 3 cells around each.  Returns the arrays
+        (cx, cy) of the centers, NaN where there is none."""
         cs, r = self.field.cell_size, self.field.epsilon
         r2 = r * r
         ix = np.floor(x / cs).astype(np.int64)[:, None] + _AROUND_X
@@ -325,10 +335,9 @@ class _FieldBatch:
         d2 = dx * dx + dy * dy
         c = np.flatnonzero(d2 < r2)
         best = self._earliest(p[c], d2[c], len(rows))
-        out = [None] * len(rows)
-        for i in np.flatnonzero(best >= 0).tolist():
-            k = c[best[i]]
-            out[i] = (cx[k].item(), cy[k].item())
+        out = np.full((2, len(rows)), np.nan)
+        i = np.flatnonzero(best >= 0)
+        out[:, i] = cx[c[best[i]]], cy[c[best[i]]]
         return out
 
 

@@ -13,10 +13,12 @@ fixed-point characterization of the stationary density is only the
 rationale for why it converges.
 
 Each injection runs in its own member of the slab's Poisson ensemble,
-keyed by its index (``medium.member_keys``).  The injections of a chunk
-advance in lockstep, on one layout field: their engines' field queries
-are answered together by ``_FieldBatch``, one numpy pass per step over
-the cells they need.
+keyed by its index (``medium.member_keys``).  A worker's injections run
+as one array-state hard-disk walk on one layout field (``_run_chunks``):
+at most SLAB_CHUNK walks are live, and the next injection enters as one
+ends.  Each step answers every live walk's first-hit query with one
+``_FieldBatch`` pass over the cells they need and moves every walk on
+by one flight in numpy.  The scalar ``_run_injection`` is its oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import _Engine, _FieldBatch, _find_containing_disk, _lockstep
+from . import dynamics
+from .dynamics import (_PUSH, StuckParticleError, _Engine, _FieldBatch,
+                       _find_containing_disk)
 from .medium import FieldSpec, ScattererField, member_keys
 from .parallel import run_ensemble
 from .rng import mix_key, philox_uniforms
@@ -222,7 +226,7 @@ def _run_injection(field, slab, x0, y0, vx, vy, n_bins, t_max):
 
     A wall point covered by a disk contributes nothing: a reservoir
     particle aimed at it hits that disk before it reaches the wall.
-    This is the scalar form of ``_run_lockstep``, and its oracle.
+    This is the scalar form of ``_run_chunks``, and its oracle.
     """
     tau = np.zeros(n_bins)
     net = np.zeros(n_bins - 1)
@@ -235,35 +239,159 @@ def _run_injection(field, slab, x0, y0, vx, vy, n_bins, t_max):
     return tau, net, side is None
 
 
-def _injection(eng, start, t_max):
-    """One injection as a ``_lockstep`` program; returns whether it
-    timed out."""
-    walk = eng.walk(*start, t_max)
-    if (yield next(walk)) is not None:
-        # the wall point is covered: the injection never enters
-        return False
-    # resumes the walk with the answer None: a free start
-    return (yield from walk)[5] is None
+def _hypot(a, b):
+    """``math.hypot`` element by element: numpy's ``hypot`` can differ
+    from it in the last bit."""
+    return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), float)
+
+
+def _ranges(lo, hi):
+    """(i, k) for every integer k in lo[i]..hi[i], i in order."""
+    n = np.maximum(hi - lo + 1, 0)
+    i = np.repeat(np.arange(len(n)), n)
+    return i, np.arange(i.size) - (np.cumsum(n) - n)[i] + lo[i]
+
+
+def _bin_segments(tau, net, dxb, t0, t1, ax, bx):
+    """``_bin_segment`` for one segment per row of ``tau`` and ``net``,
+    in its arithmetic; a row's bins and faces take one addition each."""
+    n_bins = tau.shape[1]
+    lo, hi = np.minimum(ax, bx), np.maximum(ax, bx)
+    b0, b1 = (np.clip(np.trunc(v / dxb), 0, n_bins - 1).astype(np.int64)
+              for v in (lo, hi))
+    with np.errstate(all="ignore"):  # a point, or a hair's length
+        inv = (t1 - t0) / np.abs(bx - ax)
+        first = np.where(ax == bx, t1 - t0, np.where(
+            b0 == b1, (hi - lo) * inv, ((b0 + 1) * dxb - lo) * inv))
+        last = (hi - b1 * dxb) * inv
+    i, b = _ranges(b0, b1)
+    tau[i, b] += np.where(b == b0[i], first[i],
+                          np.where(b == b1[i], last[i], dxb * inv[i]))
+    i, j = _ranges(np.maximum(np.floor(lo / dxb).astype(np.int64) + 1, 1),
+                   np.minimum(np.floor(hi / dxb).astype(np.int64),
+                              n_bins - 1))
+    net[i, j - 1] += np.where(bx > ax, 1.0, -1.0)[i]
+
+
+def _run_chunks(slab, field, chunks, n_bins, t_max):
+    """(c, tau, net, timed_out) of chunk c of ``chunks`` as soon as all
+    of its injections have ended: ``chunks`` yields (keys, starts) of
+    consecutive injections, and row j of a chunk equals ``_run_injection``
+    from starts[j] in the field of ``field``'s layout keyed by keys[j].
+    They run as one array-state hard-disk walk of at most SLAB_CHUNK live
+    walks, by ``_Engine.walk``'s rules in its order of operations; the
+    next injections enter as walks end."""
+    L = slab.L
+    dxb = L / n_bins
+    chunks = iter(chunks)
+    # the latest pull from chunks (None once they are exhausted), and the
+    # count of chunks yielded
+    nxt, n_done = (), 0
+    # by number, each chunk not yet yielded: its rows of tau and net side
+    # by side, its timed_out, and the count of its injections not ended
+    pending = {}
+    # injections not yet entered: chunk number, row, key, start
+    wait = [np.zeros(0, np.int64), np.zeros(0, np.int64),
+            np.zeros(0, np.uint64), np.zeros((0, 4))]
+    # live walks: (x, y, vx, vy, speed, t), (chunk number, row, events),
+    # key, and tau and net side by side
+    live = [np.zeros((0, 6)), np.zeros((0, 3), np.int64),
+            np.zeros(0, np.uint64), np.zeros((0, 2 * n_bins - 1))]
+
+    def settle(seq, row, occ_e, late):
+        # ended injections into their chunks' rows
+        for c in np.unique(seq).tolist():
+            m = seq == c
+            chunk = pending[c]
+            chunk[0][row[m]], chunk[1][row[m]] = occ_e[m], late[m]
+            chunk[2] -= int(m.sum())
+
+    while True:
+        need = SLAB_CHUNK - len(live[2])
+        while len(wait[0]) < need and (nxt := next(chunks, None)):
+            k, st = nxt
+            c, m = len(pending) + n_done, len(k)
+            pending[c] = [np.zeros((m, 2 * n_bins - 1)), np.zeros(m, bool), m]
+            wait = [np.concatenate(p) for p in zip(wait, (
+                np.full(m, c), np.arange(m), k, np.reshape(st, (m, 4))))]
+        (seq, row, k, st), wait = ([a[:need] for a in wait],
+                                   [a[need:] for a in wait])
+        if len(k):
+            cx, _ = _FieldBatch(field, k)._containing(np.arange(len(k)),
+                                                      st[:, 0], st[:, 1])
+            # a covered wall point: the injection never enters, and its
+            # row stays 0
+            free = np.isnan(cx)
+            n = len(k) - int(free.sum())
+            settle(seq[~free], row[~free], np.zeros((n, 1)), np.zeros(n, bool))
+            st, m = st[free], len(k) - n
+            live = [np.concatenate(p) for p in zip(live, (
+                np.column_stack([st, _hypot(st[:, 2], st[:, 3]), np.zeros(m)]),
+                np.column_stack([seq[free], row[free], np.zeros(m, np.int64)]),
+                k[free], np.zeros((m, 2 * n_bins - 1))))]
+        for c in [c for c, chunk in pending.items() if chunk[2] == 0]:
+            rows, late, _ = pending.pop(c)
+            n_done += 1
+            yield c, rows[:, :n_bins], rows[:, n_bins:], late
+        F, I, keys, occ = live
+        if not len(keys):
+            if nxt is None and not len(wait[0]):
+                return
+            continue
+
+        x, y, vx, vy, speed, t = F.T
+        ux, uy = vx / speed, vy / speed
+        s_budget = speed * (t_max - t)
+        # _bound_cross: the nearer wall crossed within the budget (which
+        # wall it is does not enter the result)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_hi, s_lo = (L - x) / ux, (0.0 - x) / ux
+        s_wall = np.minimum(
+            np.where((0.0 < s_hi) & (s_hi <= s_budget), s_hi, np.inf),
+            np.where((0.0 < s_lo) & (s_lo <= s_budget), s_lo, np.inf))
+        walled = s_wall < np.inf
+        # a disk behind the wall is never reached: search up to the wall
+        s_hit, cx, cy = _FieldBatch(field, keys)._first_hits(
+            np.arange(len(keys)), x, y, ux, uy,
+            np.where(walled, s_wall, s_budget))
+        out = walled & ~(s_hit < s_wall)  # a wall-disk tie goes to the wall
+        hit = ~out & ~np.isnan(s_hit)
+        s = np.where(out, s_wall, np.where(hit, s_hit, s_budget))
+        x1 = x + s * ux
+        t1 = np.where(out | hit, t + s / speed, t_max)
+        _bin_segments(occ[:, :n_bins], occ[:, n_bins:], dxb, t, t1, x, x1)
+
+        h = np.flatnonzero(hit)
+        I[h, 2] += 1
+        if h.size and I[h, 2].max() > dynamics.MAX_EVENTS:
+            raise StuckParticleError(
+                f"{I[h, 2].max()} events before reaching t = {t_max}")
+        xe, ye, te = x1[h], y[h] + s[h] * uy[h], t1[h]
+        ox, oy = xe - cx[h], ye - cy[h]
+        onorm = _hypot(ox, oy)
+        ox, oy = ox / onorm, oy / onorm
+        vxh, vyh = vx[h], vy[h]
+        d = 2.0 * (ox * vxh + oy * vyh)
+        vxh, vyh = vxh - d * ox, vyh - d * oy
+        sp = _hypot(vxh, vyh)
+        xh, yh = xe + _PUSH * vxh / sp, ye + _PUSH * vyh / sp
+        F[h] = np.column_stack([xh, yh, vxh, vyh, sp, te])
+        # off a disk that straddles a wall, the push can carry the walk
+        # out through the wall: it has left the slab
+        left = ((xh < 0.0) & (vxh < 0.0)) | ((xh > L) & (vxh > 0.0))
+        ended, late = ~hit, ~hit & ~out
+        ended[h] = left | ~(te < t_max)
+        late[h] = ~left & ~(te < t_max)
+        settle(I[ended, 0], I[ended, 1], occ[ended], late[ended])
+        live = [a[~ended] for a in live]
 
 
 def _run_lockstep(slab, field, keys, starts, n_bins, t_max):
     """(tau, net, timed_out) of injection j from starts[j] in the field
     of ``field``'s layout keyed by keys[j]: row j equals
-    ``_run_injection`` on that field.
-
-    All the injections advance together in ``_lockstep``, whose every
-    step answers their pending field queries at once (``_FieldBatch``).
-    """
-    dxb = slab.L / n_bins
-    tau = np.zeros((len(starts), n_bins))
-    net = np.zeros((len(starts), n_bins - 1))
-    programs = [
-        _injection(_Engine(field, None, on_segment=partial(
-            _bin_segment, tau[j], net[j], dxb), x_bounds=(0.0, slab.L)),
-            start, t_max)
-        for j, start in enumerate(starts)]
-    timed_out = _lockstep(programs, _FieldBatch(field, keys).answer)
-    return tau, net, np.array(timed_out, dtype=bool)
+    ``_run_injection`` on that field.  The injections are one chunk of
+    ``_run_chunks``."""
+    return next(_run_chunks(slab, field, [(keys, starts)], n_bins, t_max))[1:]
 
 
 def _injection_starts(slab, seed, width, i0, i1):
@@ -283,34 +411,39 @@ def _injection_starts(slab, seed, width, i0, i1):
     return starts
 
 
-def _slab_chunk(payload):
-    """Sums over injections i0..i1, injection i in the member of
-    ``field``'s layout keyed by ``member_keys(parent, i, i + 1)``."""
+def _fold(i0, half_at, taus, nets, timed_out):
+    """Per (side, half) occupation sums and per side crossing sums of
+    injections i0, i0 + 1, ... with rows taus, nets and timed_out, each
+    row added onto 0 one at a time, in index order."""
+    i = np.arange(i0, i0 + len(taus))
+    side, half = i % 2, i >= half_at  # side 0: left reservoir, 1: right
+    groups = [[(side == s) & (half == h) for h in (0, 1)] for s in (0, 1)]
+
+    def total(rows, m):
+        return np.add.accumulate(np.concatenate(
+            [np.zeros((1, rows.shape[1])), rows[m]]))[-1]
+
+    return (np.array([[total(taus, m) for m in g] for g in groups]),
+            np.array([[total(taus * taus, m) for m in g] for g in groups]),
+            np.array([[m.sum() for m in g] for g in groups]),
+            np.array([total(nets, side == s) for s in (0, 1)]),
+            np.array([total(nets * nets, side == s) for s in (0, 1)]),
+            int(timed_out.sum()))
+
+
+def _slab_chunks(payload):
+    """The sums of each SLAB_CHUNK of injections i0..i1-1, in chunk
+    order, injection i in the member of ``field``'s layout keyed by
+    ``member_keys(parent, i, i + 1)``; all of them run in one
+    ``_run_chunks`` walk."""
     (slab, field, parent, seed, n_bins, t_max, n_total, width,
      i0, i1) = payload
-    n_faces = n_bins - 1
-    # per (side, half): occupation sums; per side: crossing sums
-    sums = np.zeros((2, 2, n_bins))
-    sqs = np.zeros((2, 2, n_bins))
-    cnt = np.zeros((2, 2), dtype=np.int64)
-    nsum = np.zeros((2, n_faces))
-    nsq = np.zeros((2, n_faces))
-    timeouts = 0
-    half_at = n_total // 2
-    chunk = range(i0, i1)
-    taus, nets, timed_out = _run_lockstep(
-        slab, field, member_keys(parent, i0, i1),
-        _injection_starts(slab, seed, width, i0, i1), n_bins, t_max)
-    for i, tau, net, late in zip(chunk, taus, nets, timed_out):
-        side = i % 2  # 0: left reservoir, 1: right
-        half = 0 if i < half_at else 1
-        sums[side, half] += tau
-        sqs[side, half] += tau * tau
-        cnt[side, half] += 1
-        nsum[side] += net
-        nsq[side] += net * net
-        timeouts += int(late)
-    return sums, sqs, cnt, nsum, nsq, timeouts
+    bounds = [(a, min(a + SLAB_CHUNK, i1)) for a in range(i0, i1, SLAB_CHUNK)]
+    chunks = ((member_keys(parent, a, b),
+               _injection_starts(slab, seed, width, a, b)) for a, b in bounds)
+    sums = {c: _fold(bounds[c][0], n_total // 2, *rows) for c, *rows in
+            _run_chunks(slab, field, chunks, n_bins, t_max)}
+    return [sums[c] for c in range(len(bounds))]
 
 
 def simulate_slab_stationary(slab: SlabSpec, n_injections: int = 100_000,
@@ -336,10 +469,11 @@ def simulate_slab_stationary(slab: SlabSpec, n_injections: int = 100_000,
     reservoir pair (rho1 = rho2) therefore reproduces a flat profile at
     that density and zero flux, with or without scatterers.
 
-    Injections run in chunks of SLAB_CHUNK, and the chunk sums are
-    added in chunk order; within a chunk they advance in lockstep on one
-    layout field (``_run_lockstep``), each with the result the scalar
-    ``_run_injection`` gives it.
+    Injections are summed in chunks of SLAB_CHUNK, and the chunk sums
+    are added in chunk order.  Each worker takes a run of whole chunks
+    and walks them all together on one layout field (``_run_chunks``),
+    each injection with the result the scalar ``_run_injection`` gives
+    it.
     """
     if n_bins < 2 or n_injections < 2:
         raise ValueError("need at least 2 bins and 2 injections")
@@ -348,11 +482,15 @@ def simulate_slab_stationary(slab: SlabSpec, n_injections: int = 100_000,
     width = spec.y_period
     free = math.exp(-slab.mu_eff * math.pi * slab.epsilon**2)
 
-    parts = run_ensemble(_slab_chunk, (slab, ScattererField(spec),
-                                       mix_key(spec.seed), seed, n_bins,
-                                       t_max, n_injections, width),
-                         n_injections, SLAB_CHUNK, workers)
-    sums, sqs, cnt, nsum, nsq, timeouts = map(sum, zip(*parts))
+    # each worker takes a run of whole chunks
+    per_worker = SLAB_CHUNK * -(-n_injections
+                                // (SLAB_CHUNK * max(workers, 1)))
+    parts = run_ensemble(_slab_chunks, (slab, ScattererField(spec),
+                                        mix_key(spec.seed), seed, n_bins,
+                                        t_max, n_injections, width),
+                         n_injections, per_worker, workers)
+    sums, sqs, cnt, nsum, nsq, timeouts = map(
+        sum, zip(*(chunk for part in parts for chunk in part)))
 
     dxb = slab.L / n_bins
     w = np.array([[slab.rho1], [slab.rho2]])

@@ -9,8 +9,6 @@ a chunk, not what it returns or the order it is folded in.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 __all__ = ["run_chunked", "run_ensemble"]
 
 
@@ -23,6 +21,8 @@ def run_chunked(fn, payloads: list, workers: int = 1):
     """
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    # imported here: a run without a pool does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
 

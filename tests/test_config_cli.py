@@ -128,6 +128,9 @@ class TestCLI:
         ["fick-slab", "--mu", "1e300", "--injections", "16"],
         ["kinetic-compare", "--mu", "1e300", "--eps-ladder", "4..4",
          "--samples", "16"],
+        # a one-bin chi-square has no degree of freedom
+        ["thermalization", "--k", "4", "--times", "0.125", "--samples", "16",
+         "--angle-bins", "1"],
     ])
     def test_bad_run_value_is_config_error(self, argv, tmp_path, capsys):
         # caught before the run starts, so nothing is written

@@ -1,6 +1,7 @@
 """Heat solver, stationary profile/flux, boundary-driven slab."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,16 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lorentzlab import dynamics
+from lorentzlab import dynamics, macroscale
 from lorentzlab.dynamics import (HIT_QUERY, INSIDE_QUERY, _FieldBatch,
                                  _find_containing_disk, _first_hit)
 from lorentzlab.macroscale import (
     HeatProblem,
     SlabSpec,
+    _bin_segment,
+    _bin_segments,
     _injection_starts,
     _run_injection,
     _run_lockstep,
-    _slab_chunk,
+    _slab_chunks,
     fick_flux,
     simulate_slab_stationary,
     slab_field_spec,
@@ -159,8 +162,10 @@ class TestSlabSimulation:
         wall = [(0.0, k * r) for k in range(int(width / r) + 2)]
 
         def run(centers):
-            return _slab_chunk((slab, PlantedField(centers, r), 0, 11, 4,
-                                1e9, 4, width, 0, 4))
+            # the sums of the worker's one chunk
+            (chunk,) = _slab_chunks((slab, PlantedField(centers, r), 0, 11,
+                                     4, 1e9, 4, width, 0, 4))
+            return chunk
 
         sums, _, cnt, nsum, _, timeouts = run(wall)
         free_sums, _, free_cnt, free_nsum, _, _ = run([])
@@ -246,7 +251,7 @@ def lockstep_equals_oracle(slab, field, keys, fields, starts, n_bins,
 
 
 def poisson_block(epsilon, eta, L, y_period_cells, seed, n):
-    """A slab, and its first n injections as ``_slab_chunk`` runs them:
+    """A slab, and its first n injections as ``_slab_chunks`` runs them:
     the layout field, the keys, each injection's own field and the
     starts."""
     with warnings.catch_warnings():
@@ -404,6 +409,16 @@ class TestLockstepDriver:
         assert np.all(net[0] == -1.0)
         assert tau[0] == pytest.approx(np.full(4, 0.25), rel=1e-9)
 
+    def test_reflection_pushed_through_the_right_wall_leaves(self):
+        # the mirror image at the right wall
+        r = self.R
+        y0 = 0.5 + math.sqrt(r * r - (0.5 * r + 1e-13) ** 2)
+        tau, net, timed_out = self.planted([(1.0 + 0.5 * r, 0.5)],
+                                           [(0.0, y0, 1.0, 0.0)])
+        assert not timed_out[0]
+        assert np.all(net[0] == 1.0)
+        assert tau[0] == pytest.approx(np.full(4, 0.25), rel=1e-9)
+
     def test_tangential_graze(self):
         # a ray at exactly one radius from a center grazes it: a miss
         r = self.R
@@ -419,3 +434,162 @@ class TestLockstepDriver:
         starts = [(0.0, 0.5, 1.0, 0.0)]
         _, net, timed_out = self.planted([(1.0 + r, 0.5)], starts)
         assert np.all(net[0] == 1.0) and not timed_out[0]
+
+
+class TestRefilledWalk:
+    """The array-state walk keeps at most SLAB_CHUNK walks live and lets
+    the next injections in as walks end; the worker folds each chunk's
+    rows once all of them have ended."""
+
+    # a short time guard in a dense, narrow-period strip: covered,
+    # timed-out and wall-exit injections mixed, walks entering mid-run
+    BLOCK = dict(epsilon=0.03, eta=2.0, L=1.0, y_period_cells=1, seed=7)
+
+    def test_refill_equals_oracle(self, monkeypatch):
+        monkeypatch.setattr(macroscale, "SLAB_CHUNK", 5)
+        slab, field, keys, fields, starts = poisson_block(**self.BLOCK, n=37)
+        tau, _, timed_out = lockstep_equals_oracle(slab, field, keys, fields,
+                                                   starts, 6, 5.0)
+        covered = np.array([_find_containing_disk(f, x, y, slab.epsilon)
+                            is not None for f, (x, y, _, _) in
+                            zip(fields, starts)])
+        assert covered.any() and timed_out.any()
+        assert (~covered & ~timed_out).any()
+        assert not tau[covered].any()
+
+    def test_worker_fold_equals_oracle_fold(self, monkeypatch):
+        # the run at any worker count equals the oracle's rows folded in
+        # chunks of 5, in index order
+        monkeypatch.setattr(macroscale, "SLAB_CHUNK", 5)
+        n, seed, n_bins, t_max = 37, 7, 6, 5.0
+        p = self.BLOCK
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            slab = SlabSpec(L=p["L"], rho1=2.0, rho2=1.0, eta=p["eta"],
+                            epsilon=p["epsilon"])
+        spec = slab_field_spec(slab, mix_key(seed, 0xF1E1D),
+                               p["y_period_cells"])
+        starts = _injection_starts(slab, seed, spec.y_period, 0, n)
+        rows = [_run_injection(
+            ScattererField(replace(spec, seed=mix_key(spec.seed, i))), slab,
+            *starts[i], n_bins, t_max) for i in range(n)]
+        want = []
+        for i0 in range(0, n, 5):
+            sums = np.zeros((2, 2, n_bins))
+            sqs = np.zeros((2, 2, n_bins))
+            cnt = np.zeros((2, 2), dtype=np.int64)
+            nsum = np.zeros((2, n_bins - 1))
+            nsq = np.zeros((2, n_bins - 1))
+            timeouts = 0
+            for i in range(i0, min(i0 + 5, n)):
+                tau, net, late = rows[i]
+                side, half = i % 2, int(i >= n // 2)
+                sums[side, half] += tau
+                sqs[side, half] += tau * tau
+                cnt[side, half] += 1
+                nsum[side] += net
+                nsq[side] += net * net
+                timeouts += int(late)
+            want.append((sums, sqs, cnt, nsum, nsq, timeouts))
+
+        def run(workers):
+            return simulate_slab_stationary(slab, n, seed, n_bins=n_bins,
+                                            t_max=t_max, workers=workers,
+                                            y_period_cells=p["y_period_cells"])
+
+        got = [run(w) for w in (1, 2, 3)]
+        monkeypatch.setattr(macroscale, "run_ensemble",
+                            lambda *args: [want])
+        ref = run(1)
+        assert 0 < ref.n_timeouts < n
+        for res in got:
+            for name in ("rho_hat", "rho_se", "J_hat", "J_se", "rho_halves",
+                         "rho_halves_se"):
+                assert getattr(res, name).tobytes() == \
+                    getattr(ref, name).tobytes(), name
+            assert res.n_timeouts == ref.n_timeouts
+
+    def test_stuck_walk_raises_where_the_oracle_does(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_EVENTS", 3)
+        slab, field, keys, fields, starts = poisson_block(**self.BLOCK, n=24)
+        stuck = []
+        for fld, start in zip(fields, starts):
+            try:
+                _run_injection(fld, slab, *start, 6, 5.0)
+            except dynamics.StuckParticleError as err:
+                stuck.append(str(err))
+            else:
+                stuck.append(None)
+        assert any(stuck) and not all(stuck)
+        with pytest.raises(dynamics.StuckParticleError) as err:
+            _run_lockstep(slab, field, keys, starts, 6, 5.0)
+        assert str(err.value) in stuck
+        ok = [j for j, s in enumerate(stuck) if s is None]
+        lockstep_equals_oracle(slab, field, keys[ok],
+                               [fields[j] for j in ok],
+                               [starts[j] for j in ok], 6, 5.0)
+
+    def test_worker_memory_does_not_grow_with_its_range(self, monkeypatch):
+        # the worker keeps the rows of its open chunks only, and a long
+        # walk keeps few open under a short time guard: over 16 chunks its
+        # peak stays near its peak over 2 (2.1 times it here, where one
+        # that kept every row of its range reached 3.6 times)
+        monkeypatch.setattr(macroscale, "SLAB_CHUNK", 64)
+        slab, _, _, _, _ = poisson_block(2.0**-5, 2.0, 1.0, 16, 3, 0)
+        spec = slab_field_spec(slab, 3)
+
+        def peak(n):
+            payload = (slab, ScattererField(spec), mix_key(spec.seed), 3, 64,
+                       5.0, n, spec.y_period, 0, n)
+            tracemalloc.start()
+            try:
+                _slab_chunks(payload)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2 * 64)  # one-time allocations out of the way
+        assert peak(16 * 64) < 2.5 * peak(2 * 64)
+
+
+@st.composite
+def segments(draw):
+    """A segment in a slab of n_bins bins of width dxb: its end points
+    anywhere in it, on bin edges, a hair outside a wall or equal."""
+    n_bins = draw(st.integers(2, 64))
+    L = draw(st.sampled_from([1.0, 0.3, 2.0**-3, 1.7]))
+    dxb = L / n_bins
+    point = st.one_of(
+        st.floats(0.0, L),
+        st.integers(0, n_bins).map(lambda k: k * dxb),
+        st.sampled_from([-1e-12, -1e-13, L + 1e-13, L + 1e-12, 0.0, L]))
+    segs = draw(st.lists(st.tuples(point, point, st.floats(0.0, 50.0),
+                                   st.floats(0.0, 10.0), st.booleans()),
+                         min_size=1, max_size=8))
+    return L, n_bins, [(a, a if same else b, t0, t0 + dt)
+                       for a, b, t0, dt, same in segs]
+
+
+class TestBinSegments:
+    @settings(max_examples=200)
+    @given(case=segments(), prior=st.floats(0.0, 5.0))
+    # every bin, both ways; a point; edge to edge; a hair outside a wall
+    @example(case=(1.0, 4, [(0.0, 1.0, 0.0, 1.0), (1.0, 0.0, 2.0, 3.0),
+                            (0.25, 0.25, 1.0, 2.0), (0.25, 0.75, 0.0, 0.5),
+                            (-1e-13, 0.5, 0.0, 1.0),
+                            (1.0 + 1e-13, 0.1, 0.0, 1.0),
+                            (0.5, 0.5 + 1e-300, 0.0, 1.0)]), prior=0.5)
+    def test_equals_scalar_binning(self, case, prior):
+        # one segment per row, added to rows that already hold a value
+        L, n_bins, segs = case
+        dxb = L / n_bins
+        tau = np.full((len(segs), n_bins), prior)
+        net = np.full((len(segs), n_bins - 1), prior)
+        want_tau, want_net = tau.copy(), net.copy()
+        for j, (ax, bx, t0, t1) in enumerate(segs):
+            _bin_segment(want_tau[j], want_net[j], dxb, t0, t1, ax, 0.0, bx,
+                         0.0, 1.0, 0.0)
+        ax, bx, t0, t1 = np.array(segs).T
+        _bin_segments(tau, net, dxb, t0, t1, ax, bx)
+        assert np.array_equal(tau, want_tau)
+        assert np.array_equal(net, want_net)

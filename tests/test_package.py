@@ -1,5 +1,5 @@
-"""Package hygiene: every exported name exists, and nothing in the
-package loads scipy."""
+"""Package hygiene: every exported name exists, nothing in the package
+loads scipy, and only a process pool loads multiprocessing."""
 
 import importlib
 import importlib.util
@@ -68,22 +68,34 @@ _TINY = {
     "fick-slab": ["--injections", "16"],
 }
 
-# Runs one subcommand through cli.main and prints the scipy modules loaded
-# when it has returned.
+# Imports lorentzlab.cli, runs the subcommand given after the package name
+# (if any) through cli.main, and prints the modules of that package
+# loaded when it has returned.
 _SPY = """
 import json, sys
 from lorentzlab import cli
 
-status = cli.main(sys.argv[1:])
+package, argv = sys.argv[1], sys.argv[2:]
+status = cli.main(argv) if argv else 0
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.partition(".")[0] == "scipy")))
+                        if m.partition(".")[0] == package)))
 sys.exit(status)
 """
 
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))
 def test_no_subcommand_loads_scipy(name, tmp_path):
-    out = _python(_SPY, name, *_TINY[name], "--out-dir", str(tmp_path))
+    out = _python(_SPY, "scipy", name, *_TINY[name], "--out-dir",
+                  str(tmp_path))
+    assert json.loads(out.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("name", [None, *sorted(RUNNERS)])
+def test_single_worker_run_leaves_multiprocessing_out(name, tmp_path):
+    # only a process pool needs it: not the import, and no run at 1 worker
+    argv = [] if name is None else [name, *_TINY[name], "--workers", "1",
+                                    "--out-dir", str(tmp_path)]
+    out = _python(_SPY, "multiprocessing", *argv)
     assert json.loads(out.splitlines()[-1]) == []
 
 
