@@ -28,25 +28,21 @@ The backward flow is velocity reversal (the dynamics is time
 reversible); this is asserted by the time-reversal tests rather than
 implemented as a separate integrator.
 
-One engine, ``_Engine``, runs every trajectory on plain floats.  Its
-event loop, ``_Engine.walk``, asks for the two field queries (the first
-disk hit along a ray, the disk containing a point) instead of making
-them.  ``_Engine.run`` answers them one at a time with ``_first_hit``
-and ``_find_containing_disk``, the scalar oracle.  The mechanical
-ensemble workers run their trajectories in lockstep (``_lockstep``) and
-answer the queries of many at once with ``_FieldBatch``, bit for bit
-the same: it takes the cells each query needs, for a whole chunk's
-fields, from one ``cells`` call of their layout field, Poisson or
-planted.  The slab's hard-disk walk keeps its state in arrays instead
-of generators (``macroscale._run_chunks``) and takes ``_FieldBatch``'s
-answers as arrays.  ``advance`` is the logged library entry:
-``ParticleState`` in, state and log out.
+``_Engine`` runs one trajectory on plain floats, one field query at a
+time (``_first_hit``, ``_find_containing_disk``); ``advance`` is its
+logged library entry.  The ensembles run their trajectories as one
+array-state walk on the same rules in the same order of operations:
+``_resume`` starts a run and ``_flights`` moves every live walk on by
+one flight, with the queries of all of them answered at once by
+``_FieldBatch``, bit for bit what the scalar search answers on each
+walk's own field.  The slab's hard disks are the n = 0 case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -67,9 +63,9 @@ MAX_EVENTS = 10**6
 _PUSH = 1e-12
 _TANGENT_TOL = 1e-12
 
-# the two field queries of _Engine.walk
-HIT_QUERY = "hit"
-INSIDE_QUERY = "inside"
+# walks live at once in an array-state walk, at most (the slab's and
+# the mechanical ensembles'): it bounds a step's working set
+_LIVE_WALKS = 1024
 
 BARRIER_TRAVERSE = "barrier_traverse"
 TOTAL_REFLECT = "total_reflect"
@@ -125,20 +121,10 @@ class PathologyReport:
 def _bound_cross(x: float, ux: float, s_len: float, lo: float, hi: float):
     """First crossing of x-coordinate with lo/hi within s in (0, s_len]."""
     best = None
-    if ux > 0.0:
-        s = (hi - x) / ux
-        if 0.0 < s <= s_len:
-            best = (s, "right")
-        s = (lo - x) / ux
+    for wall, side in ((lo, "left"), (hi, "right")) if ux else ():
+        s = (wall - x) / ux
         if 0.0 < s <= s_len and (best is None or s < best[0]):
-            best = (s, "left")
-    elif ux < 0.0:
-        s = (lo - x) / ux
-        if 0.0 < s <= s_len:
-            best = (s, "left")
-        s = (hi - x) / ux
-        if 0.0 < s <= s_len and (best is None or s < best[0]):
-            best = (s, "right")
+            best = (s, side)
     return best
 
 
@@ -215,8 +201,8 @@ _BATCH_CELLS = 1 << 12
 
 
 class _FieldBatch:
-    """Answers ``_Engine.walk``'s field queries for many fields of one
-    layout at once, bit for bit what ``_first_hit`` and
+    """Answers the field queries of many walks, each in its own field of
+    one layout, at once: bit for bit what ``_first_hit`` and
     ``_find_containing_disk`` answer one at a time.
 
     The fields share every parameter of ``field`` but the seed: row j's
@@ -231,30 +217,10 @@ class _FieldBatch:
         self.field = field
         self.keys = keys
 
-    def answer(self, queries: dict) -> dict:
-        """The answer to each of ``queries``, keyed like them by row: the
-        dict form of ``_first_hits`` and ``_containing``, for
-        ``_lockstep``."""
-        out = {}
-        for kind in (HIT_QUERY, INSIDE_QUERY):
-            rows = [j for j, q in queries.items() if q[0] == kind]
-            if not rows:
-                continue
-            cols = np.array([queries[j][1:] for j in rows]).T
-            if kind == HIT_QUERY:
-                s, cx, cy = self._first_hits(np.array(rows), *cols).tolist()
-                out.update((j, None if math.isnan(a) else (a, (b, c)))
-                           for j, a, b, c in zip(rows, s, cx, cy))
-            else:
-                cx, cy = self._containing(np.array(rows), *cols).tolist()
-                out.update((j, None if math.isnan(b) else (b, c))
-                           for j, b, c in zip(rows, cx, cy))
-        return out
-
     def _candidates(self, rows, ix0, ix1, iy0, iy1):
         """Every center of cells ix0..ix1 x iy0..iy1 of each query's field,
-        in the scalar scan order (ix, then iy, then order in the cell):
-        (query of each center, cx, cy)."""
+        the field of row rows[q] for query q, in the scalar scan order (ix,
+        then iy, then order in the cell): (query of each center, cx, cy)."""
         ny = iy1 - iy0 + 1
         n_cells = (ix1 - ix0 + 1) * ny
         q = np.repeat(np.arange(len(rows)), n_cells)
@@ -275,15 +241,15 @@ class _FieldBatch:
         best[q] = order[at]
         return best
 
-    def _first_hits(self, rows, x, y, ux, uy, s_max):
+    def _first_hits(self, x, y, ux, uy, s_max):
         """``_first_hit`` for many rays: window by window, over the same
         bounding-box cells, with its disk test in its order of
         operations; a ray stops at its first window with a hit.
         Returns the arrays (s, cx, cy) of the hits, NaN for a miss."""
         r, cs = self.field.epsilon, self.field.cell_size
         r2 = r * r
-        out = np.full((3, len(rows)), np.nan)
-        s0 = np.zeros(len(rows))
+        out = np.full((3, len(x)), np.nan)
+        s0 = np.zeros(len(x))
         todo = np.flatnonzero(s0 < s_max)
         while todo.size:
             s1 = np.minimum(s0[todo] + self.field.march_window, s_max[todo])
@@ -298,7 +264,7 @@ class _FieldBatch:
             starts = np.cumsum(n_cells) - n_cells
             for part in np.split(np.arange(todo.size), np.flatnonzero(
                     np.diff(starts // _BATCH_CELLS)) + 1):
-                p, cx, cy = self._candidates(rows[todo[part]],
+                p, cx, cy = self._candidates(todo[part],
                                              *(b[part] for b in box))
                 p = part[p]
                 wx, wy = cx - xt[p], cy - yt[p]
@@ -320,7 +286,7 @@ class _FieldBatch:
             todo = todo[~found & (s1 < s_max[todo])]
         return out
 
-    def _containing(self, rows, x, y):
+    def _containing(self, x, y):
         """``_find_containing_disk`` for many points: the nearest center
         within r over the 3 x 3 cells around each.  Returns the arrays
         (cx, cy) of the centers, NaN where there is none."""
@@ -328,14 +294,15 @@ class _FieldBatch:
         r2 = r * r
         ix = np.floor(x / cs).astype(np.int64)[:, None] + _AROUND_X
         iy = np.floor(y / cs).astype(np.int64)[:, None] + _AROUND_Y
-        p, cx, cy = self._candidates(np.repeat(rows, 9), ix.ravel(),
+        p, cx, cy = self._candidates(np.repeat(np.arange(len(x)), 9),
+                                     ix.ravel(),
                                      ix.ravel(), iy.ravel(), iy.ravel())
         p //= 9
         dx, dy = cx - x[p], cy - y[p]
         d2 = dx * dx + dy * dy
         c = np.flatnonzero(d2 < r2)
-        best = self._earliest(p[c], d2[c], len(rows))
-        out = np.full((2, len(rows)), np.nan)
+        best = self._earliest(p[c], d2[c], len(x))
+        out = np.full((2, len(x)), np.nan)
         i = np.flatnonzero(best >= 0)
         out[:, i] = cx[c[best[i]]], cy[c[best[i]]]
         return out
@@ -346,54 +313,171 @@ _AROUND_X = np.repeat(np.arange(-1, 2), 3)
 _AROUND_Y = np.tile(np.arange(-1, 2), 3)
 
 
-def _lockstep(programs, answer):
-    """Run generators that yield ``_Engine.walk`` queries together.
+def _each(f, *cols):
+    """``f`` element by element on Python floats, where numpy's own form
+    (``hypot``, ``cos``, ``sin``, ``arctan2``, ``** 2``) can differ from
+    ``math``'s in the last bit."""
+    return np.fromiter(map(f, *(c.tolist() for c in cols)), float,
+                       len(cols[0]))
 
-    Each step collects every live program's pending query, answers them
-    all with one ``answer(queries)`` call (a dict by program index in,
-    one out), and resumes each program with its answer.  Returns each
-    program's return value, in order.
+
+def _chords(x, y, dx, dy, v_int, length, t, t_max):
+    """``_Engine._chord`` for arrays: (stop, x, y, t) at the chord's end,
+    or at t_max where the time runs out first."""
+    transit = length / v_int
+    stop = transit > t_max - t
+    s = np.where(stop, (t_max - t) * v_int, length)
+    return stop, x + s * dx, y + s * dy, np.where(stop, t_max, t + transit)
+
+
+def _resume(batch, F, t_max, n, log=None):
+    """The start of ``_Engine.run`` for each walk of F (see ``_flights``)
+    through barriers of index n: a walk inside a disk (asked only when
+    n > 0) first finishes its chord out as ``_Engine._escape`` does, and
+    each walk's speed is set."""
+    r = batch.field.epsilon
+    if log is not None:
+        log.path(np.arange(len(F)), 0.0, F[:, 0], F[:, 1])
+    if n > 0.0:
+        cx, cy = batch._containing(F[:, 0], F[:, 1])
+        e = np.flatnonzero(~np.isnan(cx))
+        (x, y, vx, vy, _, t), cx, cy = F[e].T, cx[e], cy[e]
+        v_int = _each(math.hypot, vx, vy)
+        ux, uy = vx / v_int, vy / v_int
+        wx, wy = x - cx, y - cy
+        b = -(wx * ux + wy * uy)
+        disc = b * b - (wx * wx + wy * wy - r * r)
+        stop, xo, yo, t1 = _chords(x, y, ux, uy, v_int,
+                                   b + np.sqrt(np.maximum(0.0, disc)), t,
+                                   t_max[e])
+        mx, my = (xo - cx) / r, (yo - cy) / r
+        c1 = ux * mx + uy * my
+        sx, sy = n * (ux - c1 * mx), n * (uy - c1 * my)
+        c2 = np.sqrt(np.maximum(0.0, 1.0 - (sx * sx + sy * sy)))
+        ex, ey = sx + c2 * mx, sy + c2 * my
+        out = np.where(stop, [xo, yo, vx, vy], [
+            xo + _PUSH * ex, yo + _PUSH * ey, v_int / n * ex, v_int / n * ey])
+        F[e, :4], F[e, 5] = out.T, t1
+        if log is not None:
+            log.path(e, t1, xo, yo)
+            log.path(e[~stop], t1[~stop], *out[:2, ~stop])
+    F[:, 4] = _each(math.hypot, F[:, 2], F[:, 3])
+
+
+def _flights(batch, F, ev, t_max, n, log=None, walls=None):
+    """One flight of ``_Engine.run`` for each walk of the array state F,
+    by its rules in its order of operations.  F's rows, updated in
+    place, are (x, y, vx, vy, speed = hypot(vx, vy), t) of walks through
+    disks of index n (0: all reflect), walk j in the field keyed by
+    batch.keys[j], until t_max (one, or one per walk); ``ev`` counts
+    their events against MAX_EVENTS.  ``walls`` (lo, hi) bound a slab of
+    hard disks; ``log`` is an ``_ArrayLog``.  Returns (t, t1, x, x1, end,
+    left): each flight's segment in x, which walks have ended their run,
+    and which of those left the slab.
     """
-    results = [None] * len(programs)
-    queries = {}
-    for j, prog in enumerate(programs):
-        try:
-            queries[j] = next(prog)
-        except StopIteration as done:
-            results[j] = done.value
-    while queries:
-        for j, a in answer(queries).items():
-            try:
-                queries[j] = programs[j].send(a)
-            except StopIteration as done:
-                results[j] = done.value
-                del queries[j]
-    return results
+    x, y, vx, vy, speed, t = F.T.copy()
+    t_max = np.broadcast_to(t_max, t.shape)
+    r = batch.field.epsilon
+    ux, uy = vx / speed, vy / speed
+    s_budget = speed * (t_max - t)
+    s_wall = np.full(len(F), np.inf)
+    if walls is not None:  # _bound_cross: the nearer wall within budget
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s_w in ((walls[1] - x) / ux, (walls[0] - x) / ux):
+                s_wall = np.minimum(s_wall, np.where(
+                    (0.0 < s_w) & (s_w <= s_budget), s_w, np.inf))
+    # a disk behind the wall is never reached: search up to the wall
+    s_hit, cx, cy = batch._first_hits(x, y, ux, uy,
+                                      np.minimum(s_wall, s_budget))
+    left = (s_wall < np.inf) & ~(s_hit < s_wall)  # a tie goes to the wall
+    hit = ~left & ~np.isnan(s_hit)
+    s = np.where(left, s_wall, np.where(hit, s_hit, s_budget))
+    x1, y1 = x + s * ux, y + s * uy
+    t1 = np.where(left | hit, t + s / speed, t_max)
+    F[:, 0], F[:, 1], F[:, 5] = x1, y1, t1
+    h = np.flatnonzero(hit)
+    ev[h] += 1
+    if h.size and ev[h].max() > MAX_EVENTS:
+        j = h[np.argmax(ev[h])]
+        raise StuckParticleError(
+            f"{ev[j]} events before reaching t = {t_max[j]}")
+
+    xe, ye, te, vx, vy, speed, ux, uy, cx, cy = (v[h] for v in (
+        x1, y1, t1, vx, vy, speed, ux, uy, cx, cy))
+    rho = np.clip(((cx - xe) * uy - (cy - ye) * ux) / r, -1.0, 1.0)
+    refl = (n == 0.0) | (np.abs(rho) > n)
+    if log is not None:
+        log.path(np.arange(len(F)), t1, x1, y1)
+        log.event(h, te, cx, cy, rho, ~refl)
+    a, b = np.flatnonzero(refl), np.flatnonzero(~refl)
+    ox, oy = xe[a] - cx[a], ye[a] - cy[a]
+    onorm = _each(math.hypot, ox, oy)
+    ox, oy = ox / onorm, oy / onorm
+    d = 2.0 * (ox * vx[a] + oy * vy[a])
+    wx, wy = vx[a] - d * ox, vy[a] - d * oy
+    sp = _each(math.hypot, wx, wy)
+    xa, ya = xe[a] + _PUSH * wx / sp, ye[a] + _PUSH * wy / sp
+    F[h[a]] = np.column_stack([xa, ya, wx, wy, sp, te[a]])
+    if log is not None:
+        log.path(h[a], te[a], xa, ya)
+    if walls is not None:
+        # off a disk that straddles a wall, the push can carry the walk
+        # out through the wall: it has left the slab
+        left[h[a]] = ((xa < walls[0]) & (wx < 0.0)) | ((xa > walls[1])
+                                                       & (wx > 0.0))
+    if b.size:
+        # refracted traversal: the interior chord bends by half the
+        # deflection at entry and the other half at exit
+        theta = _each(partial(deflection_angle, n=n), rho[b])
+        ch, sh = _each(math.cos, 0.5 * theta), _each(math.sin, 0.5 * theta)
+        dx, dy = ch * ux[b] - sh * uy[b], sh * ux[b] + ch * uy[b]
+        q = _each(pow, np.abs(rho[b]) / n, np.full(b.size, 2.0))
+        v_int = n * speed[b]
+        stop, xo, yo, t2 = _chords(
+            xe[b], ye[b], dx, dy, v_int,
+            2.0 * r * np.sqrt(np.maximum(0.0, 1.0 - q)), te[b], t_max[h[b]])
+        c2, s2 = _each(math.cos, theta), _each(math.sin, theta)
+        wx, wy = c2 * vx[b] - s2 * vy[b], s2 * vx[b] + c2 * vy[b]
+        xb, yb = xo + _PUSH * wx / speed[b], yo + _PUSH * wy / speed[b]
+        # a walk stopped mid-chord keeps its interior velocity
+        F[h[b]] = np.where(stop[:, None], np.column_stack([
+            xo, yo, v_int * dx, v_int * dy, speed[b], t2]), np.column_stack(
+            [xb, yb, wx, wy, _each(math.hypot, wx, wy), t2]))
+        if log is not None:
+            log.path(h[b], t2, xo, yo)
+            log.path(h[b][~stop], t2[~stop], xb[~stop], yb[~stop])
+    end = ~hit
+    end[h] = left[h] | ~(F[h, 5] < t_max[h])
+    return t, t1, x, x1, end, left
 
 
-def _search(field, query):
-    """The scalar answer to one ``_Engine.walk`` query on ``field``."""
-    if query[0] == HIT_QUERY:
-        return _first_hit(field, *query[1:5], field.epsilon, query[5])
-    return _find_containing_disk(field, query[1], query[2], field.epsilon)
+class _ArrayLog:
+    """The ``TrajectoryLog``s of walks 0..n-1 of an array walk through
+    barriers, filled in the order ``_Engine.run`` fills them.  ``ids``
+    gives the walk of each row of the state the next ``_resume`` or
+    ``_flights`` call is given; the caller sets it."""
 
+    def __init__(self, n):
+        self.ids, self.logs = None, [TrajectoryLog() for _ in range(n)]
 
-def _exit_refract(ux, uy, mx, my, n):
-    """Interior direction (ux,uy) leaving through outward normal (mx,my)."""
-    # tangential sine scales by n on the way out; n < 1 so it never traps
-    c1 = ux * mx + uy * my
-    tx, ty = ux - c1 * mx, uy - c1 * my
-    sx, sy = n * tx, n * ty
-    c2 = math.sqrt(max(0.0, 1.0 - (sx * sx + sy * sy)))
-    return sx + c2 * mx, sy + c2 * my
+    def path(self, rows, *txy):
+        for j, t, x, y in zip(self.ids[rows].tolist(), *(
+                np.broadcast_to(c, rows.shape).tolist() for c in txy)):
+            self.logs[j].path.append((t, (x, y)))
+
+    def event(self, rows, *cols):  # t, cx, cy, rho, traversed
+        for j, t, cx, cy, rho, tr in zip(self.ids[rows].tolist(),
+                                         *(c.tolist() for c in cols)):
+            self.logs[j].events.append(TrajectoryEvent(
+                t, (cx, cy), rho, BARRIER_TRAVERSE if tr else TOTAL_REFLECT))
 
 
 class _Engine:
-    """One trajectory through one field; ``params=None`` means hard disks.
-    ``events`` counts the boundary events of the latest ``run``."""
+    """One trajectory through one field; ``params=None`` means hard disks,
+    the only disks ``x_bounds`` (a slab's walls) are for."""
 
     __slots__ = ("field", "hard", "radius", "n_index", "log", "on_segment",
-                 "x_bounds", "events")
+                 "x_bounds")
 
     def __init__(self, field, params: BarrierParams | None,
                  log: TrajectoryLog | None = None, on_segment=None,
@@ -411,33 +495,16 @@ class _Engine:
 
     def run(self, x, y, vx, vy, t_max):
         """Returns (x, y, vx, vy, t_elapsed, exit_side)."""
-        walk = self.walk(x, y, vx, vy, t_max)
-        answer = None
-        while True:
-            try:
-                query = walk.send(answer)
-            except StopIteration as done:
-                return done.value
-            answer = _search(self.field, query)
-
-    def walk(self, x, y, vx, vy, t_max):
-        """``run`` as a generator that asks for its field queries.
-
-        Yields ``(INSIDE_QUERY, x, y)``, to be answered with
-        ``_find_containing_disk``'s result, and ``(HIT_QUERY, x, y, ux,
-        uy, s_max)``, to be answered with ``_first_hit``'s; the radius is
-        the engine's.  Returns what ``run`` returns.
-        """
         log = self.log
         bounds = self.x_bounds
         r = self.radius
         t = 0.0
-        self.events = 0
+        events = 0
         if log is not None:
             log.path.append((0.0, (x, y)))
 
         if self.hard or self.n_index > 0.0:
-            inside = yield (INSIDE_QUERY, x, y)
+            inside = _find_containing_disk(self.field, x, y, r)
             if inside is not None:
                 if self.hard:
                     # no trajectory from outside reaches a hard disk's interior
@@ -458,8 +525,8 @@ class _Engine:
             if bounds is not None:
                 bc = _bound_cross(x, ux, s_budget, bounds[0], bounds[1])
             # a disk behind the wall is never reached: search up to the wall
-            hit = yield (HIT_QUERY, x, y, ux, uy,
-                         s_budget if bc is None else bc[0])
+            hit = _first_hit(self.field, x, y, ux, uy, r,
+                             s_budget if bc is None else bc[0])
             if bc is not None and (hit is None or bc[0] <= hit[0]):
                 s_b, side = bc
                 t1 = t + s_b / speed
@@ -471,10 +538,10 @@ class _Engine:
                 self._segment(t, t_max, x, y, x1, y1, vx, vy)
                 return x1, y1, vx, vy, t_max, None
 
-            self.events += 1
-            if self.events > MAX_EVENTS:
+            events += 1
+            if events > MAX_EVENTS:
                 raise StuckParticleError(
-                    f"{self.events} events before reaching t = {t_max}"
+                    f"{events} events before reaching t = {t_max}"
                 )
 
             s_in, (cx, cy) = hit
@@ -546,8 +613,13 @@ class _Engine:
                                        t, t_max)
         if stop is not None:
             return stop
+        # out through the outward normal m: the tangential sine scales
+        # by n on the way out (n < 1, so it never traps)
         mx, my = (xo - cx) / r, (yo - cy) / r
-        ex, ey = _exit_refract(ux, uy, mx, my, self.n_index)
+        c1 = ux * mx + uy * my
+        sx, sy = self.n_index * (ux - c1 * mx), self.n_index * (uy - c1 * my)
+        c2 = math.sqrt(max(0.0, 1.0 - (sx * sx + sy * sy)))
+        ex, ey = sx + c2 * mx, sy + c2 * my
         speed_out = v_int / self.n_index
         vx, vy = speed_out * ex, speed_out * ey
         xo, yo = xo + _PUSH * ex, yo + _PUSH * ey
@@ -562,7 +634,7 @@ class _Engine:
         Returns (stop, x_out, y_out, t_out): the chord's end point and
         time, or ``stop``, the run's final result, when the time budget
         runs out mid-chord (the particle stays inside with its interior
-        velocity) or the chord crosses a slab wall.
+        velocity).
         """
         transit = length / v_int
         if transit > t_max - t:
@@ -570,14 +642,6 @@ class _Engine:
             x1, y1 = x + s_part * dx, y + s_part * dy
             self._segment(t, t_max, x, y, x1, y1, vx, vy)
             return (x1, y1, vx, vy, t_max, None), None, None, None
-        if self.x_bounds is not None:
-            bc = _bound_cross(x, dx, length, self.x_bounds[0], self.x_bounds[1])
-            if bc is not None:
-                s_b, side = bc
-                tb = t + s_b / v_int
-                xb, yb = x + s_b * dx, y + s_b * dy
-                self._segment(t, tb, x, y, xb, yb, vx, vy)
-                return (xb, yb, vx, vy, tb, side), None, None, None
         xo, yo = x + length * dx, y + length * dy
         t1 = t + transit
         self._segment(t, t1, x, y, xo, yo, vx, vy)

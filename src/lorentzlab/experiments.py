@@ -7,9 +7,10 @@ are keyed by (seed, item index), or by (seed, chunk index) for the
 Landau ensemble, and chunk results are folded in index order, so
 rerunning with any worker count reproduces the output byte for byte.
 
-The mechanical workers advance a chunk's trajectories in lockstep: each
-is a suspended ``_Engine.walk``, and every step answers all their field
-queries together, each answer the one its own field gives.
+Each mechanical worker runs its range of trajectories as one
+array-state walk (``_mech_chunk``) on the flight kernel the slab shares,
+each trajectory with the result the scalar ``_Engine.run`` gives it in
+its own field, so a worker takes one contiguous range and no chunk fold.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, parse_decade_ladder, parse_float_list
-from .dynamics import (TrajectoryLog, _Engine, _FieldBatch, _lockstep,
+from . import dynamics
+from .dynamics import (_ArrayLog, _FieldBatch, _each, _flights, _resume,
                        classify_pathologies)
 from .kinetic import (JumpProcessParams, _jump_blocks, _landau_vacf_msd,
                       green_kubo_D, landau_B_quadrature)
 from .macroscale import (HeatProblem, SlabSpec, simulate_slab_stationary,
                          solve_heat)
 from .medium import FieldSpec, ScattererField, member_keys
-from .parallel import run_ensemble
+from .parallel import run_ensemble, run_pool
 from .rng import mix_key, rng_stream
 from .scattering import BarrierParams, scattering_angle
 from .stats import (angle_histogram, chi_square_uniform, linear_fit, msd_curve,
@@ -62,61 +64,78 @@ def _barrier_field(eps, alpha, mu, seed, tag, i):
     return ScattererField(spec)
 
 
-def _trajectory(eng, x0, y0, phi0, speed, checks):
-    """One trajectory through the checkpoint times, one ``walk`` per
-    checkpoint; returns (final angle, displacements, final position,
-    events summed over the checkpoints)."""
-    x, y, vx, vy = x0, y0, speed * math.cos(phi0), speed * math.sin(phi0)
-    prev, disp, events = 0.0, [], 0
-    for tc in checks:
-        x, y, vx, vy, _, _ = yield from eng.walk(x, y, vx, vy, tc - prev)
-        prev = tc
-        disp.append((x - x0, y - y0))
-        events += eng.events
-    return math.atan2(vy, vx), disp, (x, y), events
+def _mech_chunk(payload, log=None):
+    """Final velocity angles, displacements from x0 at each checkpoint,
+    final positions and events summed over the checkpoints of mechanical
+    trajectories i0..i1-1.
 
-
-def _lockstep_chunk(payload, logs=False):
-    """Mechanical trajectories i0..i1 from x0 through the checkpoint
-    times, advanced in lockstep; returns (field, engines, results), each
-    result a ``_trajectory`` return value.
-
-    Stream layout per trajectory i: for a uniform initial angle,
-    rng_stream(seed, i) draws the angle and then, if sigma0 > 0, the
-    Gaussian start point; a delta start (angle 0 at the origin) builds
-    no stream.  The field realization is keyed by (seed, tag, i): its
-    cells are generated and searched for the whole chunk at once
-    (``_FieldBatch``), and ``field``, trajectory i0's, stands for the
-    others' shared parameters.  ``logs`` gives each engine a log.
+    For a uniform initial angle, rng_stream(seed, i) draws trajectory
+    i's angle and then, if sigma0 > 0, its Gaussian start point; a delta
+    start (angle 0 at the origin) builds no stream.  Its field is keyed
+    by (seed, tag, i).  At most ``dynamics._LIVE_WALKS`` walk at once,
+    the next entering as one ends; each checkpoint is a time slice that
+    starts on its own clock, as a new ``_Engine.run`` from where the last
+    stopped (``_resume``, then ``_flights`` per flight).  ``log`` (an
+    ``_ArrayLog``) records trajectory i as walk i - i0.
     """
     (eps, alpha, mu, speed, checks, seed, tag, initial, sigma0,
      i0, i1) = payload
-    params = BarrierParams(epsilon=eps, alpha=alpha, speed=speed)
+    n = BarrierParams(epsilon=eps, alpha=alpha, speed=speed).n_index
     field = _barrier_field(eps, alpha, mu, seed, tag, i0)
     keys = member_keys(mix_key(seed, tag), i0, i1)
-    engines, programs = [], []
-    for i in range(i0, i1):
-        phi0, x0, y0 = 0.0, 0.0, 0.0
-        if initial == "uniform":
-            rng = rng_stream(seed, i)
-            phi0 = rng.random() * 2.0 * math.pi
-            if sigma0 > 0:
-                x0, y0 = (rng.standard_normal(2) * sigma0).tolist()
-        eng = _Engine(field, params, log=TrajectoryLog() if logs else None)
-        engines.append(eng)
-        programs.append(_trajectory(eng, x0, y0, phi0, speed, checks))
-    return field, engines, _lockstep(programs,
-                                     _FieldBatch(field, keys).answer)
+    spans = np.diff(checks, prepend=0.0)  # each slice's t_max
+    m, n_checks = i1 - i0, len(checks)
+    phi0, start = np.zeros(m), np.zeros((m, 4))
+    for j in range(m) if initial == "uniform" else ():
+        rng = rng_stream(seed, i0 + j)
+        phi0[j] = rng.random() * 2.0 * math.pi
+        if sigma0 > 0:
+            start[j, :2] = rng.standard_normal(2) * sigma0
+    start[:, 2] = speed * _each(math.cos, phi0)
+    start[:, 3] = speed * _each(math.sin, phi0)
+    disp, final = np.zeros((m, n_checks, 2)), np.zeros((m, 4))
+    events = np.zeros(m, dtype=np.int64)
+    # live walks: (x, y, vx, vy, speed, t), and (trajectory, checkpoint,
+    # events in the slice, whether the slice is to start)
+    F, I, nxt = np.zeros((0, 6)), np.zeros((0, 4), np.int64), 0
 
+    def step(kernel, rows, *args):
+        # kernel on the live walks ``rows``, in place
+        if log is not None:
+            log.ids = I[rows, 0]
+        G = F[rows]
+        out = kernel(_FieldBatch(field, keys[I[rows, 0]]), G, *args, log=log)
+        F[rows] = G
+        return out
 
-def _mech_chunk(payload):
-    """Per trajectory of ``_lockstep_chunk``: the final velocity angle,
-    the displacement from x0 at each checkpoint, the final position and
-    the event count summed over checkpoints."""
-    _, _, results = _lockstep_chunk(payload)
-    ang, disp, pos, n_events = zip(*results)
-    return (np.array(ang), np.array(disp), np.array(pos),
-            np.array(n_events, dtype=np.int64))
+    while nxt < m or len(F):
+        new = np.arange(nxt, min(m, nxt + dynamics._LIVE_WALKS - len(F)))
+        nxt += len(new)
+        F = np.concatenate([F, np.column_stack([start[new],
+                                                np.zeros((len(new), 2))])])
+        I = np.concatenate([I, np.column_stack([
+            new, np.zeros((len(new), 2), np.int64), np.ones_like(new)])])
+        j, t_max = I[:, 0], spans[I[:, 1]]
+        rows = np.flatnonzero(I[:, 3])
+        if rows.size:
+            step(_resume, rows, t_max[rows], n)
+        end = ~(F[:, 5] < t_max)
+        rows = np.flatnonzero(~end)
+        if rows.size:
+            ev = I[rows, 2]
+            end[rows] = step(_flights, rows, ev, t_max[rows], n)[4]
+            I[rows, 2] = ev
+        # the slices that ended: their checkpoint, then the next slice
+        e = np.flatnonzero(end)
+        je, ce = j[e], I[e, 1]
+        disp[je, ce] = F[e, :2] - start[je, :2]
+        events[je] += I[e, 2]
+        final[je] = F[e, :4]
+        I[e, 1] += 1
+        I[e, 2], F[e, 5], I[:, 3] = 0, 0.0, end
+        F, I = F[I[:, 1] < n_checks], I[I[:, 1] < n_checks]
+    return (_each(math.atan2, final[:, 3], final[:, 2]), disp, final[:, :2],
+            events)
 
 
 def _jump_final_chunk(payload):
@@ -138,29 +157,35 @@ def _jump_final_chunk(payload):
 
 def _pathology_chunk(payload):
     """Pathology counts (recollisions, interferences, overlaps,
-    collisions) of each logged ``_lockstep_chunk`` trajectory."""
-    field, engines, _ = _lockstep_chunk(payload, logs=True)
-    out = np.empty((len(engines), 4), dtype=np.int64)
-    for j, eng in enumerate(engines):
-        rep = classify_pathologies(eng.log, field)
+    collisions) of each ``_mech_chunk`` trajectory, from its log."""
+    eps, alpha, mu, _, _, seed, tag, *_, i0, i1 = payload
+    log = _ArrayLog(i1 - i0)
+    _mech_chunk(payload, log)
+    field = _barrier_field(eps, alpha, mu, seed, tag, i0)
+    out = np.empty((i1 - i0, 4), dtype=np.int64)
+    for j, lg in enumerate(log.logs):
+        rep = classify_pathologies(lg, field)
         out[j] = (rep.recollisions, rep.interferences, rep.overlaps,
                   rep.q_collisions)
     return (out,)
 
 
-def _ensemble(fn, head: tuple, n: int, workers: int) -> tuple:
-    """Run chunk worker ``fn`` over items 0..n-1 in CHUNK-sized index
+def _ensemble(fn, head: tuple, n: int, workers: int,
+              chunk: int = CHUNK) -> tuple:
+    """Run chunk worker ``fn`` over items 0..n-1 in ``chunk``-sized index
     ranges and concatenate each of its outputs in chunk order."""
-    parts = run_ensemble(fn, head, n, CHUNK, workers)
+    parts = run_ensemble(fn, head, n, chunk, workers)
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
 def _mech_ensemble(cfg, eps, n, checks, tag, initial="delta", sigma0=0.0,
                   worker=_mech_chunk):
-    """``worker``'s outputs for n trajectories in cfg's barrier medium."""
+    """``worker``'s outputs for n trajectories in cfg's barrier medium;
+    each worker takes one range of whole CHUNKs."""
+    workers = cfg["workers"]
     return _ensemble(worker, (eps, cfg["alpha"], cfg["mu"], cfg["speed"],
                               checks, cfg["seed"], tag, initial, sigma0),
-                     n, cfg["workers"])
+                     n, workers, CHUNK * -(-n // (CHUNK * max(workers, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +509,8 @@ RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
-    report = RUNNERS[cfg.experiment](cfg)
+    with run_pool(cfg["workers"]):  # one process pool for the whole run
+        report = RUNNERS[cfg.experiment](cfg)
     report.duration_s = time.perf_counter() - t0
     return report
 

@@ -15,10 +15,11 @@ rationale for why it converges.
 Each injection runs in its own member of the slab's Poisson ensemble,
 keyed by its index (``medium.member_keys``).  A worker's injections run
 as one array-state hard-disk walk on one layout field (``_run_chunks``):
-at most SLAB_CHUNK walks are live, and the next injection enters as one
-ends.  Each step answers every live walk's first-hit query with one
-``_FieldBatch`` pass over the cells they need and moves every walk on
-by one flight in numpy.  The scalar ``_run_injection`` is its oracle.
+at most ``dynamics._LIVE_WALKS`` walks are live, and the next injection
+enters as one ends.  Each step moves every live walk on by one flight
+with ``dynamics._flights``, the kernel the mechanical ensembles share,
+for hard disks the case n = 0.  The scalar ``_run_injection`` is its
+oracle.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from functools import partial
 import numpy as np
 
 from . import dynamics
-from .dynamics import (_PUSH, StuckParticleError, _Engine, _FieldBatch,
-                       _find_containing_disk)
+from .dynamics import (_Engine, _FieldBatch, _each, _find_containing_disk,
+                       _flights)
 from .medium import FieldSpec, ScattererField, member_keys
 from .parallel import run_ensemble
 from .rng import mix_key, philox_uniforms
@@ -239,12 +240,6 @@ def _run_injection(field, slab, x0, y0, vx, vy, n_bins, t_max):
     return tau, net, side is None
 
 
-def _hypot(a, b):
-    """``math.hypot`` element by element: numpy's ``hypot`` can differ
-    from it in the last bit."""
-    return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), float)
-
-
 def _ranges(lo, hi):
     """(i, k) for every integer k in lo[i]..hi[i], i in order."""
     n = np.maximum(hi - lo + 1, 0)
@@ -278,9 +273,9 @@ def _run_chunks(slab, field, chunks, n_bins, t_max):
     of its injections have ended: ``chunks`` yields (keys, starts) of
     consecutive injections, and row j of a chunk equals ``_run_injection``
     from starts[j] in the field of ``field``'s layout keyed by keys[j].
-    They run as one array-state hard-disk walk of at most SLAB_CHUNK live
-    walks, by ``_Engine.walk``'s rules in its order of operations; the
-    next injections enter as walks end."""
+    They run as one array-state hard-disk walk of at most
+    ``dynamics._LIVE_WALKS`` live walks (``_flights``); the next
+    injections enter as walks end."""
     L = slab.L
     dxb = L / n_bins
     chunks = iter(chunks)
@@ -307,7 +302,7 @@ def _run_chunks(slab, field, chunks, n_bins, t_max):
             chunk[2] -= int(m.sum())
 
     while True:
-        need = SLAB_CHUNK - len(live[2])
+        need = dynamics._LIVE_WALKS - len(live[2])
         while len(wait[0]) < need and (nxt := next(chunks, None)):
             k, st = nxt
             c, m = len(pending) + n_done, len(k)
@@ -317,8 +312,7 @@ def _run_chunks(slab, field, chunks, n_bins, t_max):
         (seq, row, k, st), wait = ([a[:need] for a in wait],
                                    [a[need:] for a in wait])
         if len(k):
-            cx, _ = _FieldBatch(field, k)._containing(np.arange(len(k)),
-                                                      st[:, 0], st[:, 1])
+            cx, _ = _FieldBatch(field, k)._containing(st[:, 0], st[:, 1])
             # a covered wall point: the injection never enters, and its
             # row stays 0
             free = np.isnan(cx)
@@ -326,7 +320,8 @@ def _run_chunks(slab, field, chunks, n_bins, t_max):
             settle(seq[~free], row[~free], np.zeros((n, 1)), np.zeros(n, bool))
             st, m = st[free], len(k) - n
             live = [np.concatenate(p) for p in zip(live, (
-                np.column_stack([st, _hypot(st[:, 2], st[:, 3]), np.zeros(m)]),
+                np.column_stack([st, _each(math.hypot, st[:, 2], st[:, 3]),
+                                 np.zeros(m)]),
                 np.column_stack([seq[free], row[free], np.zeros(m, np.int64)]),
                 k[free], np.zeros((m, 2 * n_bins - 1))))]
         for c in [c for c, chunk in pending.items() if chunk[2] == 0]:
@@ -339,59 +334,12 @@ def _run_chunks(slab, field, chunks, n_bins, t_max):
                 return
             continue
 
-        x, y, vx, vy, speed, t = F.T
-        ux, uy = vx / speed, vy / speed
-        s_budget = speed * (t_max - t)
-        # _bound_cross: the nearer wall crossed within the budget (which
-        # wall it is does not enter the result)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_hi, s_lo = (L - x) / ux, (0.0 - x) / ux
-        s_wall = np.minimum(
-            np.where((0.0 < s_hi) & (s_hi <= s_budget), s_hi, np.inf),
-            np.where((0.0 < s_lo) & (s_lo <= s_budget), s_lo, np.inf))
-        walled = s_wall < np.inf
-        # a disk behind the wall is never reached: search up to the wall
-        s_hit, cx, cy = _FieldBatch(field, keys)._first_hits(
-            np.arange(len(keys)), x, y, ux, uy,
-            np.where(walled, s_wall, s_budget))
-        out = walled & ~(s_hit < s_wall)  # a wall-disk tie goes to the wall
-        hit = ~out & ~np.isnan(s_hit)
-        s = np.where(out, s_wall, np.where(hit, s_hit, s_budget))
-        x1 = x + s * ux
-        t1 = np.where(out | hit, t + s / speed, t_max)
+        t, t1, x, x1, end, left = _flights(_FieldBatch(field, keys), F,
+                                            I[:, 2], t_max, 0.0,
+                                            walls=(0.0, L))
         _bin_segments(occ[:, :n_bins], occ[:, n_bins:], dxb, t, t1, x, x1)
-
-        h = np.flatnonzero(hit)
-        I[h, 2] += 1
-        if h.size and I[h, 2].max() > dynamics.MAX_EVENTS:
-            raise StuckParticleError(
-                f"{I[h, 2].max()} events before reaching t = {t_max}")
-        xe, ye, te = x1[h], y[h] + s[h] * uy[h], t1[h]
-        ox, oy = xe - cx[h], ye - cy[h]
-        onorm = _hypot(ox, oy)
-        ox, oy = ox / onorm, oy / onorm
-        vxh, vyh = vx[h], vy[h]
-        d = 2.0 * (ox * vxh + oy * vyh)
-        vxh, vyh = vxh - d * ox, vyh - d * oy
-        sp = _hypot(vxh, vyh)
-        xh, yh = xe + _PUSH * vxh / sp, ye + _PUSH * vyh / sp
-        F[h] = np.column_stack([xh, yh, vxh, vyh, sp, te])
-        # off a disk that straddles a wall, the push can carry the walk
-        # out through the wall: it has left the slab
-        left = ((xh < 0.0) & (vxh < 0.0)) | ((xh > L) & (vxh > 0.0))
-        ended, late = ~hit, ~hit & ~out
-        ended[h] = left | ~(te < t_max)
-        late[h] = ~left & ~(te < t_max)
-        settle(I[ended, 0], I[ended, 1], occ[ended], late[ended])
-        live = [a[~ended] for a in live]
-
-
-def _run_lockstep(slab, field, keys, starts, n_bins, t_max):
-    """(tau, net, timed_out) of injection j from starts[j] in the field
-    of ``field``'s layout keyed by keys[j]: row j equals
-    ``_run_injection`` on that field.  The injections are one chunk of
-    ``_run_chunks``."""
-    return next(_run_chunks(slab, field, [(keys, starts)], n_bins, t_max))[1:]
+        settle(I[end, 0], I[end, 1], occ[end], ~left[end])
+        live = [a[~end] for a in live]
 
 
 def _injection_starts(slab, seed, width, i0, i1):

@@ -4,16 +4,40 @@ Work is split into fixed-size chunks by item index; chunk results are
 returned in chunk order for the caller to fold.  Because every random
 draw is keyed by item index or chunk index (never by worker), the output
 is bit-identical at any worker count: the pool only changes who computes
-a chunk, not what it returns or the order it is folded in.
+a chunk, not what it returns or the order it is folded in.  A run opens
+one pool for all of its ensembles (``run_pool``).
 """
 
 from __future__ import annotations
 
-__all__ = ["run_chunked", "run_ensemble"]
+import contextlib
+import contextvars
+
+__all__ = ["run_chunked", "run_ensemble", "run_pool"]
+
+# [workers, pool or None] of the run_pool block being run, if any
+_POOL = contextvars.ContextVar("pool", default=None)
+
+
+@contextlib.contextmanager
+def run_pool(workers: int):
+    """Within the block, every ``run_chunked`` call at ``workers`` > 1
+    runs on one process pool, opened by the first call that needs it and
+    shut down when the block ends."""
+    run = [workers, None]
+    token = _POOL.set(run)
+    try:
+        yield run
+    finally:
+        _POOL.reset(token)
+        if run[1] is not None:
+            run[1].shutdown()
 
 
 def run_chunked(fn, payloads: list, workers: int = 1):
-    """Apply ``fn`` to each payload, in order; maybe on a process pool.
+    """Apply ``fn`` to each payload, in order; maybe on a process pool:
+    the enclosing ``run_pool``'s at the same worker count, else one of
+    its own.
 
     ``fn`` must be a picklable top-level callable (or functools.partial
     of one) when workers > 1.  Returns the list of results in payload
@@ -21,10 +45,16 @@ def run_chunked(fn, payloads: list, workers: int = 1):
     """
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    # imported here: a run without a pool does not load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads))
+    with contextlib.ExitStack() as stack:
+        run = _POOL.get()
+        if run is None or run[0] != workers:
+            run = stack.enter_context(run_pool(workers))
+        if run[1] is None:
+            # imported here: a run without a pool does not load
+            # multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            run[1] = ProcessPoolExecutor(max_workers=workers)
+        return list(run[1].map(fn, payloads))
 
 
 def run_ensemble(fn, head: tuple, n: int, chunk: int, workers: int = 1) -> list:

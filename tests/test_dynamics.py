@@ -14,12 +14,13 @@ from lorentzlab.dynamics import (
     TOTAL_REFLECT,
     BARRIER_TRAVERSE,
     HARD_REFLECT,
-    HIT_QUERY,
-    INSIDE_QUERY,
+    _ArrayLog,
     _Engine,
     _FieldBatch,
     _find_containing_disk,
     _first_hit,
+    _flights,
+    _resume,
     advance,
     backward_flow,
     classify_pathologies,
@@ -348,6 +349,18 @@ class TestHardDiskIsAlwaysReflectingBarrier:
         assert all(e.kind == TOTAL_REFLECT for e in log_b.events)
 
 
+def batch_answers(batch, x, y, ux, uy, s_max):
+    """``batch``'s first hit along each ray and disk containing each
+    start, row j in the field keyed by batch.keys[j], in the form of the
+    scalar answers: (s, (cx, cy)) or None, and (cx, cy) or None."""
+    hits = batch._first_hits(*map(np.asarray, (x, y, ux, uy, s_max)))
+    insides = batch._containing(np.asarray(x), np.asarray(y))
+    return ([None if math.isnan(s) else (s, (cx, cy))
+             for s, cx, cy in hits.T.tolist()],
+            [None if math.isnan(cx) else (cx, cy)
+             for cx, cy in insides.T.tolist()])
+
+
 class TestFieldBatch:
     """``_FieldBatch`` answers every query as ``_first_hit`` and
     ``_find_containing_disk`` answer it on the query's own field, bit for
@@ -377,9 +390,8 @@ class TestFieldBatch:
                   for s in seeds]
         keys = np.array([mix_key(s) for s in seeds], dtype=np.uint64)
         rows = [f % len(seeds) for f, *_ in rays]
-        # row j asks for a hit, row n + j for a disk containing its start
-        batch = _FieldBatch(fields[0], keys[rows + rows])
-        hits, insides = {}, {}
+        batch = _FieldBatch(fields[0], keys[rows])
+        queries = []
         for j, (f, x, y, phi, windows, at) in enumerate(rays):
             fld = fields[rows[j]]
             if at != "free":
@@ -390,17 +402,15 @@ class TestFieldBatch:
             # several windows long where a window is at most 1 (lam > 0.4),
             # part of one below, where one window holds ~(3/lam)^2 cells
             s_max = windows * min(fld.march_window, 1.0)
-            hits[j] = (HIT_QUERY, x, y, math.cos(phi), math.sin(phi), s_max)
-            insides[len(rays) + j] = (INSIDE_QUERY, x, y)
-        got = batch.answer({**hits, **insides})
+            queries.append((x, y, math.cos(phi), math.sin(phi), s_max))
+        got = batch_answers(batch, *zip(*queries))
         # a few cells per numpy pass: the queries split into many passes
         with mock.patch.object(dynamics, "_BATCH_CELLS", 5):
-            assert batch.answer({**hits, **insides}) == got
-        for j, q in hits.items():
-            assert got[j] == _first_hit(fields[rows[j]], *q[1:5], r, q[5])
-        for j, q in insides.items():
-            fld = fields[rows[j - len(rays)]]
-            assert got[j] == _find_containing_disk(fld, q[1], q[2], r)
+            assert batch_answers(batch, *zip(*queries)) == got
+        for j, q in enumerate(queries):
+            fld = fields[rows[j]]
+            assert got[0][j] == _first_hit(fld, *q[:4], r, q[4])
+            assert got[1][j] == _find_containing_disk(fld, q[0], q[1], r)
 
     R = 2.0**-5  # exact in binary, as the ties need
 
@@ -414,11 +424,84 @@ class TestFieldBatch:
             centers = [(1.0, y0 + d), (1.0, y0 - d)]
             fld = PlantedField(centers, r)
             batch = _FieldBatch(fld, np.zeros(2, dtype=np.uint64))
-            queries = {0: (HIT_QUERY, 0.0, y0, 1.0, 0.0, 2.0),
-                       1: (INSIDE_QUERY, 1.0, y0)}
-            got = batch.answer(queries)
+            (hit, _), (_, inside) = batch_answers(
+                batch, [0.0, 1.0], [y0, y0], [1.0, 1.0], [0.0, 0.0],
+                [2.0, 2.0])
             want_hit = _first_hit(fld, 0.0, y0, 1.0, 0.0, r, 2.0)
             assert want_hit[1] == centers[first]
-            assert got[0] == want_hit
-            assert got[1] == _find_containing_disk(fld, 1.0, y0, r)
-            assert got[1] == centers[first]
+            assert hit == want_hit
+            assert inside == _find_containing_disk(fld, 1.0, y0, r)
+            assert inside == centers[first]
+
+
+def array_run(field, params, starts, t_max):
+    """Runs from each start (x, y, vx, vy) for t_max (one, or one per
+    start) through ``field``, every walk in the one field, as one array
+    walk: ``_resume``, then
+    ``_flights`` until every walk has ended.  Returns the final states
+    (x, y, vx, vy, speed, t), the event counts and the logs."""
+    m, n = len(starts), params.n_index
+    F = np.column_stack([np.array(starts, dtype=float), np.zeros((m, 2))])
+    ev = np.zeros(m, dtype=np.int64)
+    t_max = np.broadcast_to(np.asarray(t_max, dtype=float), m)
+    keys = np.zeros(m, dtype=np.uint64)
+    log = _ArrayLog(m)
+    log.ids = np.arange(m)
+    _resume(_FieldBatch(field, keys), F, t_max, n, log)
+    live = np.flatnonzero(F[:, 5] < t_max)
+    while live.size:
+        log.ids = live
+        G, e = F[live], ev[live]
+        end = _flights(_FieldBatch(field, keys[live]), G, e, t_max[live], n,
+                       log)[4]
+        F[live], ev[live] = G, e
+        live = live[~end]
+    return F, ev, log.logs
+
+
+class TestArrayWalk:
+    """The array walk's kernels run each walk as ``advance`` runs it:
+    the same final state, and the same log event by event and point by
+    point."""
+
+    @pytest.mark.parametrize("params", [REFR, HARD],
+                             ids=["refractive", "always-reflecting"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_cloud_equals_advance(self, params, seed):
+        # 40 disks over a box of side 16 r: overlaps, starts inside a
+        # disk (escapes when refractive), both branches, and runs of 2 to
+        # 30 radii of travel, some of them stopping mid-chord
+        rng = np.random.default_rng(seed)
+        r, speed = params.epsilon, params.speed
+        fld = PlantedField(rng.uniform(-8 * r, 8 * r, (40, 2)).tolist(), r)
+        starts = [(x, y, speed * math.cos(phi), speed * math.sin(phi))
+                  for x, y, phi in zip(*rng.uniform(-6 * r, 6 * r, (2, 24)),
+                                       rng.uniform(0.0, 2 * math.pi, 24))]
+        t_max = (rng.uniform(2.0, 30.0, 24) * r / speed).tolist()
+        F, ev, logs = array_run(fld, params, starts, t_max)
+        for j, start in enumerate(starts):
+            out, log = advance(state(*start), fld, params, t_max[j])
+            assert F[j, :4].tolist() == [*out.x, *out.v], j
+            assert logs[j].events == log.events, j
+            assert logs[j].path == log.path, j
+            assert ev[j] == len(log.events)
+        kinds = {e.kind for lg in logs for e in lg.events}
+        assert kinds == ({TOTAL_REFLECT, BARRIER_TRAVERSE} if params is REFR
+                         else {TOTAL_REFLECT})
+
+    def test_event_just_past_t_max_ends_the_run(self):
+        # the hit lies within the budget speed * t_max, but its time
+        # s / speed rounds above t_max: the run ends at the event, with
+        # no further flight of negative length
+        params = BarrierParams(epsilon=0.04, alpha=0.5, speed=0.6)
+        assert params.always_reflects
+        t_max, center = 0.225, (0.17500000000000002, 0.0)
+        fld = PlantedField([center], params.epsilon)
+        s_in, _ = _first_hit(fld, 0.0, 0.0, 1.0, 0.0, params.epsilon,
+                             0.6 * t_max)
+        assert s_in / 0.6 > t_max
+        F, ev, logs = array_run(fld, params, [(0.0, 0.0, 0.6, 0.0)], t_max)
+        out, log = advance(state(0.0, 0.0, 0.6, 0.0), fld, params, t_max)
+        assert F[0, :4].tolist() == [*out.x, *out.v]
+        assert F[0, 5] > t_max and ev[0] == 1
+        assert logs[0].events == log.events and logs[0].path == log.path

@@ -9,7 +9,7 @@ import pytest
 from lorentzlab import dynamics
 from lorentzlab.config import build_config
 from lorentzlab.dynamics import (ParticleState, StuckParticleError,
-                                 _find_containing_disk, advance,
+                                 _ArrayLog, _find_containing_disk, advance,
                                  classify_pathologies)
 from lorentzlab.experiments import (_barrier_field, _jump_final_chunk,
                                     _mech_chunk, _pathology_chunk,
@@ -132,14 +132,21 @@ class TestWorkersEqualLoggedPath:
     def check_pathology_chunk(k, mu):
         eps, T = 2.0**-k, 0.5
         params = BarrierParams(epsilon=eps, alpha=0.25, speed=1.0)
-        (got,) = _pathology_chunk((eps, 0.25, mu, 1.0, (T,), 62, 5000 + k,
-                                   "delta", 0.0, 0, 30))
+        payload = (eps, 0.25, mu, 1.0, (T,), 62, 5000 + k, "delta", 0.0, 0,
+                   30)
+        (got,) = _pathology_chunk(payload)
+        # the walk's whole log, event by event and point by point, is the
+        # one advance writes
+        walk = _ArrayLog(30)
+        _mech_chunk(payload, walk)
         want = []
-        for i in range(30):
+        for i, log in enumerate(walk.logs):
             fld = _barrier_field(eps, 0.25, mu, 62, 5000 + k, i)
-            _, log = advance(ParticleState((0.0, 0.0), (1.0, 0.0)), fld,
-                             params, T)
-            rep = classify_pathologies(log, fld)
+            _, want_log = advance(ParticleState((0.0, 0.0), (1.0, 0.0)), fld,
+                                  params, T)
+            assert log.events == want_log.events, i
+            assert log.path == want_log.path, i
+            rep = classify_pathologies(want_log, fld)
             want.append((rep.recollisions, rep.interferences, rep.overlaps,
                          rep.q_collisions))
         assert np.array_equal(got, np.array(want))
@@ -154,6 +161,42 @@ class TestWorkersEqualLoggedPath:
             _mech_reference(payload)
         with pytest.raises(StuckParticleError):
             _mech_chunk(payload)
+
+    def test_stuck_particle_error_in_pathology_chunk(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_EVENTS", 3)
+        payload = (2.0**-6, 0.25, 1.0, 1.0, (0.5,), 61, 7, "delta", 0.0, 0, 8)
+        with pytest.raises(StuckParticleError):
+            _pathology_chunk(payload)
+
+    # trapped walks in a dense always-reflecting field (32 centers a
+    # cell), and Gaussian starts whose checkpoints stop mid-chord and
+    # resume through the escape
+    @pytest.mark.parametrize("k,mu,checks,sigma0", [
+        (4, 8.0, (0.05, 0.1, 0.25), 0.0),
+        (6, 1.0, (0.1, 0.2, 0.3, 0.4, 0.5), 0.3),
+    ])
+    def test_range_does_not_change_results(self, monkeypatch, k, mu, checks,
+                                           sigma0):
+        # at most 7 walks live: over one range, trajectories enter as
+        # others end, and each result is the one it gets in any sub-range
+        # and on the logged path
+        monkeypatch.setattr(dynamics, "_LIVE_WALKS", 7)
+        head = (2.0**-k, 0.25, mu, 1.0, checks, 63, 9, "uniform", sigma0)
+        whole = _mech_chunk(head + (0, 40))
+        parts = [_mech_chunk(head + r) for r in ((0, 13), (13, 14), (14, 40))]
+        *want, inside = _mech_reference(head + (0, 40))
+        for a, b, c in zip(whole, zip(*parts), want):
+            assert np.array_equal(a, np.concatenate(b))
+            assert np.array_equal(a, c)
+        (counts,) = _pathology_chunk(head + (0, 40))
+        assert np.array_equal(counts, np.concatenate(
+            [_pathology_chunk(head + r)[0] for r in ((0, 21), (21, 40))]))
+        if sigma0 > 0:
+            assert inside > 0
+        else:
+            # a walk trapped among overlapping disks outlives many others
+            # (322 events against a median of 50 here)
+            assert whole[3].max() > 5 * np.median(whole[3])
 
 
 class TestKineticCompareShortTime:

@@ -10,16 +10,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lorentzlab import dynamics, macroscale
-from lorentzlab.dynamics import (HIT_QUERY, INSIDE_QUERY, _FieldBatch,
-                                 _find_containing_disk, _first_hit)
+from lorentzlab.dynamics import (_FieldBatch, _find_containing_disk,
+                                 _first_hit)
 from lorentzlab.macroscale import (
     HeatProblem,
     SlabSpec,
     _bin_segment,
     _bin_segments,
     _injection_starts,
+    _run_chunks,
     _run_injection,
-    _run_lockstep,
     _slab_chunks,
     fick_flux,
     simulate_slab_stationary,
@@ -234,13 +234,19 @@ class TestInjectionStarts:
         assert all(type(v) is float for start in got for v in start)
 
 
-def lockstep_equals_oracle(slab, field, keys, fields, starts, n_bins,
-                           t_max):
-    """Run ``_run_lockstep`` on ``field``'s layout keyed by ``keys`` and
-    check each injection against the scalar oracle on its own field of
-    ``fields``; returns the lockstep's (tau, net, timed_out)."""
-    tau, net, timed_out = _run_lockstep(slab, field, keys, starts, n_bins,
-                                        t_max)
+def run_walk(slab, field, keys, starts, n_bins, t_max):
+    """(tau, net, timed_out) of injection j from starts[j] in the field of
+    ``field``'s layout keyed by keys[j]: the injections run as one chunk
+    of ``_run_chunks``."""
+    return next(_run_chunks(slab, field, [(keys, starts)], n_bins,
+                            t_max))[1:]
+
+
+def walk_equals_oracle(slab, field, keys, fields, starts, n_bins, t_max):
+    """Run ``run_walk`` on ``field``'s layout keyed by ``keys`` and check
+    each injection against the scalar oracle on its own field of
+    ``fields``; returns the walk's (tau, net, timed_out)."""
+    tau, net, timed_out = run_walk(slab, field, keys, starts, n_bins, t_max)
     for j, (fld, start) in enumerate(zip(fields, starts)):
         want_tau, want_net, want_late = _run_injection(fld, slab, *start,
                                                        n_bins, t_max)
@@ -275,7 +281,7 @@ def assert_flux_constant(net, timed_out):
 
 
 class TestLockstepDriver:
-    """The lockstep slab driver gives each injection exactly what the
+    """The slab's array-state walk gives each injection exactly what the
     scalar oracle ``_run_injection`` gives it."""
 
     @settings(max_examples=25)
@@ -291,7 +297,7 @@ class TestLockstepDriver:
     def test_equals_scalar_oracle(self, epsilon, eta, L, n_bins, t_max,
                                   y_period_cells, seed):
         block = poisson_block(epsilon, eta, L, y_period_cells, seed, 24)
-        _, net, timed_out = lockstep_equals_oracle(*block, n_bins, t_max)
+        _, net, timed_out = walk_equals_oracle(*block, n_bins, t_max)
         assert_flux_constant(net, timed_out)
 
     @pytest.mark.parametrize("cells", [1, 5])
@@ -300,9 +306,9 @@ class TestLockstepDriver:
         # result stays the oracle's
         slab, field, keys, fields, starts = poisson_block(2.0**-5, 2.0, 1.0,
                                                           16, 3, 12)
-        want = _run_lockstep(slab, field, keys, starts, 8, 500.0)
+        want = run_walk(slab, field, keys, starts, 8, 500.0)
         monkeypatch.setattr(dynamics, "_BATCH_CELLS", cells)
-        got = lockstep_equals_oracle(slab, field, keys, fields, starts, 8,
+        got = walk_equals_oracle(slab, field, keys, fields, starts, 8,
                                      500.0)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -328,25 +334,25 @@ class TestLockstepDriver:
                 (field, keys, fields), (other, other_keys, others),
                 (planted, np.zeros(len(rays), dtype=np.uint64),
                  [planted] * len(rays))):
-            # row j asks for a hit, row n + j for a disk containing its start
-            batch = _FieldBatch(layout, np.concatenate([keys, keys]))
-            queries = {}
-            for j, (x, y, phi, s_max) in enumerate(rays):
-                queries[j] = (HIT_QUERY, x, y, math.cos(phi), math.sin(phi),
-                              s_max)
-                queries[len(rays) + j] = (INSIDE_QUERY, x, y)
-            got = batch.answer(queries)
-            for j, q in queries.items():
-                fld = fields[j % len(rays)]
-                if q[0] == HIT_QUERY:
-                    assert got[j] == _first_hit(fld, *q[1:5], r, q[5])
-                else:
-                    assert got[j] == _find_containing_disk(fld, q[1], q[2], r)
+            batch = _FieldBatch(layout, keys)
+            x, y, phi, s_max = np.array(rays).T
+            ux, uy = (np.array([f(p) for p in phi]) for f in (math.cos,
+                                                              math.sin))
+            hits = batch._first_hits(x, y, ux, uy, s_max).T.tolist()
+            insides = batch._containing(x, y).T.tolist()
+            for j, (*q, sj) in enumerate(zip(*(a.tolist() for a in (
+                    x, y, ux, uy, s_max)))):
+                s_in, cx, cy = hits[j]
+                assert (None if math.isnan(s_in) else (s_in, (cx, cy))) == \
+                    _first_hit(fields[j], *q, r, sj)
+                cx, cy = insides[j]
+                assert (None if math.isnan(cx) else (cx, cy)) == \
+                    _find_containing_disk(fields[j], *q[:2], r)
 
     def test_timeouts_match(self):
         # a short time guard in a dense, narrow-period strip
         block = poisson_block(0.03, 2.0, 1.0, 1, 7, 32)
-        _, _, timed_out = lockstep_equals_oracle(*block, 6, 5.0)
+        _, _, timed_out = walk_equals_oracle(*block, 6, 5.0)
         assert 0 < timed_out.sum() < len(timed_out)
 
     @settings(max_examples=15)
@@ -355,7 +361,7 @@ class TestLockstepDriver:
     def test_flux_constant_on_every_trajectory(self, eta, L, n_bins, seed):
         slab, field, keys, _, starts = poisson_block(2.0**-5, eta, L, 16,
                                                      seed, 64)
-        _, net, timed_out = _run_lockstep(slab, field, keys, starts, n_bins,
+        _, net, timed_out = run_walk(slab, field, keys, starts, n_bins,
                                           500.0)
         assert_flux_constant(net, timed_out)
 
@@ -364,7 +370,7 @@ class TestLockstepDriver:
 
     def planted(self, centers, starts, n_bins=4, t_max=50.0):
         field = PlantedField(centers, self.R)
-        return lockstep_equals_oracle(
+        return walk_equals_oracle(
             self.SLAB, field, np.zeros(len(starts), dtype=np.uint64),
             [field] * len(starts), starts, n_bins, t_max)
 
@@ -428,6 +434,18 @@ class TestLockstepDriver:
         assert tau[0] == pytest.approx(np.full(4, 0.25), rel=1e-12)
         assert np.all(net[1] == 0.0)  # a real hit sends it back
 
+    def test_event_just_past_t_max_ends_the_walk(self):
+        # the hit lies within the budget speed * t_max, but its time
+        # s / speed rounds above t_max: the walk times out at the event,
+        # as the oracle's does, and bins no flight of negative length
+        t_max, center = 0.115625, (0.100625, 0.5)
+        s_in, _ = _first_hit(PlantedField([center], self.R), 0.0, 0.5, 1.0,
+                             0.0, self.R, 0.6 * t_max)
+        assert s_in / 0.6 > t_max
+        tau, _, timed_out = self.planted([center], [(0.0, 0.5, 0.6, 0.0)],
+                                         t_max=t_max)
+        assert timed_out[0] and tau[0].sum() > t_max
+
     def test_wall_disk_tie_goes_to_the_wall(self):
         # the disk's entry point is exactly the right wall point
         r = self.R
@@ -437,9 +455,9 @@ class TestLockstepDriver:
 
 
 class TestRefilledWalk:
-    """The array-state walk keeps at most SLAB_CHUNK walks live and lets
-    the next injections in as walks end; the worker folds each chunk's
-    rows once all of them have ended."""
+    """The array-state walk keeps at most ``dynamics._LIVE_WALKS`` walks
+    live and lets the next injections in as walks end; the worker folds
+    each chunk's rows once all of them have ended."""
 
     # a short time guard in a dense, narrow-period strip: covered,
     # timed-out and wall-exit injections mixed, walks entering mid-run
@@ -447,8 +465,9 @@ class TestRefilledWalk:
 
     def test_refill_equals_oracle(self, monkeypatch):
         monkeypatch.setattr(macroscale, "SLAB_CHUNK", 5)
+        monkeypatch.setattr(dynamics, "_LIVE_WALKS", 5)
         slab, field, keys, fields, starts = poisson_block(**self.BLOCK, n=37)
-        tau, _, timed_out = lockstep_equals_oracle(slab, field, keys, fields,
+        tau, _, timed_out = walk_equals_oracle(slab, field, keys, fields,
                                                    starts, 6, 5.0)
         covered = np.array([_find_containing_disk(f, x, y, slab.epsilon)
                             is not None for f, (x, y, _, _) in
@@ -522,10 +541,10 @@ class TestRefilledWalk:
                 stuck.append(None)
         assert any(stuck) and not all(stuck)
         with pytest.raises(dynamics.StuckParticleError) as err:
-            _run_lockstep(slab, field, keys, starts, 6, 5.0)
+            run_walk(slab, field, keys, starts, 6, 5.0)
         assert str(err.value) in stuck
         ok = [j for j, s in enumerate(stuck) if s is None]
-        lockstep_equals_oracle(slab, field, keys[ok],
+        walk_equals_oracle(slab, field, keys[ok],
                                [fields[j] for j in ok],
                                [starts[j] for j in ok], 6, 5.0)
 
@@ -535,6 +554,7 @@ class TestRefilledWalk:
         # peak stays near its peak over 2 (2.1 times it here, where one
         # that kept every row of its range reached 3.6 times)
         monkeypatch.setattr(macroscale, "SLAB_CHUNK", 64)
+        monkeypatch.setattr(dynamics, "_LIVE_WALKS", 64)
         slab, _, _, _, _ = poisson_block(2.0**-5, 2.0, 1.0, 16, 3, 0)
         spec = slab_field_spec(slab, 3)
 
