@@ -4,7 +4,7 @@ Every key of ``config.SCHEMAS`` is a flag ``--<key>`` (``_`` as ``-``),
 converted and validated like a file value.  Precedence: schema defaults
 < config file < --set pairs < explicit flags.  Exit codes: 0 success,
 2 configuration error, 3 numerical guard tripped (stuck trajectory,
-regime violation, stability bound).
+regime violation); any other error is a bug and raises.
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ def main(argv=None) -> int:
     try:
         report = run_experiment(cfg)
         csv_path, json_path = write_outputs(report, cfg["out_dir"])
-    except (StuckParticleError, RegimeError, ValueError) as exc:
-        # stability bounds, regime limits, geometric guards
+    except (StuckParticleError, RegimeError) as exc:
         print(f"numerical guard tripped: {exc}", file=sys.stderr)
         return 3
     print(f"{cfg.experiment}: wrote {csv_path} and {json_path} "

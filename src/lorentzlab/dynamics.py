@@ -31,7 +31,8 @@ implemented as a separate integrator.
 ``_Engine`` runs one trajectory on plain floats, one field query at a
 time (``_first_hit``, ``_find_containing_disk``); ``advance`` is its
 logged library entry.  The ensembles run their trajectories as one
-array-state walk on the same rules in the same order of operations:
+array-state walk on the same rules in the same order of operations,
+through one refill driver, ``_walks``: it lets walks in as others end,
 ``_resume`` starts a run and ``_flights`` moves every live walk on by
 one flight, with the queries of all of them answered at once by
 ``_FieldBatch``, bit for bit what the scalar search answers on each
@@ -63,8 +64,8 @@ MAX_EVENTS = 10**6
 _PUSH = 1e-12
 _TANGENT_TOL = 1e-12
 
-# walks live at once in an array-state walk, at most (the slab's and
-# the mechanical ensembles'): it bounds a step's working set
+# walks live at once in a ``_walks`` walk, at most: it bounds a step's
+# working set, and new walks are asked for this many at a time
 _LIVE_WALKS = 1024
 
 BARRIER_TRAVERSE = "barrier_traverse"
@@ -451,11 +452,103 @@ def _flights(batch, F, ev, t_max, n, log=None, walls=None):
     return t, t1, x, x1, end, left
 
 
+def _walks(field, m, new, spans, n, walls=None, tally=None, width=0,
+           log=None):
+    """The refill driver of every array-state walk: walks 0..m-1 through
+    disks of index n (0: all reflect), each in the field of ``field``'s
+    layout keyed by its key, each as ``_Engine.run`` runs it.
+
+    ``new(a, b)`` gives the keys and starts (x, y, vx, vy) of walks
+    a..b-1.  They are asked for in index order, ``_LIVE_WALKS`` at a time,
+    and let in as others end, at most ``_LIVE_WALKS`` live at once.  A
+    walk runs one time slice per entry of ``spans`` (each slice's
+    duration; or one row of them per walk), each on its own clock: a new
+    ``_Engine.run`` from where the last one stopped (``_resume``, then
+    ``_flights`` per flight).  ``walls`` (lo, hi) bound a slab of hard
+    disks, run in one slice: a walk that starts inside a disk ends at
+    once, as ``_run_injection``'s does.  ``tally(acc, t, t1, x, x1)``
+    adds each flight's segment in x to its walks' rows of ``width``
+    accumulators, which start each slice at 0; ``log`` is an
+    ``_ArrayLog`` of walks 0..m-1.
+
+    Yields, step by step, the slices that ended: the arrays (walk, slice,
+    state (x, y, vx, vy, speed, t), events, accumulators, timed_out), a
+    slice timed out unless it left the slab or never entered it.
+    """
+    spans = np.broadcast_to(spans, (m, np.shape(spans)[-1]))
+    asked = 0
+    # walks asked for and not yet let in: index, key, state
+    wait = [np.zeros(0, np.int64), np.zeros(0, np.uint64), np.zeros((0, 6))]
+    # live walks: (x, y, vx, vy, speed, t), (walk, slice, events in the
+    # slice, whether the slice is to start), key, accumulators
+    F, I = np.zeros((0, 6)), np.zeros((0, 4), np.int64)
+    K, A = np.zeros(0, np.uint64), np.zeros((0, width))
+
+    def step(kernel, rows, *args, **kw):
+        # kernel on the live walks ``rows``, in place
+        if log is not None:
+            log.ids = I[rows, 0]
+        G = F[rows]
+        out = kernel(_FieldBatch(field, K[rows]), G, *args, log=log, **kw)
+        F[rows] = G
+        return out
+
+    while asked < m or len(wait[0]) or len(F):
+        need = _LIVE_WALKS - len(F)
+        if len(wait[0]) < need and asked < m:
+            # a whole block at once: keys and starts cost a pass each
+            j = np.arange(asked, min(m, asked + _LIVE_WALKS))
+            keys, starts = new(asked, asked + len(j))
+            asked += len(j)
+            G = np.column_stack([np.reshape(starts, (-1, 4)),
+                                 np.zeros((len(j), 2))])
+            wait = [np.concatenate(p) for p in zip(wait, (j, keys, G))]
+        (j, keys, G), wait = ([a[:need] for a in wait],
+                              [a[need:] for a in wait])
+        if walls is not None and len(j):
+            # a wall point covered by a disk: the walk never enters
+            c = ~np.isnan(_FieldBatch(field, keys)._containing(G[:, 0],
+                                                               G[:, 1])[0])
+            z = np.zeros(int(c.sum()), np.int64)
+            yield (j[c], z, G[c], z, np.zeros((len(z), width)),
+                   np.zeros(len(z), dtype=bool))
+            j, keys, G = j[~c], keys[~c], G[~c]
+        F, K = np.concatenate([F, G]), np.concatenate([K, keys])
+        I = np.concatenate([I, np.column_stack([
+            j, np.zeros((len(j), 2), np.int64), np.ones_like(j)])])
+        A = np.concatenate([A, np.zeros((len(j), width))])
+        t_max = spans[I[:, 0], I[:, 1]]
+        rows = np.flatnonzero(I[:, 3])
+        if rows.size:
+            step(_resume, rows, t_max[rows], n)
+        end = ~(F[:, 5] < t_max)
+        left = np.zeros(len(F), dtype=bool)
+        # every live walk, in place, unless some ended on starting
+        rows = np.flatnonzero(~end) if end.any() else slice(None)
+        if not end.all():
+            ev = I[rows, 2]
+            t, t1, x, x1, end[rows], left[rows] = step(
+                _flights, rows, ev, t_max[rows], n, walls=walls)
+            I[rows, 2] = ev
+            if tally is not None:
+                acc = A[rows]
+                tally(acc, t, t1, x, x1)
+                A[rows] = acc
+        e = np.flatnonzero(end)
+        if e.size:
+            yield I[e, 0], I[e, 1], F[e], I[e, 2], A[e], ~left[e]
+        # the slices that ended: the next one is to start
+        I[e, 1] += 1
+        I[e, 2], F[e, 5], A[e], I[:, 3] = 0, 0.0, 0.0, end
+        keep = I[:, 1] < spans.shape[1]
+        F, I, K, A = F[keep], I[keep], K[keep], A[keep]
+
+
 class _ArrayLog:
     """The ``TrajectoryLog``s of walks 0..n-1 of an array walk through
     barriers, filled in the order ``_Engine.run`` fills them.  ``ids``
     gives the walk of each row of the state the next ``_resume`` or
-    ``_flights`` call is given; the caller sets it."""
+    ``_flights`` call is given; ``_walks`` sets it."""
 
     def __init__(self, n):
         self.ids, self.logs = None, [TrajectoryLog() for _ in range(n)]

@@ -1,16 +1,17 @@
 """Experiment drivers tying the three levels of description together.
 
 Each ``run_*`` function consumes a validated ExperimentConfig and
-returns a Report: a CSV table plus a JSON-able summary.  All Monte
-Carlo work is split into fixed-size index chunks whose random streams
-are keyed by (seed, item index), or by (seed, chunk index) for the
-Landau ensemble, and chunk results are folded in index order, so
-rerunning with any worker count reproduces the output byte for byte.
+returns a Report: a CSV table plus a JSON-able summary.  Every Monte
+Carlo draw is keyed by (seed, item index), or by (seed, chunk index) in
+the Landau ensemble's fixed-size chunks, and results are folded in
+index order, so rerunning with any worker count reproduces the output
+byte for byte.
 
-Each mechanical worker runs its range of trajectories as one
-array-state walk (``_mech_chunk``) on the flight kernel the slab shares,
-each trajectory with the result the scalar ``_Engine.run`` gives it in
-its own field, so a worker takes one contiguous range and no chunk fold.
+A mechanical or jump-path result depends on its item index only, so
+each worker takes one index range and no chunk fold.  A mechanical
+worker runs its range as one array-state walk (``_mech_chunk``) through
+``dynamics._walks``, the refill driver the slab shares, each trajectory
+with the result the scalar ``_Engine.run`` gives it in its own field.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, parse_decade_ladder, parse_float_list
-from . import dynamics
-from .dynamics import (_ArrayLog, _FieldBatch, _each, _flights, _resume,
-                       classify_pathologies)
+from .dynamics import _ArrayLog, _each, _walks, classify_pathologies
 from .kinetic import (JumpProcessParams, _jump_blocks, _landau_vacf_msd,
                       green_kubo_D, landau_B_quadrature)
 from .macroscale import (HeatProblem, SlabSpec, simulate_slab_stationary,
@@ -38,8 +37,6 @@ from .stats import (angle_histogram, chi_square_uniform, linear_fit, msd_curve,
                     tv_distance, tv_self_noise)
 
 __all__ = ["Report", "run_experiment", "write_outputs", "RUNNERS"]
-
-CHUNK = 512
 
 
 @dataclass
@@ -72,10 +69,9 @@ def _mech_chunk(payload, log=None):
     For a uniform initial angle, rng_stream(seed, i) draws trajectory
     i's angle and then, if sigma0 > 0, its Gaussian start point; a delta
     start (angle 0 at the origin) builds no stream.  Its field is keyed
-    by (seed, tag, i).  At most ``dynamics._LIVE_WALKS`` walk at once,
-    the next entering as one ends; each checkpoint is a time slice that
-    starts on its own clock, as a new ``_Engine.run`` from where the last
-    stopped (``_resume``, then ``_flights`` per flight).  ``log`` (an
+    by (seed, tag, i).  They run as one ``dynamics._walks`` walk, each
+    checkpoint a time slice that starts on its own clock, as a new
+    ``_Engine.run`` from where the last stopped.  ``log`` (an
     ``_ArrayLog``) records trajectory i as walk i - i0.
     """
     (eps, alpha, mu, speed, checks, seed, tag, initial, sigma0,
@@ -95,45 +91,12 @@ def _mech_chunk(payload, log=None):
     start[:, 3] = speed * _each(math.sin, phi0)
     disp, final = np.zeros((m, n_checks, 2)), np.zeros((m, 4))
     events = np.zeros(m, dtype=np.int64)
-    # live walks: (x, y, vx, vy, speed, t), and (trajectory, checkpoint,
-    # events in the slice, whether the slice is to start)
-    F, I, nxt = np.zeros((0, 6)), np.zeros((0, 4), np.int64), 0
-
-    def step(kernel, rows, *args):
-        # kernel on the live walks ``rows``, in place
-        if log is not None:
-            log.ids = I[rows, 0]
-        G = F[rows]
-        out = kernel(_FieldBatch(field, keys[I[rows, 0]]), G, *args, log=log)
-        F[rows] = G
-        return out
-
-    while nxt < m or len(F):
-        new = np.arange(nxt, min(m, nxt + dynamics._LIVE_WALKS - len(F)))
-        nxt += len(new)
-        F = np.concatenate([F, np.column_stack([start[new],
-                                                np.zeros((len(new), 2))])])
-        I = np.concatenate([I, np.column_stack([
-            new, np.zeros((len(new), 2), np.int64), np.ones_like(new)])])
-        j, t_max = I[:, 0], spans[I[:, 1]]
-        rows = np.flatnonzero(I[:, 3])
-        if rows.size:
-            step(_resume, rows, t_max[rows], n)
-        end = ~(F[:, 5] < t_max)
-        rows = np.flatnonzero(~end)
-        if rows.size:
-            ev = I[rows, 2]
-            end[rows] = step(_flights, rows, ev, t_max[rows], n)[4]
-            I[rows, 2] = ev
-        # the slices that ended: their checkpoint, then the next slice
-        e = np.flatnonzero(end)
-        je, ce = j[e], I[e, 1]
-        disp[je, ce] = F[e, :2] - start[je, :2]
-        events[je] += I[e, 2]
-        final[je] = F[e, :4]
-        I[e, 1] += 1
-        I[e, 2], F[e, 5], I[:, 3] = 0, 0.0, end
-        F, I = F[I[:, 1] < n_checks], I[I[:, 1] < n_checks]
+    walks = _walks(field, m, lambda a, b: (keys[a:b], start[a:b]), spans, n,
+                   log=log)
+    for j, c, F, ev, _, _ in walks:
+        disp[j, c] = F[:, :2] - start[j, :2]
+        events[j] += ev
+        final[j] = F[:, :4]
     return (_each(math.atan2, final[:, 3], final[:, 2]), disp, final[:, :2],
             events)
 
@@ -170,22 +133,19 @@ def _pathology_chunk(payload):
     return (out,)
 
 
-def _ensemble(fn, head: tuple, n: int, workers: int,
-              chunk: int = CHUNK) -> tuple:
-    """Run chunk worker ``fn`` over items 0..n-1 in ``chunk``-sized index
-    ranges and concatenate each of its outputs in chunk order."""
-    parts = run_ensemble(fn, head, n, chunk, workers)
+def _ensemble(fn, head: tuple, n: int, workers: int) -> tuple:
+    """Run chunk worker ``fn`` over items 0..n-1, one index range per
+    worker, and concatenate each of its outputs in index order."""
+    parts = run_ensemble(fn, head, n, -(-n // max(workers, 1)), workers)
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
 def _mech_ensemble(cfg, eps, n, checks, tag, initial="delta", sigma0=0.0,
                   worker=_mech_chunk):
-    """``worker``'s outputs for n trajectories in cfg's barrier medium;
-    each worker takes one range of whole CHUNKs."""
-    workers = cfg["workers"]
+    """``worker``'s outputs for n trajectories in cfg's barrier medium."""
     return _ensemble(worker, (eps, cfg["alpha"], cfg["mu"], cfg["speed"],
                               checks, cfg["seed"], tag, initial, sigma0),
-                     n, workers, CHUNK * -(-n // (CHUNK * max(workers, 1))))
+                     n, cfg["workers"])
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,10 @@ rationale for why it converges.
 
 Each injection runs in its own member of the slab's Poisson ensemble,
 keyed by its index (``medium.member_keys``).  A worker's injections run
-as one array-state hard-disk walk on one layout field (``_run_chunks``):
-at most ``dynamics._LIVE_WALKS`` walks are live, and the next injection
-enters as one ends.  Each step moves every live walk on by one flight
-with ``dynamics._flights``, the kernel the mechanical ensembles share,
-for hard disks the case n = 0.  The scalar ``_run_injection`` is its
-oracle.
+as one array-state hard-disk walk between the walls through
+``dynamics._walks``, the refill driver the mechanical ensembles share,
+for hard disks the case n = 0; ``_bin_segments`` bins each flight.  The
+scalar ``_run_injection`` is its oracle.
 """
 
 from __future__ import annotations
@@ -31,9 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from . import dynamics
-from .dynamics import (_Engine, _FieldBatch, _each, _find_containing_disk,
-                       _flights)
+from .dynamics import _Engine, _find_containing_disk, _walks
 from .medium import FieldSpec, ScattererField, member_keys
 from .parallel import run_ensemble
 from .rng import mix_key, philox_uniforms
@@ -165,7 +161,7 @@ def slab_field_spec(slab: SlabSpec, seed: int,
     The field takes the slab's epsilon (the collision radius) and eta,
     so its realized intensity is exactly SlabSpec.mu_eff.  The
     realization is periodic in y with period y_period_cells cells of
-    the default size 4 * epsilon, so the default period is 64 * epsilon.
+    side 4 * epsilon, so the default period is 64 * epsilon.
     """
     return FieldSpec(
         mu=slab.mu,
@@ -227,7 +223,7 @@ def _run_injection(field, slab, x0, y0, vx, vy, n_bins, t_max):
 
     A wall point covered by a disk contributes nothing: a reservoir
     particle aimed at it hits that disk before it reaches the wall.
-    This is the scalar form of ``_run_chunks``, and its oracle.
+    This is the scalar form of ``_slab_chunks``' walk, and its oracle.
     """
     tau = np.zeros(n_bins)
     net = np.zeros(n_bins - 1)
@@ -266,80 +262,6 @@ def _bin_segments(tau, net, dxb, t0, t1, ax, bx):
                    np.minimum(np.floor(hi / dxb).astype(np.int64),
                               n_bins - 1))
     net[i, j - 1] += np.where(bx > ax, 1.0, -1.0)[i]
-
-
-def _run_chunks(slab, field, chunks, n_bins, t_max):
-    """(c, tau, net, timed_out) of chunk c of ``chunks`` as soon as all
-    of its injections have ended: ``chunks`` yields (keys, starts) of
-    consecutive injections, and row j of a chunk equals ``_run_injection``
-    from starts[j] in the field of ``field``'s layout keyed by keys[j].
-    They run as one array-state hard-disk walk of at most
-    ``dynamics._LIVE_WALKS`` live walks (``_flights``); the next
-    injections enter as walks end."""
-    L = slab.L
-    dxb = L / n_bins
-    chunks = iter(chunks)
-    # the latest pull from chunks (None once they are exhausted), and the
-    # count of chunks yielded
-    nxt, n_done = (), 0
-    # by number, each chunk not yet yielded: its rows of tau and net side
-    # by side, its timed_out, and the count of its injections not ended
-    pending = {}
-    # injections not yet entered: chunk number, row, key, start
-    wait = [np.zeros(0, np.int64), np.zeros(0, np.int64),
-            np.zeros(0, np.uint64), np.zeros((0, 4))]
-    # live walks: (x, y, vx, vy, speed, t), (chunk number, row, events),
-    # key, and tau and net side by side
-    live = [np.zeros((0, 6)), np.zeros((0, 3), np.int64),
-            np.zeros(0, np.uint64), np.zeros((0, 2 * n_bins - 1))]
-
-    def settle(seq, row, occ_e, late):
-        # ended injections into their chunks' rows
-        for c in np.unique(seq).tolist():
-            m = seq == c
-            chunk = pending[c]
-            chunk[0][row[m]], chunk[1][row[m]] = occ_e[m], late[m]
-            chunk[2] -= int(m.sum())
-
-    while True:
-        need = dynamics._LIVE_WALKS - len(live[2])
-        while len(wait[0]) < need and (nxt := next(chunks, None)):
-            k, st = nxt
-            c, m = len(pending) + n_done, len(k)
-            pending[c] = [np.zeros((m, 2 * n_bins - 1)), np.zeros(m, bool), m]
-            wait = [np.concatenate(p) for p in zip(wait, (
-                np.full(m, c), np.arange(m), k, np.reshape(st, (m, 4))))]
-        (seq, row, k, st), wait = ([a[:need] for a in wait],
-                                   [a[need:] for a in wait])
-        if len(k):
-            cx, _ = _FieldBatch(field, k)._containing(st[:, 0], st[:, 1])
-            # a covered wall point: the injection never enters, and its
-            # row stays 0
-            free = np.isnan(cx)
-            n = len(k) - int(free.sum())
-            settle(seq[~free], row[~free], np.zeros((n, 1)), np.zeros(n, bool))
-            st, m = st[free], len(k) - n
-            live = [np.concatenate(p) for p in zip(live, (
-                np.column_stack([st, _each(math.hypot, st[:, 2], st[:, 3]),
-                                 np.zeros(m)]),
-                np.column_stack([seq[free], row[free], np.zeros(m, np.int64)]),
-                k[free], np.zeros((m, 2 * n_bins - 1))))]
-        for c in [c for c, chunk in pending.items() if chunk[2] == 0]:
-            rows, late, _ = pending.pop(c)
-            n_done += 1
-            yield c, rows[:, :n_bins], rows[:, n_bins:], late
-        F, I, keys, occ = live
-        if not len(keys):
-            if nxt is None and not len(wait[0]):
-                return
-            continue
-
-        t, t1, x, x1, end, left = _flights(_FieldBatch(field, keys), F,
-                                            I[:, 2], t_max, 0.0,
-                                            walls=(0.0, L))
-        _bin_segments(occ[:, :n_bins], occ[:, n_bins:], dxb, t, t1, x, x1)
-        settle(I[end, 0], I[end, 1], occ[end], ~left[end])
-        live = [a[~end] for a in live]
 
 
 def _injection_starts(slab, seed, width, i0, i1):
@@ -382,16 +304,40 @@ def _fold(i0, half_at, taus, nets, timed_out):
 def _slab_chunks(payload):
     """The sums of each SLAB_CHUNK of injections i0..i1-1, in chunk
     order, injection i in the member of ``field``'s layout keyed by
-    ``member_keys(parent, i, i + 1)``; all of them run in one
-    ``_run_chunks`` walk."""
+    ``member_keys(parent, i, i + 1)``.  All of them run as one
+    ``_walks`` walk, and a chunk's rows are folded once all are in."""
     (slab, field, parent, seed, n_bins, t_max, n_total, width,
      i0, i1) = payload
-    bounds = [(a, min(a + SLAB_CHUNK, i1)) for a in range(i0, i1, SLAB_CHUNK)]
-    chunks = ((member_keys(parent, a, b),
-               _injection_starts(slab, seed, width, a, b)) for a, b in bounds)
-    sums = {c: _fold(bounds[c][0], n_total // 2, *rows) for c, *rows in
-            _run_chunks(slab, field, chunks, n_bins, t_max)}
-    return [sums[c] for c in range(len(bounds))]
+    dxb = slab.L / n_bins
+
+    def new(a, b):
+        return (member_keys(parent, i0 + a, i0 + b),
+                _injection_starts(slab, seed, width, i0 + a, i0 + b))
+
+    def tally(occ, *segment):
+        _bin_segments(occ[:, :n_bins], occ[:, n_bins:], dxb, *segment)
+
+    # by number, each chunk not yet folded: its rows of tau and net side
+    # by side, its timed_out, and the count of its injections not ended
+    pending, sums = {}, {}
+    for j, _, _, _, occ, late in _walks(field, i1 - i0, new, (t_max,), 0.0,
+                                        walls=(0.0, slab.L), tally=tally,
+                                        width=2 * n_bins - 1):
+        for c in np.unique(j // SLAB_CHUNK).tolist():
+            a = c * SLAB_CHUNK
+            m = j // SLAB_CHUNK == c
+            if c not in pending:
+                size = min(SLAB_CHUNK, i1 - i0 - a)
+                pending[c] = [np.zeros((size, 2 * n_bins - 1)),
+                              np.zeros(size, dtype=bool), size]
+            chunk = pending[c]
+            chunk[0][j[m] - a], chunk[1][j[m] - a] = occ[m], late[m]
+            chunk[2] -= int(m.sum())
+            if chunk[2] == 0:
+                del pending[c]
+                sums[c] = _fold(i0 + a, n_total // 2, chunk[0][:, :n_bins],
+                                chunk[0][:, n_bins:], chunk[1])
+    return [sums[c] for c in range(len(sums))]
 
 
 def simulate_slab_stationary(slab: SlabSpec, n_injections: int = 100_000,
@@ -419,7 +365,7 @@ def simulate_slab_stationary(slab: SlabSpec, n_injections: int = 100_000,
 
     Injections are summed in chunks of SLAB_CHUNK, and the chunk sums
     are added in chunk order.  Each worker takes a run of whole chunks
-    and walks them all together on one layout field (``_run_chunks``),
+    and walks them all together on one layout field (``_slab_chunks``),
     each injection with the result the scalar ``_run_injection`` gives
     it.
     """

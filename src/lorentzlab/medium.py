@@ -1,9 +1,11 @@
 """Poisson scatterer field over the unbounded plane, sampled lazily.
 
-The plane is tiled by square cells of side ``cell_size``.  The centers
-inside a cell are a pure function of (seed, cell index): a Poisson count
-with mean ``mu_eff * cell_size**2`` followed by i.i.d. uniform positions,
-all drawn from a hash stream keyed by the cell.  Any spatial query can
+The plane is tiled by square cells of side ``cell_size`` = 4 epsilon,
+at least 2 epsilon so that a disk touching a segment can only come from
+the segment's cell neighborhood.  The centers inside a cell are a pure
+function of (seed, cell index): a Poisson count with mean
+``mu_eff * cell_size**2`` followed by i.i.d. uniform positions, all
+drawn from a hash stream keyed by the cell.  Any spatial query can
 therefore be answered by generating just the cells it touches, and two
 queries always agree about the scatterers they both see.
 
@@ -44,11 +46,9 @@ class FieldSpec:
     """Parameters of one scatterer-field ensemble member.
 
     Exactly one of ``delta`` (barrier scaling) and ``eta`` (slab
-    scaling) must be given.  ``cell_size`` defaults to ``4 * epsilon``
-    and must be at least ``2 * epsilon`` so a disk touching a segment
-    can only come from the segment's cell neighborhood.  ``y_period``
-    (optional) wraps the realization periodically in y with a period of
-    a whole number of cells.
+    scaling) must be given.  ``y_period`` (optional) wraps the
+    realization periodically in y with a period of a whole number of
+    cells.
     """
 
     mu: float
@@ -56,7 +56,6 @@ class FieldSpec:
     seed: int
     delta: float | None = None
     eta: float | None = None
-    cell_size: float | None = None
     y_period: float | None = None
 
     def __post_init__(self):
@@ -66,16 +65,14 @@ class FieldSpec:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if (self.delta is None) == (self.eta is None):
             raise ValueError("exactly one of delta (barrier) or eta (slab) is required")
-        if self.cell_size is None:
-            object.__setattr__(self, "cell_size", 4.0 * self.epsilon)
-        if self.cell_size < 2.0 * self.epsilon:
-            raise ValueError(
-                f"cell_size {self.cell_size} < 2*epsilon = {2 * self.epsilon}"
-            )
         if self.y_period is not None:
             ncells = self.y_period / self.cell_size
             if abs(ncells - round(ncells)) > 1e-9 or round(ncells) < 1:
                 raise ValueError("y_period must be a positive whole number of cells")
+
+    @property
+    def cell_size(self) -> float:
+        return 4.0 * self.epsilon
 
     @property
     def mu_eff(self) -> float:
@@ -216,11 +213,9 @@ def cell_centers(keys, ix, iy, lam: float, cs: float):
 class PlantedField:
     """Explicit finite center list behind the ScattererField interface."""
 
-    def __init__(self, centers, epsilon: float, cell_size: float | None = None):
+    def __init__(self, centers, epsilon: float):
         self.epsilon = float(epsilon)
-        self.cell_size = float(cell_size) if cell_size is not None else 4.0 * epsilon
-        if self.cell_size < 2.0 * self.epsilon:
-            raise ValueError("cell_size must be >= 2*epsilon")
+        self.cell_size = 4.0 * self.epsilon
         self.march_window = 2.0 * self.cell_size
         self._cache: dict[tuple[int, int], list[tuple[float, float]]] = {}
         for (x, y) in centers:

@@ -15,7 +15,8 @@ from lorentzlab.config import (
     parse_decade_ladder,
     parse_float_list,
 )
-from lorentzlab.experiments import run_experiment, write_outputs
+from lorentzlab.dynamics import StuckParticleError
+from lorentzlab.experiments import RUNNERS, run_experiment, write_outputs
 
 
 class TestConfigParsing:
@@ -190,6 +191,22 @@ class TestCLI:
                    "--set", "speed=0.5", "--out-dir", str(tmp_path)])
         assert rc == 3
         assert "guard" in capsys.readouterr().err
+
+    def test_stuck_particle_exit_code(self, monkeypatch, tmp_path):
+        def runner(cfg):
+            raise StuckParticleError("1000001 events before reaching t = 1")
+
+        monkeypatch.setitem(RUNNERS, "scatter-table", runner)
+        assert main(["scatter-table", "--out-dir", str(tmp_path)]) == 3
+
+    def test_other_value_error_is_not_a_guard(self, monkeypatch, tmp_path):
+        # a programming error gives a traceback, not exit 3
+        def runner(cfg):
+            raise ValueError("a bug")
+
+        monkeypatch.setitem(RUNNERS, "scatter-table", runner)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["scatter-table", "--out-dir", str(tmp_path)])
 
     def test_set_overrides_config_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -19,8 +19,7 @@ from lorentzlab.dynamics import (
     _FieldBatch,
     _find_containing_disk,
     _first_hit,
-    _flights,
-    _resume,
+    _walks,
     advance,
     backward_flow,
     classify_pathologies,
@@ -436,33 +435,83 @@ class TestFieldBatch:
 
 def array_run(field, params, starts, t_max):
     """Runs from each start (x, y, vx, vy) for t_max (one, or one per
-    start) through ``field``, every walk in the one field, as one array
-    walk: ``_resume``, then
-    ``_flights`` until every walk has ended.  Returns the final states
-    (x, y, vx, vy, speed, t), the event counts and the logs."""
-    m, n = len(starts), params.n_index
-    F = np.column_stack([np.array(starts, dtype=float), np.zeros((m, 2))])
-    ev = np.zeros(m, dtype=np.int64)
-    t_max = np.broadcast_to(np.asarray(t_max, dtype=float), m)
-    keys = np.zeros(m, dtype=np.uint64)
+    start) through ``field``, every walk in the one field, as one
+    ``_walks`` walk.  Returns the final states (x, y, vx, vy, speed, t),
+    the event counts and the logs."""
+    m = len(starts)
+    F, ev = np.zeros((m, 6)), np.zeros(m, dtype=np.int64)
     log = _ArrayLog(m)
-    log.ids = np.arange(m)
-    _resume(_FieldBatch(field, keys), F, t_max, n, log)
-    live = np.flatnonzero(F[:, 5] < t_max)
-    while live.size:
-        log.ids = live
-        G, e = F[live], ev[live]
-        end = _flights(_FieldBatch(field, keys[live]), G, e, t_max[live], n,
-                       log)[4]
-        F[live], ev[live] = G, e
-        live = live[~end]
+    for j, _, G, e, _, _ in _walks(
+            field, m, lambda a, b: (np.zeros(b - a, dtype=np.uint64),
+                                    starts[a:b]),
+            np.reshape(t_max, (-1, 1)), params.n_index, log=log):
+        F[j], ev[j] = G, e
     return F, ev, log.logs
 
 
 class TestArrayWalk:
-    """The array walk's kernels run each walk as ``advance`` runs it:
-    the same final state, and the same log event by event and point by
-    point."""
+    """The refill driver ``_walks`` runs each walk as ``advance`` runs
+    it: the same final state, and the same log event by event and point
+    by point."""
+
+    def test_walks_are_asked_for_by_the_block(self, monkeypatch):
+        # keys and starts cost a numpy pass each, so the driver asks for
+        # them a block of _LIVE_WALKS at a time, in index order, not once
+        # a step as walks end; and no step has more walks live
+        monkeypatch.setattr(dynamics, "_LIVE_WALKS", 8)
+        live, flights = [], dynamics._flights
+
+        def counted(batch, F, *args, **kw):
+            live.append(len(F))
+            return flights(batch, F, *args, **kw)
+
+        monkeypatch.setattr(dynamics, "_flights", counted)
+        rng = np.random.default_rng(3)
+        r, speed, m = REFR.epsilon, REFR.speed, 50
+        fld = PlantedField(rng.uniform(-8 * r, 8 * r, (40, 2)).tolist(), r)
+        starts = [(x, y, speed * math.cos(phi), speed * math.sin(phi))
+                  for x, y, phi in zip(*rng.uniform(-6 * r, 6 * r, (2, m)),
+                                       rng.uniform(0.0, 2 * math.pi, m))]
+        asked = []
+
+        def new(a, b):
+            asked.append((a, b))
+            return np.zeros(b - a, dtype=np.uint64), starts[a:b]
+
+        spans = rng.uniform(2.0, 30.0, (m, 1)) * r / speed
+        ended = [j for j, *_ in _walks(fld, m, new, spans, REFR.n_index)]
+        assert sorted(np.concatenate(ended).tolist()) == list(range(m))
+        assert asked == [(a, min(a + 8, m)) for a in range(0, m, 8)]
+        assert len(asked) <= math.ceil(m / 8) + 1
+        assert len(live) > 2 * len(asked) and max(live) == 8
+
+    def test_slices_equal_advance_per_slice(self):
+        # each slice is a new run from where the last one stopped: walk 0
+        # stops mid-chord, then stops again while finishing that chord
+        # (its second slice ends on starting, next to walk 1's flight),
+        # then leaves the disk; its log is advance's logs, slice by slice
+        r = REFR.epsilon
+        fld = PlantedField([(0.0, 0.0)], r)
+        starts = [(-0.9 * r, 0.0, 1.0, 0.0), (0.5, 0.5, 0.6, 0.8)]
+        spans = (0.5 * r, 0.5 * r, 5.0 * r)
+        log = _ArrayLog(2)
+        got = {}
+        for j, c, F, ev, _, _ in _walks(
+                fld, 2, lambda a, b: (np.zeros(b - a, dtype=np.uint64),
+                                      starts[a:b]), spans, REFR.n_index,
+                log=log):
+            got.update({(a, b): (f, e) for a, b, f, e in zip(
+                j.tolist(), c.tolist(), F[:, :4].tolist(), ev.tolist())})
+        for j, start in enumerate(starts):
+            st, events, path = state(*start), [], []
+            for c, span in enumerate(spans):
+                st, lg = advance(st, fld, REFR, span)
+                assert got[j, c] == ([*st.x, *st.v], len(lg.events))
+                events += lg.events
+                path += lg.path
+            assert log.logs[j].events == events
+            assert log.logs[j].path == path
+        assert _find_containing_disk(fld, *got[0, 1][0][:2], r) is not None
 
     @pytest.mark.parametrize("params", [REFR, HARD],
                              ids=["refractive", "always-reflecting"])

@@ -18,7 +18,6 @@ from lorentzlab.macroscale import (
     _bin_segment,
     _bin_segments,
     _injection_starts,
-    _run_chunks,
     _run_injection,
     _slab_chunks,
     fick_flux,
@@ -236,10 +235,19 @@ class TestInjectionStarts:
 
 def run_walk(slab, field, keys, starts, n_bins, t_max):
     """(tau, net, timed_out) of injection j from starts[j] in the field of
-    ``field``'s layout keyed by keys[j]: the injections run as one chunk
-    of ``_run_chunks``."""
-    return next(_run_chunks(slab, field, [(keys, starts)], n_bins,
-                            t_max))[1:]
+    ``field``'s layout keyed by keys[j]: the injections run as one
+    ``dynamics._walks`` walk, binned as ``_slab_chunks`` bins them."""
+    m, dxb = len(keys), slab.L / n_bins
+    occ, timed_out = np.zeros((m, 2 * n_bins - 1)), np.zeros(m, dtype=bool)
+
+    def tally(occ, *segment):
+        _bin_segments(occ[:, :n_bins], occ[:, n_bins:], dxb, *segment)
+
+    for j, _, _, _, acc, late in dynamics._walks(
+            field, m, lambda a, b: (keys[a:b], starts[a:b]), (t_max,), 0.0,
+            walls=(0.0, slab.L), tally=tally, width=2 * n_bins - 1):
+        occ[j], timed_out[j] = acc, late
+    return occ[:, :n_bins], occ[:, n_bins:], timed_out
 
 
 def walk_equals_oracle(slab, field, keys, fields, starts, n_bins, t_max):

@@ -15,7 +15,7 @@ from lorentzlab.rng import HashStream, mix_key
 
 
 def barrier_spec(**kw):
-    base = dict(mu=1.0, epsilon=0.05, seed=123, delta=1.0, cell_size=0.2)
+    base = dict(mu=1.0, epsilon=0.05, seed=123, delta=1.0)
     base.update(kw)
     return FieldSpec(**base)
 
@@ -32,10 +32,6 @@ class TestFieldSpec:
             FieldSpec(mu=1.0, epsilon=0.1, seed=0)
         with pytest.raises(ValueError):
             FieldSpec(mu=1.0, epsilon=0.1, seed=0, delta=1.0, eta=1.0)
-
-    def test_cell_size_floor(self):
-        with pytest.raises(ValueError):
-            FieldSpec(mu=1.0, epsilon=0.1, seed=0, delta=1.0, cell_size=0.15)
 
     def test_default_cell_size(self):
         s = FieldSpec(mu=1.0, epsilon=0.1, seed=0, delta=1.0)
@@ -141,8 +137,8 @@ class TestCellCenters:
              cells=[(0, -1, -1), (0, 0, 0), (0, 3, -2)])
     def test_equals_scalar_cells(self, seeds, log_lam, cells):
         cs = 0.25
-        spec = FieldSpec(mu=math.exp(log_lam) / cs**2, epsilon=0.1, seed=0,
-                         delta=0.0, cell_size=cs)
+        spec = FieldSpec(mu=math.exp(log_lam) / cs**2, epsilon=cs / 4,
+                         seed=0, delta=0.0)
         fields = [ScattererField(replace(spec, seed=s)) for s in seeds]
         f, ix, iy = (np.array(c, dtype=np.int64) for c in zip(*cells))
         f %= len(seeds)
@@ -190,8 +186,8 @@ class TestStripCenters:
     @example(seeds=[9, 10, 11], lam=140.0, ix0=-1, n_cols=2, ny=4, image=2)
     def test_equals_scalar_cells(self, seeds, lam, ix0, n_cols, ny, image):
         cs = 0.25
-        spec = FieldSpec(mu=lam / cs**2, epsilon=0.1, seed=0, delta=0.0,
-                         cell_size=cs, y_period=ny * cs)
+        spec = FieldSpec(mu=lam / cs**2, epsilon=cs / 4, seed=0, delta=0.0,
+                         y_period=ny * cs)
         fields = [ScattererField(replace(spec, seed=s)) for s in seeds]
         keys = np.array([mix_key(s) for s in seeds], dtype=np.uint64)
         ix1 = ix0 + n_cols - 1

@@ -1,11 +1,13 @@
 """Package hygiene: every exported name exists, nothing in the package
-loads scipy, and only a process pool loads multiprocessing."""
+loads scipy, only a process pool loads multiprocessing, and only
+``dynamics`` drives an array-state walk."""
 
 import importlib
 import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -116,3 +118,19 @@ def test_tracer_wraps_existing_names_and_comes_off():
         tracing.install_layers(patcher, tracing.Tracer())
         assert tracing.leftover_wrappers()
     assert tracing.leftover_wrappers() == []
+
+
+# -- one refill driver ---------------------------------------------------------
+
+_DRIVER_NAMES = ("_flights", "_resume", "_FieldBatch", "_LIVE_WALKS")
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "dynamics"])
+def test_only_dynamics_drives_array_walks(name):
+    # every array-state walk goes through dynamics._walks: a module that
+    # names its kernels or its live cap has grown a second refill loop
+    path = os.path.join(os.path.dirname(lorentzlab.__file__), name + ".py")
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    assert [n for n in _DRIVER_NAMES
+            if re.search(rf"\b{n}\b", source)] == []
