@@ -195,8 +195,8 @@ def _find_containing_disk(field, x, y, r):
     return best
 
 
-# cells generated per numpy pass of a _FieldBatch search, at most (a
-# query's whole window is one pass however many cells it has): this
+# cells generated per numpy pass of a _FieldBatch query, at most (a
+# query's whole box is one pass however many cells it has): this
 # bounds the pass's working set, and more per pass saves no time
 _BATCH_CELLS = 1 << 12
 
@@ -218,29 +218,32 @@ class _FieldBatch:
         self.field = field
         self.keys = keys
 
-    def _candidates(self, rows, ix0, ix1, iy0, iy1):
-        """Every center of cells ix0..ix1 x iy0..iy1 of each query's field,
-        the field of row rows[q] for query q, in the scalar scan order (ix,
-        then iy, then order in the cell): (query of each center, cx, cy)."""
+    def _candidates(self, rows, box):
+        """Every center of cells box[0]..box[1] x box[2]..box[3] of each
+        query's field, the field of row rows[q] for query q, in the scalar
+        scan order (ix, then iy, then order in the cell): (query of each
+        center, cx, cy), yielded in passes of whole queries."""
+        ix0, ix1, iy0, iy1 = box
         ny = iy1 - iy0 + 1
         n_cells = (ix1 - ix0 + 1) * ny
-        q = np.repeat(np.arange(len(rows)), n_cells)
-        k = np.arange(q.size) - (np.cumsum(n_cells) - n_cells)[q]
-        cx, cy, counts = self.field.cells(self.keys[rows[q]],
-                                          ix0[q] + k // ny[q],
-                                          iy0[q] + k % ny[q])
-        return np.repeat(q, counts), cx, cy
+        starts = np.cumsum(n_cells) - n_cells
+        for part in np.split(np.arange(len(rows)), np.flatnonzero(
+                np.diff(starts // _BATCH_CELLS)) + 1):
+            q = np.repeat(part, n_cells[part])
+            k = np.arange(q.size) - (starts[q] - starts[part[:1]])
+            cx, cy, counts = self.field.cells(self.keys[rows[q]],
+                                              ix0[q] + k // ny[q],
+                                              iy0[q] + k % ny[q])
+            yield np.repeat(q, counts), cx, cy
 
     @staticmethod
-    def _earliest(p, key, n):
-        """Per query, the index of its smallest ``key`` (the first of an
-        exact tie), or -1; p is sorted and the order within a query is
-        scan order."""
+    def _earliest(p, key):
+        """The queries in p and the index of each one's smallest ``key``
+        (the first of an exact tie); p is sorted and the order within a
+        query is scan order."""
         order = np.lexsort((key, p))  # stable: a tie keeps scan order
         q, at = np.unique(p[order], return_index=True)
-        best = np.full(n, -1)
-        best[q] = order[at]
-        return best
+        return q, order[at]
 
     def _first_hits(self, x, y, ux, uy, s_max):
         """``_first_hit`` for many rays: window by window, over the same
@@ -260,14 +263,8 @@ class _FieldBatch:
             box = [np.floor(v / cs).astype(np.int64) for v in (
                 np.minimum(ax, bx) - r, np.maximum(ax, bx) + r,
                 np.minimum(ay, by) - r, np.maximum(ay, by) + r)]
-            n_cells = (box[1] - box[0] + 1) * (box[3] - box[2] + 1)
             found = np.zeros(todo.size, dtype=bool)
-            starts = np.cumsum(n_cells) - n_cells
-            for part in np.split(np.arange(todo.size), np.flatnonzero(
-                    np.diff(starts // _BATCH_CELLS)) + 1):
-                p, cx, cy = self._candidates(todo[part],
-                                             *(b[part] for b in box))
-                p = part[p]
+            for p, cx, cy in self._candidates(todo, box):
                 wx, wy = cx - xt[p], cy - yt[p]
                 w2 = wx * wx + wy * wy
                 b = wx * uxt[p] + wy * uyt[p]
@@ -278,9 +275,8 @@ class _FieldBatch:
                 ok &= ~(disc < _TANGENT_TOL * r2)  # tangential graze: a miss
                 ok &= (0.0 < s_in) & (s_in <= s1[p])
                 c = np.flatnonzero(ok)
-                best = self._earliest(p[c], s_in[c], todo.size)
-                i = np.flatnonzero(best >= 0)
-                k = c[best[i]]
+                i, k = self._earliest(p[c], s_in[c])
+                k = c[k]
                 out[:, todo[i]] = s_in[k], cx[k], cy[k]
                 found[i] = True
             s0[todo] = s1
@@ -288,30 +284,29 @@ class _FieldBatch:
         return out
 
     def _containing(self, x, y):
-        """``_find_containing_disk`` for many points: the nearest center
-        within r over the 3 x 3 cells around each.  Returns the arrays
-        (cx, cy) of the centers, NaN where there is none."""
+        """``_find_containing_disk`` for many points, over only the cells
+        of the box of the point's r-disk (of the 3 x 3 it scans, those
+        that can hold a center within r).  Returns the arrays (cx, cy) of
+        the nearest centers within r, NaN where there is none."""
         cs, r = self.field.cell_size, self.field.epsilon
         r2 = r * r
-        ix = np.floor(x / cs).astype(np.int64)[:, None] + _AROUND_X
-        iy = np.floor(y / cs).astype(np.int64)[:, None] + _AROUND_Y
-        p, cx, cy = self._candidates(np.repeat(np.arange(len(x)), 9),
-                                     ix.ravel(),
-                                     ix.ravel(), iy.ravel(), iy.ravel())
-        p //= 9
-        dx, dy = cx - x[p], cy - y[p]
-        d2 = dx * dx + dy * dy
-        c = np.flatnonzero(d2 < r2)
-        best = self._earliest(p[c], d2[c], len(x))
+        box = [np.floor(v / cs).astype(np.int64)
+               for v in (x - r, x + r, y - r, y + r)]
         out = np.full((2, len(x)), np.nan)
-        i = np.flatnonzero(best >= 0)
-        out[:, i] = cx[c[best[i]]], cy[c[best[i]]]
+        for p, cx, cy in self._candidates(np.arange(len(x)), box):
+            dx, dy = cx - x[p], cy - y[p]
+            d2 = dx * dx + dy * dy
+            c = np.flatnonzero(d2 < r2)
+            i, k = self._earliest(p[c], d2[c])
+            out[:, i] = cx[c[k]], cy[c[k]]
         return out
 
 
-# the 3 x 3 block of cells around a point, in scan order
-_AROUND_X = np.repeat(np.arange(-1, 2), 3)
-_AROUND_Y = np.tile(np.arange(-1, 2), 3)
+def _ranges(lo, hi):
+    """(i, k) for every integer k in lo[i]..hi[i], i in order."""
+    n = np.maximum(hi - lo + 1, 0)
+    i = np.repeat(np.arange(len(n)), n)
+    return i, np.arange(i.size) - (np.cumsum(n) - n)[i] + lo[i]
 
 
 def _each(f, *cols):
@@ -545,24 +540,88 @@ def _walks(field, m, new, spans, n, walls=None, tally=None, width=0,
 
 
 class _ArrayLog:
-    """The ``TrajectoryLog``s of walks 0..n-1 of an array walk through
-    barriers, filled in the order ``_Engine.run`` fills them.  ``ids``
-    gives the walk of each row of the state the next ``_resume`` or
-    ``_flights`` call is given; ``_walks`` sets it."""
+    """The logs of walks 0..n-1 of an array walk through barriers, as
+    rows of path points (walk, t, x, y) and events (walk, t, cx, cy, rho,
+    traversed) that each ``_resume`` or ``_flights`` call appends in the
+    order ``_Engine.run`` logs them (``ids``, set by ``_walks``, gives the
+    walk of each row of the state the call is given).  Sorted stably by
+    walk, they give the ``TrajectoryLog``s (``logs``) and the pathology
+    counts of every walk (``pathologies``)."""
 
     def __init__(self, n):
-        self.ids, self.logs = None, [TrajectoryLog() for _ in range(n)]
+        self.n, self.ids = n, None
+        self._path, self._events = [np.zeros((0, 4))], [np.zeros((0, 6))]
 
     def path(self, rows, *txy):
-        for j, t, x, y in zip(self.ids[rows].tolist(), *(
-                np.broadcast_to(c, rows.shape).tolist() for c in txy)):
-            self.logs[j].path.append((t, (x, y)))
+        self._path.append(np.column_stack(np.broadcast_arrays(self.ids[rows],
+                                                              *txy)))
 
     def event(self, rows, *cols):  # t, cx, cy, rho, traversed
-        for j, t, cx, cy, rho, tr in zip(self.ids[rows].tolist(),
-                                         *(c.tolist() for c in cols)):
-            self.logs[j].events.append(TrajectoryEvent(
+        self._events.append(np.column_stack([self.ids[rows], *cols]))
+
+    @staticmethod
+    def _by_walk(parts):
+        rows = np.concatenate(parts)
+        return rows[np.argsort(rows[:, 0], kind="stable")]
+
+    @property
+    def logs(self):
+        logs = [TrajectoryLog() for _ in range(self.n)]
+        for j, t, x, y in self._by_walk(self._path).tolist():
+            logs[int(j)].path.append((t, (x, y)))
+        for j, t, cx, cy, rho, tr in self._by_walk(self._events).tolist():
+            logs[int(j)].events.append(TrajectoryEvent(
                 t, (cx, cy), rho, BARRIER_TRAVERSE if tr else TOTAL_REFLECT))
+        return logs
+
+    def pathologies(self, r):
+        """``classify_pathologies`` of each walk's log (disks of radius r)
+        in its order of operations: rows (recollisions, interferences,
+        overlaps, collisions).  A walk's path times must not fall (the log
+        of one run), so its segments before a time are a prefix."""
+        n = self.n
+        events = self._by_walk(self._events)
+        w, t, cx, cy = events[:, :4].T
+        w = w.astype(np.int64)
+        # each walk's centers (exact float equality) in order of sighting
+        u = np.sort(np.unique(events[:, [0, 2, 3]], axis=0,
+                              return_index=True)[1])
+        uw, ut, ux, uy = w[u], t[u], cx[u], cy[u]
+        collisions = np.bincount(w, minlength=n)
+        seen = np.bincount(uw, minlength=n)
+
+        # overlaps: pairs a < b of a walk's centers, the squares by libm
+        # pow on Python floats as the scalar rule takes them; x * x, within
+        # an ulp of it, only picks the pairs near enough to ask
+        a, b = _ranges(np.arange(1, u.size + 1), np.cumsum(seen)[uw] - 1)
+        dx, dy = ux[a] - ux[b], uy[a] - uy[b]
+        lim2 = (2.0 * r) ** 2
+        near = np.flatnonzero(dx * dx + dy * dy < 2.0 * lim2)
+        d2 = _each(lambda ex, ey: ex ** 2 + ey ** 2, dx[near], dy[near])
+        overlaps = np.bincount(uw[a[near[d2 < lim2]]], minlength=n)
+
+        # interferences: a center is crossed by a segment of its walk, of
+        # points k and k + 1, that has length and starts before the
+        # center's first sighting
+        pw, pt, px, py = self._by_walk(self._path).T
+        k = np.flatnonzero(pw[1:] == pw[:-1])
+        first = np.searchsorted(pw[k], np.arange(n + 1))
+        c, s = _ranges(first[uw], first[uw + 1] - 1)
+        before = pt[k[s]] < ut[c]
+        c, k = c[before], k[s[before]]
+        x0, y0 = px[k], py[k]
+        sx, sy = px[k + 1] - x0, py[k + 1] - y0
+        seg2 = sx * sx + sy * sy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tproj = ((ux[c] - x0) * sx + (uy[c] - y0) * sy) / seg2
+        tproj = np.where(tproj < 0.0, 0.0, np.where(tproj > 1.0, 1.0, tproj))
+        ex = ux[c] - (x0 + tproj * sx)
+        ey = uy[c] - (y0 + tproj * sy)
+        thresh2 = (r * (1.0 - 1e-8)) ** 2
+        crossed = np.unique(c[(seg2 != 0.0) & (ex * ex + ey * ey < thresh2)])
+        interferences = np.bincount(uw[crossed], minlength=n)
+        return np.column_stack([collisions - seen, interferences, overlaps,
+                                collisions])
 
 
 class _Engine:

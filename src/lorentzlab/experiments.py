@@ -24,14 +24,14 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, parse_decade_ladder, parse_float_list
-from .dynamics import _ArrayLog, _each, _walks, classify_pathologies
+from .dynamics import _ArrayLog, _each, _walks
 from .kinetic import (JumpProcessParams, _jump_blocks, _landau_vacf_msd,
                       green_kubo_D, landau_B_quadrature)
 from .macroscale import (HeatProblem, SlabSpec, simulate_slab_stationary,
                          solve_heat)
 from .medium import FieldSpec, ScattererField, member_keys
-from .parallel import run_ensemble, run_pool
-from .rng import mix_key, rng_stream
+from .parallel import queue_ensemble, run_pool
+from .rng import mix_key, rng_streams
 from .scattering import BarrierParams, scattering_angle
 from .stats import (angle_histogram, chi_square_uniform, linear_fit, msd_curve,
                     tv_distance, tv_self_noise)
@@ -67,12 +67,13 @@ def _mech_chunk(payload, log=None):
     trajectories i0..i1-1.
 
     For a uniform initial angle, rng_stream(seed, i) draws trajectory
-    i's angle and then, if sigma0 > 0, its Gaussian start point; a delta
-    start (angle 0 at the origin) builds no stream.  Its field is keyed
-    by (seed, tag, i).  They run as one ``dynamics._walks`` walk, each
-    checkpoint a time slice that starts on its own clock, as a new
-    ``_Engine.run`` from where the last stopped.  ``log`` (an
-    ``_ArrayLog``) records trajectory i as walk i - i0.
+    i's angle and then, if sigma0 > 0, its Gaussian start point (from
+    ``rng_streams``); a delta start (angle 0 at the origin) draws
+    nothing.  Its field is keyed by (seed, tag, i).  They run as one
+    ``dynamics._walks`` walk, each checkpoint a time slice that starts
+    on its own clock, as a new ``_Engine.run`` from where the last
+    stopped.  ``log`` (an ``_ArrayLog``) records trajectory i as walk
+    i - i0.
     """
     (eps, alpha, mu, speed, checks, seed, tag, initial, sigma0,
      i0, i1) = payload
@@ -82,8 +83,8 @@ def _mech_chunk(payload, log=None):
     spans = np.diff(checks, prepend=0.0)  # each slice's t_max
     m, n_checks = i1 - i0, len(checks)
     phi0, start = np.zeros(m), np.zeros((m, 4))
-    for j in range(m) if initial == "uniform" else ():
-        rng = rng_stream(seed, i0 + j)
+    drawn = rng_streams(seed, range(i0, i1)) if initial == "uniform" else ()
+    for j, rng in enumerate(drawn):
         phi0[j] = rng.random() * 2.0 * math.pi
         if sigma0 > 0:
             start[j, :2] = rng.standard_normal(2) * sigma0
@@ -120,29 +121,25 @@ def _jump_final_chunk(payload):
 
 def _pathology_chunk(payload):
     """Pathology counts (recollisions, interferences, overlaps,
-    collisions) of each ``_mech_chunk`` trajectory, from its log."""
-    eps, alpha, mu, _, _, seed, tag, *_, i0, i1 = payload
+    collisions) of each ``_mech_chunk`` trajectory, from its log, all
+    classified at once (``_ArrayLog.pathologies``)."""
+    eps, *_, i0, i1 = payload
     log = _ArrayLog(i1 - i0)
     _mech_chunk(payload, log)
-    field = _barrier_field(eps, alpha, mu, seed, tag, i0)
-    out = np.empty((i1 - i0, 4), dtype=np.int64)
-    for j, lg in enumerate(log.logs):
-        rep = classify_pathologies(lg, field)
-        out[j] = (rep.recollisions, rep.interferences, rep.overlaps,
-                  rep.q_collisions)
-    return (out,)
+    return (log.pathologies(eps),)
 
 
-def _ensemble(fn, head: tuple, n: int, workers: int) -> tuple:
-    """Run chunk worker ``fn`` over items 0..n-1, one index range per
-    worker, and concatenate each of its outputs in index order."""
-    parts = run_ensemble(fn, head, n, -(-n // max(workers, 1)), workers)
-    return tuple(np.concatenate(out) for out in zip(*parts))
+def _ensemble(fn, head: tuple, n: int, workers: int):
+    """Queue chunk worker ``fn`` over items 0..n-1, one index range per
+    worker (``queue_ensemble``); returns the function that waits for its
+    outputs, each concatenated in index order."""
+    parts = queue_ensemble(fn, head, n, -(-n // max(workers, 1)), workers)
+    return lambda: tuple(np.concatenate(out) for out in zip(*parts()))
 
 
 def _mech_ensemble(cfg, eps, n, checks, tag, initial="delta", sigma0=0.0,
                   worker=_mech_chunk):
-    """``worker``'s outputs for n trajectories in cfg's barrier medium."""
+    """``_ensemble`` of ``worker`` over n trajectories in cfg's medium."""
     return _ensemble(worker, (eps, cfg["alpha"], cfg["mu"], cfg["speed"],
                               checks, cfg["seed"], tag, initial, sigma0),
                      n, cfg["workers"])
@@ -207,14 +204,16 @@ def run_kinetic_compare(cfg: ExperimentConfig) -> Report:
     T = cfg["time"]
     rows = []
     tvs, floors = [], []
-    for k in range(cfg["kmin"], cfg["kmax"] + 1):
+    ladder = range(cfg["kmin"], cfg["kmax"] + 1)
+    # every ensemble queued first, then each ladder point folded in order
+    queued = [(_mech_ensemble(cfg, 2.0**-k, n, (T,), 1000 + k), _ensemble(
+        _jump_final_chunk, (2.0**-k, cfg["alpha"], cfg["mu"], cfg["speed"],
+                            T, cfg["seed"], 2000 + k), n, cfg["workers"]))
+              for k in ladder]
+    for k, (mech, jump) in zip(ladder, queued):
         eps = 2.0**-k
-        mech_a, _, mech_pos, mech_ev = _mech_ensemble(cfg, eps, n, (T,),
-                                                      1000 + k)
-        jump_a, jump_pos, jump_ev = _ensemble(
-            _jump_final_chunk,
-            (eps, cfg["alpha"], cfg["mu"], cfg["speed"], T, cfg["seed"],
-             2000 + k), n, cfg["workers"])
+        mech_a, _, mech_pos, mech_ev = mech()
+        jump_a, jump_pos, jump_ev = jump()
 
         ha = angle_histogram(mech_a, cfg["angle_bins"])
         hb = angle_histogram(jump_a, cfg["angle_bins"])
@@ -257,8 +256,11 @@ def run_thermalization(cfg: ExperimentConfig) -> Report:
     n = cfg["samples"]
     rows = []
     p_values = {}
-    for idx, t in enumerate(parse_float_list(cfg["times"])):
-        ang = _mech_ensemble(cfg, eps, n, (t,), 3000 + idx, cfg["initial"])[0]
+    times = parse_float_list(cfg["times"])
+    queued = [_mech_ensemble(cfg, eps, n, (t,), 3000 + idx, cfg["initial"])
+              for idx, t in enumerate(times)]
+    for t, ensemble in zip(times, queued):
+        ang = ensemble()[0]
         stat, p = chi_square_uniform(angle_histogram(ang, cfg["angle_bins"]))
         rows.append((t, stat, p))
         p_values[str(t)] = p
@@ -306,15 +308,16 @@ def run_diffusive_scale(cfg: ExperimentConfig) -> Report:
     angular-diffusion prediction and the heat-equation profile."""
     eps = 2.0**-cfg["k"]
     alpha, mu, speed = cfg["alpha"], cfg["mu"], cfg["speed"]
-    B = landau_B_quadrature(eps, alpha, mu, speed)
-    d_kin = speed**4 / (2.0 * B)
     t_final = cfg["time"] * abs(math.log(eps))
     n_check = cfg["checkpoints"]
     checks = tuple(t_final * (j + 1) / n_check for j in range(n_check))
     n = cfg["trajectories"]
     sigma0 = cfg["sigma0"]
-    _, disp, final_abs, _ = _mech_ensemble(cfg, eps, n, checks, 4000,
-                                           "uniform", sigma0)
+    # queued first: the workers walk while B is computed
+    ensemble = _mech_ensemble(cfg, eps, n, checks, 4000, "uniform", sigma0)
+    B = landau_B_quadrature(eps, alpha, mu, speed)
+    d_kin = speed**4 / (2.0 * B)
+    _, disp, final_abs, _ = ensemble()
     msd, msd_ci = msd_curve(disp)
     rows = [(checks[i], float(msd[i]), float(msd_ci[i]))
             for i in range(n_check)]
@@ -363,10 +366,12 @@ def run_pathology_scan(cfg: ExperimentConfig) -> Report:
     n = cfg["trajectories"]
     rows = []
     per_coll = []
-    for k in range(cfg["kmin"], cfg["kmax"] + 1):
+    ladder = range(cfg["kmin"], cfg["kmax"] + 1)
+    queued = [_mech_ensemble(cfg, 2.0**-k, n, (cfg["time"],), 5000 + k,
+                             worker=_pathology_chunk) for k in ladder]
+    for k, ensemble in zip(ladder, queued):
         eps = 2.0**-k
-        (counts,) = _mech_ensemble(cfg, eps, n, (cfg["time"],), 5000 + k,
-                                   worker=_pathology_chunk)
+        (counts,) = ensemble()
         rec, intf, ov, q = counts.T
         q_tot = max(int(q.sum()), 1)
         frac_rec = float(rec.sum()) / q_tot

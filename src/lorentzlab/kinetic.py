@@ -54,7 +54,7 @@ deflection law) whose numpy versions round differently.
 One kernel, ``_landau_paths``, samples the angular Brownian motion
 into buffers its caller owns: ``sample_landau_path`` is its one-path
 case, and the Monte Carlo routes run it over chunks of ``LANDAU_CHUNK``
-paths through ``parallel.run_ensemble``.  Chunk k draws from
+paths through ``parallel.queue_ensemble``.  Chunk k draws from
 ``rng_stream(seed, k)``, so the ensemble depends on the chunk size but
 not on the worker count; within a chunk the paths go in row blocks on
 one reused workspace, and the sums do not depend on the block size.
@@ -70,7 +70,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .parallel import run_ensemble
+from .parallel import queue_ensemble
 from .rng import philox_uniforms, rng_stream
 from .scattering import BarrierParams, deflection_angle, refractive_index
 
@@ -444,8 +444,8 @@ def _landau_vacf_msd(c: float, speed: float, n_paths: int, dt: float,
                      t_max: float, seed: int, workers: int = 1):
     """Ensemble VACF and MSD of the angular diffusion on a time grid."""
     n_steps = int(round(t_max / dt))
-    parts = run_ensemble(_landau_chunk, (c, speed, dt, n_steps, seed),
-                         n_paths, LANDAU_CHUNK, workers)
+    parts = queue_ensemble(_landau_chunk, (c, speed, dt, n_steps, seed),
+                           n_paths, LANDAU_CHUNK, workers)()
     sum_cos, sum_msd = map(sum, zip(*parts))
     grid = np.arange(n_steps + 1) * dt
     return grid, speed**2 * sum_cos / n_paths, sum_msd / n_paths

@@ -29,9 +29,9 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import _Engine, _find_containing_disk, _walks
+from .dynamics import _Engine, _find_containing_disk, _ranges, _walks
 from .medium import FieldSpec, ScattererField, member_keys
-from .parallel import run_ensemble
+from .parallel import queue_ensemble
 from .rng import mix_key, philox_uniforms
 
 __all__ = [
@@ -236,13 +236,6 @@ def _run_injection(field, slab, x0, y0, vx, vy, n_bins, t_max):
     return tau, net, side is None
 
 
-def _ranges(lo, hi):
-    """(i, k) for every integer k in lo[i]..hi[i], i in order."""
-    n = np.maximum(hi - lo + 1, 0)
-    i = np.repeat(np.arange(len(n)), n)
-    return i, np.arange(i.size) - (np.cumsum(n) - n)[i] + lo[i]
-
-
 def _bin_segments(tau, net, dxb, t0, t1, ax, bx):
     """``_bin_segment`` for one segment per row of ``tau`` and ``net``,
     in its arithmetic; a row's bins and faces take one addition each."""
@@ -379,10 +372,10 @@ def simulate_slab_stationary(slab: SlabSpec, n_injections: int = 100_000,
     # each worker takes a run of whole chunks
     per_worker = SLAB_CHUNK * -(-n_injections
                                 // (SLAB_CHUNK * max(workers, 1)))
-    parts = run_ensemble(_slab_chunks, (slab, ScattererField(spec),
-                                        mix_key(spec.seed), seed, n_bins,
-                                        t_max, n_injections, width),
-                         n_injections, per_worker, workers)
+    parts = queue_ensemble(_slab_chunks, (slab, ScattererField(spec),
+                                          mix_key(spec.seed), seed, n_bins,
+                                          t_max, n_injections, width),
+                           n_injections, per_worker, workers)()
     sums, sqs, cnt, nsum, nsq, timeouts = map(
         sum, zip(*(chunk for part in parts for chunk in part)))
 

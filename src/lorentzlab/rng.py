@@ -5,7 +5,8 @@ order in which work is scheduled:
 
 * ``rng_stream(master_seed, stream_index)`` returns an independent
   numpy ``Generator`` (Philox) for bulk sampling.  Same inputs, same
-  stream, on every platform and at every worker count.
+  stream, on every platform and at every worker count; ``rng_streams``
+  gives many in turn from one ``Generator``.
 * ``philox_uniforms`` is a numpy port of the Philox4x64-10 generator
   behind ``rng_stream``: it gives ``rng_stream(seed, i).random()``'s
   draws for many stream indices i in one pass, bit for bit, and can
@@ -94,6 +95,22 @@ def rng_stream(master_seed: int, stream_index: int) -> np.random.Generator:
     k0 = mix_key(master_seed, stream_index, 1)
     k1 = mix_key(master_seed, stream_index, 2)
     return np.random.Generator(np.random.Philox(key=k0 | (k1 << 64)))
+
+
+def rng_streams(master_seed: int, index):
+    """``rng_stream(master_seed, i)`` for each i of ``index`` in turn: one
+    ``Generator`` (it keeps no state of its own) whose Philox is re-keyed
+    in place, each good until the next is asked for."""
+    base = fold_key(np.uint64(mix_key(master_seed)),
+                    np.asarray(index, dtype=np.int64))
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    state = bits.state  # a new Philox's
+    for key in np.column_stack([fold_key(base, np.int64(1)),
+                                fold_key(base, np.int64(2))]):
+        state["state"]["key"] = key
+        bits.state = state
+        yield gen
 
 
 _M32 = np.uint64(0xFFFFFFFF)

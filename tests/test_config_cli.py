@@ -1,10 +1,12 @@
 """Config schema, CLI wiring, exit codes, output reproducibility."""
 
 import json
+import multiprocessing
 import os
 
 import pytest
 
+from lorentzlab import dynamics
 from lorentzlab.cli import _collect_overrides, build_parser, main
 from lorentzlab.config import (
     MAX_CENTERS_PER_CELL,
@@ -198,6 +200,17 @@ class TestCLI:
 
         monkeypatch.setitem(RUNNERS, "scatter-table", runner)
         assert main(["scatter-table", "--out-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stuck_particle_in_a_queued_ensemble(self, monkeypatch, tmp_path,
+                                                 workers):
+        # the first of four queued ensembles fails (in the forked workers
+        # at workers=2); the run exits 3 and leaves no worker behind
+        monkeypatch.setattr(dynamics, "MAX_EVENTS", 3)
+        assert main(["pathology-scan", "--eps-ladder", "4..7",
+                     "--trajectories", "64", "--time", "0.5", "--workers",
+                     str(workers), "--out-dir", str(tmp_path)]) == 3
+        assert multiprocessing.active_children() == []
 
     def test_other_value_error_is_not_a_guard(self, monkeypatch, tmp_path):
         # a programming error gives a traceback, not exit 3

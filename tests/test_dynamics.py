@@ -432,12 +432,40 @@ class TestFieldBatch:
             assert inside == _find_containing_disk(fld, 1.0, y0, r)
             assert inside == centers[first]
 
+    def test_containing_at_cell_edges(self, monkeypatch):
+        # points on a cell edge or corner, and r or r/2 off one, at
+        # negative coordinates and across the seam of a field periodic in
+        # y over 3 cells (about 6 centers a cell): the cells of the box
+        # around the point's r-disk give the 3 x 3 scan's answer
+        r = self.R
+        cs = 4.0 * r
+        fld = ScattererField(FieldSpec(mu=12.0, epsilon=r, seed=3, eta=1.0,
+                                       y_period=3.0 * cs))
+        offsets = (-r, -0.5 * r, 0.0, 0.5 * r, r, 1.5 * r)
+        pts = np.array([(ix * cs + dx, iy * cs + dy)
+                        for ix in (-2, -1, 0, 1) for iy in (-4, -1, 0, 2, 3)
+                        for dx in offsets for dy in offsets])
+        asked, cells = [], fld.cells
+
+        def counted(keys, ix, iy):
+            asked.append(len(ix))
+            return cells(keys, ix, iy)
+
+        monkeypatch.setattr(fld, "cells", counted)
+        batch = _FieldBatch(fld, np.full(len(pts), mix_key(3), np.uint64))
+        got = batch._containing(pts[:, 0], pts[:, 1]).T.tolist()
+        want = [_find_containing_disk(fld, x, y, r) for x, y in pts.tolist()]
+        assert [None if math.isnan(g[0]) else tuple(g) for g in got] == want
+        assert sum(w is not None for w in want) > len(pts) // 2
+        assert len(pts) < sum(asked) <= 4 * len(pts)
+        assert batch._containing(np.zeros(0), np.zeros(0)).shape == (2, 0)
+
 
 def array_run(field, params, starts, t_max):
     """Runs from each start (x, y, vx, vy) for t_max (one, or one per
     start) through ``field``, every walk in the one field, as one
     ``_walks`` walk.  Returns the final states (x, y, vx, vy, speed, t),
-    the event counts and the logs."""
+    the event counts and the ``_ArrayLog``."""
     m = len(starts)
     F, ev = np.zeros((m, 6)), np.zeros(m, dtype=np.int64)
     log = _ArrayLog(m)
@@ -446,7 +474,7 @@ def array_run(field, params, starts, t_max):
                                     starts[a:b]),
             np.reshape(t_max, (-1, 1)), params.n_index, log=log):
         F[j], ev[j] = G, e
-    return F, ev, log.logs
+    return F, ev, log
 
 
 class TestArrayWalk:
@@ -527,7 +555,8 @@ class TestArrayWalk:
                   for x, y, phi in zip(*rng.uniform(-6 * r, 6 * r, (2, 24)),
                                        rng.uniform(0.0, 2 * math.pi, 24))]
         t_max = (rng.uniform(2.0, 30.0, 24) * r / speed).tolist()
-        F, ev, logs = array_run(fld, params, starts, t_max)
+        F, ev, log = array_run(fld, params, starts, t_max)
+        logs = log.logs
         for j, start in enumerate(starts):
             out, log = advance(state(*start), fld, params, t_max[j])
             assert F[j, :4].tolist() == [*out.x, *out.v], j
@@ -549,8 +578,57 @@ class TestArrayWalk:
         s_in, _ = _first_hit(fld, 0.0, 0.0, 1.0, 0.0, params.epsilon,
                              0.6 * t_max)
         assert s_in / 0.6 > t_max
-        F, ev, logs = array_run(fld, params, [(0.0, 0.0, 0.6, 0.0)], t_max)
+        F, ev, walk = array_run(fld, params, [(0.0, 0.0, 0.6, 0.0)], t_max)
+        logs = walk.logs
         out, log = advance(state(0.0, 0.0, 0.6, 0.0), fld, params, t_max)
         assert F[0, :4].tolist() == [*out.x, *out.v]
         assert F[0, 5] > t_max and ev[0] == 1
         assert logs[0].events == log.events and logs[0].path == log.path
+
+    @pytest.mark.parametrize("params", [REFR, HARD],
+                             ids=["refractive", "always-reflecting"])
+    def test_pathologies_equal_classify_pathologies(self, params):
+        # 60 disks over a box of side 12 r: walks among overlapping disks
+        # re-enter some and cross others before they hit them (from a
+        # start inside a disk, or off a disk they are inside of); the
+        # last walk starts far off and has no event
+        rng = np.random.default_rng(11)
+        r, speed, m = params.epsilon, params.speed, 40
+        fld = PlantedField(rng.uniform(-6 * r, 6 * r, (60, 2)).tolist(), r)
+        starts = [(x, y, speed * math.cos(phi), speed * math.sin(phi))
+                  for x, y, phi in zip(*rng.uniform(-5 * r, 5 * r, (2, m)),
+                                       rng.uniform(0.0, 2 * math.pi, m))]
+        starts[-1] = (100.0 * r, 0.0, speed, 0.0)
+        t_max = rng.uniform(5.0, 60.0, m) * r / speed
+        log = array_run(fld, params, starts, t_max)[2]
+        got = log.pathologies(r)
+        want = []
+        for lg in log.logs:
+            rep = classify_pathologies(lg, fld)
+            want.append([rep.recollisions, rep.interferences, rep.overlaps,
+                         rep.q_collisions])
+        assert got.tolist() == want
+        assert (got[:-1].sum(axis=0) > 0).all() and (got[-1] == 0).all()
+
+    def test_overlap_squares_by_pow(self):
+        # pairs of centers 2 r apart to within an ulp, on which libm pow
+        # (x ** 2, the scalar rule's) and x * x disagree about the
+        # overlap: the classifier takes pow's answer (1, then 0)
+        r = 2.0**-5
+        near = [(0.02660898205317018, 0.05655273710523715),
+                (0.005531373265355605, 0.062254750098280125)]
+        log = _ArrayLog(2)
+        log.ids = np.arange(2)
+        for t in (0.0, 1.0, 2.0):
+            log.path(log.ids, t, np.full(2, 5.0), np.full(2, t))
+        log.event(log.ids, np.ones(2), *np.transpose(near), np.zeros(2),
+                  np.zeros(2))
+        log.event(log.ids, np.full(2, 2.0), np.zeros(2), np.zeros(2),
+                  np.zeros(2), np.zeros(2))
+        got = log.pathologies(r)
+        fld = PlantedField([], r)
+        for j, lg in enumerate(log.logs):
+            rep = classify_pathologies(lg, fld)
+            assert got[j].tolist() == [rep.recollisions, rep.interferences,
+                                       rep.overlaps, rep.q_collisions]
+        assert got[:, 2].tolist() == [1, 0]

@@ -1,12 +1,13 @@
 """Cross-scale experiment drivers: the trends behind the acceptance gate."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from lorentzlab import dynamics
+from lorentzlab import dynamics, rng
 from lorentzlab.config import build_config
 from lorentzlab.dynamics import (ParticleState, StuckParticleError,
                                  _ArrayLog, _find_containing_disk, advance,
@@ -85,6 +86,35 @@ def test_jump_final_chunk_equals_path_loop(payload):
     want = _jump_final_reference(payload)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def calls(monkeypatch, module, name):
+    """A list that grows at each call of ``module.name`` from any
+    lorentzlab module that binds it."""
+    orig, seen = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("lorentzlab"):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return seen
+
+
+def test_chunks_make_no_per_trajectory_calls(monkeypatch):
+    # the starts come from one re-keyed stream and the logs are
+    # classified at once: no Generator and no classify_pathologies call
+    # per trajectory
+    streams = calls(monkeypatch, rng, "rng_stream")
+    classified = calls(monkeypatch, dynamics, "classify_pathologies")
+    head = (2.0**-6, 0.25, 1.0, 1.0, (0.1, 0.2), 61, 7, "uniform", 0.3)
+    assert _mech_chunk(head + (0, 20))[3].sum() > 0
+    assert _pathology_chunk(head + (0, 20))[0][:, 3].sum() > 0
+    assert streams == [] and classified == []
 
 
 class TestWorkersEqualLoggedPath:

@@ -525,8 +525,8 @@ class TestRefilledWalk:
                                             y_period_cells=p["y_period_cells"])
 
         got = [run(w) for w in (1, 2, 3)]
-        monkeypatch.setattr(macroscale, "run_ensemble",
-                            lambda *args: [want])
+        monkeypatch.setattr(macroscale, "queue_ensemble",
+                            lambda *args: lambda: [want])
         ref = run(1)
         assert 0 < ref.n_timeouts < n
         for res in got:

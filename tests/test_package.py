@@ -101,6 +101,17 @@ def test_single_worker_run_leaves_multiprocessing_out(name, tmp_path):
     assert json.loads(out.splitlines()[-1]) == []
 
 
+@pytest.mark.parametrize("name", ["fick-slab", "pathology-scan",
+                                  "thermalization"])
+def test_undrawn_starts_leave_numpy_random_out(name, tmp_path):
+    # delta starts, and slab injections drawn through the Philox port,
+    # build no Generator: numpy.random (about 4 MB of peak memory) stays
+    # out
+    out = _python(_SPY, "numpy", name, *_TINY[name], "--workers", "1",
+                  "--out-dir", str(tmp_path))
+    assert "numpy.random" not in json.loads(out.splitlines()[-1])
+
+
 # -- the benchmark tracer still finds every name it wraps ----------------------
 
 _TRACING = os.path.join(os.path.dirname(os.path.dirname(

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from lorentzlab.rng import (HashStream, mix_key, philox_uniforms, rng_stream,
-                            splitmix64)
+                            rng_streams, splitmix64)
 
 
 class TestRngStream:
@@ -31,6 +31,28 @@ class TestRngStream:
         b = rng_stream(9, 1).random(n)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(n)
+
+
+class TestRngStreams:
+    """One re-keyed Generator gives each rng_stream's draws in turn."""
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(-2**70, 2**70),
+           index=st.lists(st.integers(0, 2**40), max_size=6))
+    def test_equals_rng_stream(self, seed, index):
+        got = [(g.random(), *g.standard_normal(2), g.integers(0, 2**31))
+               for g in rng_streams(seed, index)]
+        want = []
+        for i in index:
+            g = rng_stream(seed, i)
+            want.append((g.random(), *g.standard_normal(2),
+                         g.integers(0, 2**31)))
+        assert got == want
+
+    def test_a_stream_that_stopped_mid_block(self):
+        # the next stream does not continue the last one's buffered words
+        a, b = (g.random(3).tolist() for g in rng_streams(5, [0, 0]))
+        assert a == b == rng_stream(5, 0).random(3).tolist()
 
 
 class TestPhiloxUniforms:

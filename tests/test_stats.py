@@ -60,6 +60,36 @@ class TestHistogramsAndTV:
         # the measured self TV sits inside the predicted band
         assert tv_distance(h1, h2) < 2 * hi_small
 
+    @staticmethod
+    def _self_noise_loop(counts_p, counts_q, seed):
+        """tv_self_noise one resample pair at a time, through tv_distance."""
+        p = np.asarray(counts_p, dtype=float)
+        q = np.asarray(counts_q, dtype=float)
+        pooled = (p + q) / (p.sum() + q.sum())
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        tvs = np.empty(200)
+        for i in range(200):
+            a = rng.multinomial(int(p.sum()), pooled)
+            b = rng.multinomial(int(q.sum()), pooled)
+            tvs[i] = tv_distance(a, b)
+        return float(tvs.mean()), float(np.quantile(tvs, 0.975))
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_self_noise_equals_the_loop(self, case):
+        # bit for bit: the draws of one call are the loop's, and each
+        # distance takes tv_distance's operations
+        rng = np.random.default_rng(case)
+        bins = int(rng.integers(2, 300))
+        p = rng.integers(0, 40, bins) * (rng.random(bins) < 0.8)
+        q = rng.integers(0, 400, bins)
+        p[0] += 1
+        seed = int(rng.integers(0, 2**63))
+        assert tv_self_noise(p, q, seed) == self._self_noise_loop(p, q, seed)
+
+    def test_self_noise_empty_rejected(self):
+        with pytest.raises(ValueError):
+            tv_self_noise([0, 0], [1, 2])
+
 
 class TestChiSquare:
     def test_uniform_accepts(self):
