@@ -57,7 +57,10 @@ case, and the Monte Carlo routes run it over chunks of ``LANDAU_CHUNK``
 paths through ``parallel.queue_ensemble``.  Chunk k draws from
 ``rng_stream(seed, k)``, so the ensemble depends on the chunk size but
 not on the worker count; within a chunk the paths go in row blocks on
-one reused workspace, and the sums do not depend on the block size.
+one reused workspace, sized so that its five arrays together hold
+``_JUMP_ENTRIES`` entries, and the sums do not depend on the block size.
+Both Monte Carlo routes take only the sums their callers read: the
+VACF, the MSD, or both.
 """
 
 from __future__ import annotations
@@ -89,10 +92,11 @@ __all__ = [
 LANDAU_CHUNK = 4096
 
 # Entries per path in one numpy pass of a batched sampler (the jump
-# sampler's draws or the grid points it is sampled at; a Landau block's
-# grid points), times the paths of the pass, at most: this bounds the
-# working set of both.  2^18 ran fastest for the jumps on a 2-core x86
-# box; 2^19 spills the cache, 2^17 pays more passes
+# sampler's draws or the grid points it is sampled at; the five
+# workspace arrays' columns of a Landau block), times the paths of the
+# pass, at most: this bounds the working set of both.  2^18 ran fastest
+# for the jumps on a 2-core x86 box; 2^19 spills the cache, 2^17 pays
+# more passes
 _JUMP_ENTRIES = 1 << 18
 
 
@@ -231,7 +235,8 @@ def _landau_workspace(m: int, n_steps: int) -> list[np.ndarray]:
 
 
 def _landau_paths(rng, steps: np.ndarray, c: float, speed: float,
-                  phi0: float, work: list[np.ndarray]):
+                  phi0: float, work: list[np.ndarray],
+                  positions: bool = True):
     """Angular Brownian paths over the given step lengths, one a row of
     the ``_landau_workspace`` arrays ``work``.
 
@@ -240,7 +245,8 @@ def _landau_paths(rng, steps: np.ndarray, c: float, speed: float,
     generator draw what one call over all their rows would; the
     positions, relative to the start, integrate the velocity by the
     midpoint rule.  Returns angles and x, y displacements, the first
-    three arrays of ``work``, with the start in column 0.
+    three arrays of ``work``, with the start in column 0; without
+    ``positions``, the angles and None, None.
     """
     phi, x, y, incr, step = work
     rng.standard_normal(out=incr)
@@ -248,6 +254,8 @@ def _landau_paths(rng, steps: np.ndarray, c: float, speed: float,
     phi[:, 0] = phi0
     np.cumsum(incr, axis=1, out=phi[:, 1:])
     phi[:, 1:] += phi0
+    if not positions:
+        return phi, None, None
     mid = np.add(phi[:, :-1], phi[:, 1:], out=incr)
     mid *= 0.5
     ds = speed * steps
@@ -417,38 +425,54 @@ def scattering_moment_integrals(epsilon: float, alpha: float,
 
 
 def _landau_chunk(payload):
-    """Per-step sums of cos(phi) and |X|^2 over paths i0..i1-1.
+    """Per-step sums of cos(phi) and |X|^2 over paths i0..i1-1, each
+    only if ``need`` names it (``"vacf"``, ``"msd"``); None in its place
+    otherwise.
 
     The chunk's stream feeds ``_landau_paths`` in blocks of as many
-    paths as fit ``_JUMP_ENTRIES`` grid points, all on one workspace;
-    each block's rows are added into the sums in path order, so the
-    sums do not depend on the block size.
+    paths as fit ``_JUMP_ENTRIES`` entries over the five workspace
+    arrays, all on one workspace; each block's rows are added into the
+    sums in path order, so the sums do not depend on the block size.
     """
-    (c, speed, dt, n_steps, seed, i0, i1) = payload
+    (c, speed, dt, n_steps, seed, need, i0, i1) = payload
     rng = rng_stream(seed, i0 // LANDAU_CHUNK)
     steps = np.full(n_steps, dt)
-    rows = max(1, _JUMP_ENTRIES // (n_steps + 1))
+    rows = max(1, _JUMP_ENTRIES // (5 * (n_steps + 1)))
     work = _landau_workspace(min(rows, i1 - i0), n_steps)
-    sum_cos = sum_msd = np.zeros(n_steps + 1)
+    vacf, msd = "vacf" in need, "msd" in need
+    sum_cos = np.zeros(n_steps + 1) if vacf else None
+    sum_msd = np.zeros(n_steps + 1) if msd else None
     for a in range(i0, i1, rows):
         phi, x, y = _landau_paths(rng, steps, c, speed, 0.0,
-                                  [w[:i1 - a] for w in work])
-        sum_cos = _fold_rows(sum_cos, np.cos(phi, out=phi))
-        np.square(x, out=x)
-        x += np.square(y, out=y)
-        sum_msd = _fold_rows(sum_msd, x)
+                                  [w[:i1 - a] for w in work], msd)
+        if vacf:
+            sum_cos = _fold_rows(sum_cos, np.cos(phi, out=phi))
+        if msd:
+            np.square(x, out=x)
+            x += np.square(y, out=y)
+            sum_msd = _fold_rows(sum_msd, x)
     return sum_cos, sum_msd
 
 
 def _landau_vacf_msd(c: float, speed: float, n_paths: int, dt: float,
-                     t_max: float, seed: int, workers: int = 1):
-    """Ensemble VACF and MSD of the angular diffusion on a time grid."""
+                     t_max: float, seed: int, workers: int = 1,
+                     need: tuple[str, ...] = ("vacf", "msd")):
+    """Ensemble VACF and MSD of the angular diffusion on a time grid;
+    each only if ``need`` names it, None in its place otherwise."""
     n_steps = int(round(t_max / dt))
-    parts = queue_ensemble(_landau_chunk, (c, speed, dt, n_steps, seed),
+    parts = queue_ensemble(_landau_chunk, (c, speed, dt, n_steps, seed, need),
                            n_paths, LANDAU_CHUNK, workers)()
-    sum_cos, sum_msd = map(sum, zip(*parts))
-    grid = np.arange(n_steps + 1) * dt
-    return grid, speed**2 * sum_cos / n_paths, sum_msd / n_paths
+    sum_cos, sum_msd = (None if s[0] is None else sum(s) for s in zip(*parts))
+    return _ensemble_means(np.arange(n_steps + 1) * dt, speed, n_paths,
+                           sum_cos, sum_msd)
+
+
+def _ensemble_means(grid: np.ndarray, speed: float, n_paths: int, sum_cos,
+                    sum_msd):
+    """The grid, VACF and MSD of an ensemble from its per-step sums of
+    cos(phi) and |X|^2; None for a sum not taken."""
+    return (grid, None if sum_cos is None else speed**2 * sum_cos / n_paths,
+            None if sum_msd is None else sum_msd / n_paths)
 
 
 def green_kubo_D(B: float | None = None, mu: float | None = None,
@@ -466,22 +490,25 @@ def green_kubo_D(B: float | None = None, mu: float | None = None,
 
     methods: ``analytic_vacf`` (closed form), ``monte_carlo``
     (trapezoid over the empirical VACF, cutoff at 10 correlation
-    times), ``msd`` (late-time slope of E|X|^2 / (4 t)).  The Monte
-    Carlo time step is 1/100 correlation time (Landau) or 1/50 (jumps).
+    times), ``msd`` (late-time slope of E|X|^2 / (4 t)).  Each Monte
+    Carlo route samples only the sum it integrates, the VACF or the
+    MSD.  The Monte Carlo time step is 1/100 correlation time (Landau)
+    or 1/50 (jumps).  ``B``, ``mu``, ``rate`` and ``speed``, where
+    given, must be positive and finite.
     """
     if method not in ("analytic_vacf", "monte_carlo", "msd"):
         raise ValueError(f"unknown method {method!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if speed <= 0.0:
-        raise ValueError("speed must be positive")
+    for name, value in (("speed", speed), ("B", B), ("mu", mu),
+                        ("rate", rate)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     if B is not None:
-        if B <= 0.0:
-            raise ValueError("B must be positive")
         nu = B / speed**2  # angular correlation decay rate
     else:
         if rate is None:
-            if mu is None or mu <= 0.0:
+            if mu is None:
                 raise ValueError("pass B, mu, or rate")
             rate = 2.0 * mu * speed
         nu = JumpProcessParams.hard_disk(rate).momentum_transfer_rate()
@@ -490,12 +517,13 @@ def green_kubo_D(B: float | None = None, mu: float | None = None,
         return speed**2 / (2.0 * nu)
 
     t_max = 10.0 / nu
+    need = ("vacf",) if method == "monte_carlo" else ("msd",)
     if B is not None:
         grid, vacf, msd = _landau_vacf_msd(nu, speed, n_paths, 0.01 / nu,
-                                           t_max, seed)
+                                           t_max, seed, need=need)
     else:
         grid, vacf, msd = _jump_vacf_msd(rate, speed, n_paths, 0.02 / nu,
-                                         t_max, seed)
+                                         t_max, seed, need=need)
     if method == "monte_carlo":
         return 0.5 * float(np.trapezoid(vacf, grid))
     half = grid >= 0.5 * grid[-1]
@@ -504,43 +532,47 @@ def green_kubo_D(B: float | None = None, mu: float | None = None,
 
 
 def _jump_vacf_msd(rate: float, speed: float, n_paths: int, dt: float,
-                   t_max: float, seed: int):
-    """Grid-sampled VACF/MSD of the hard-disk jump process.
+                   t_max: float, seed: int,
+                   need: tuple[str, ...] = ("vacf", "msd")):
+    """Grid-sampled VACF/MSD of the hard-disk jump process; each only
+    if ``need`` names it, None in its place otherwise.
 
     Path i is ``sample_boltzmann_path`` from the origin at velocity
     (speed, 0) on ``rng_stream(seed, i)``, sampled through
     ``_jump_blocks``.  Each grid time takes the last node at or before
-    it (at most the last segment), found by one ``searchsorted`` of the
-    node times into the grid, and the rows are added into the sums in
-    path order, so the sums are those of the path-by-path loop.
+    it (at most the last segment): segment s covers the grid times from
+    the first at or after node s to the first at or after node s + 1,
+    found by one ``searchsorted`` of the node times into the grid, and
+    its values are repeated over them.  The rows are added into the
+    sums in path order, so the sums are those of the path-by-path loop.
     """
     n_steps = int(round(t_max / dt))
     grid = np.arange(n_steps + 1) * dt
     g = grid.size
     jp = JumpProcessParams.hard_disk(rate)
-    sum_cos = np.zeros(g)
-    sum_msd = np.zeros(g)
+    vacf, msd = "vacf" in need, "msd" in need
+    sum_cos = np.zeros(g) if vacf else None
+    sum_msd = np.zeros(g) if msd else None
     for nodes, phi, x, y, m in _jump_blocks(seed, 0, n_paths, t_max, speed,
                                             jp, g):
-        p = m.size
-        # nodes at or before grid time j: those whose first grid time at
-        # or after them is j or earlier
-        first = (np.searchsorted(grid, nodes, side="left")
-                 + (g + 1) * np.arange(p)[:, None])
-        k = np.bincount(first.ravel(), minlength=p * (g + 1)).reshape(
-            p, g + 1)[:, :g].cumsum(axis=1) - 1
-        np.minimum(k, m[:, None], out=k)
-        rows = np.arange(p)[:, None]
+        p, n_seg = phi.shape
+        # the last segment, m, runs to the end of the grid; the padding
+        # after it covers no grid time
+        first = np.searchsorted(grid, nodes, side="left")
+        first[np.arange(n_seg + 1) > m[:, None]] = g
+        counts = np.diff(first, axis=1).ravel()
 
-        def at_k(a):  # a[r, k[r, j]] for every path r and grid time j
-            return a.ravel().take(k + a.shape[1] * rows)
-        cos_k, sin_k = at_k(np.cos(phi)), at_k(np.sin(phi))
-        tt = grid - at_k(nodes)
-        px = at_k(x) + tt * speed * cos_k
-        py = at_k(y) + tt * speed * sin_k
-        sum_cos = _fold_rows(sum_cos, cos_k)
-        sum_msd = _fold_rows(sum_msd, px**2 + py**2)
-    return grid, speed**2 * sum_cos / n_paths, sum_msd / n_paths
+        def at_grid(a):  # a[r, s] at every grid time segment s covers
+            return np.repeat(a.ravel(), counts).reshape(p, g)
+        cos_k = at_grid(np.cos(phi))
+        if msd:
+            tt = grid - at_grid(nodes[:, :-1])
+            px = at_grid(x[:, :-1]) + tt * speed * cos_k
+            py = at_grid(y[:, :-1]) + tt * speed * at_grid(np.sin(phi))
+            sum_msd = _fold_rows(sum_msd, px**2 + py**2)
+        if vacf:
+            sum_cos = _fold_rows(sum_cos, cos_k)
+    return _ensemble_means(grid, speed, n_paths, sum_cos, sum_msd)
 
 
 def _fold_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:

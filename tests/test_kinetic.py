@@ -134,6 +134,20 @@ def _path_loop_vacf_msd(rate, speed, n_paths, dt, t_max, seed):
     return grid, speed**2 * sum_cos / n_paths, sum_msd / n_paths
 
 
+# what a Monte Carlo route can ask of an ensemble
+_NEEDS = [("vacf",), ("msd",), ("vacf", "msd")]
+
+
+def assert_needed_equal(got, want, need):
+    """Of the (VACF, MSD) pair ``got``, each sum ``need`` names equals
+    want's bit for bit, and each other is None."""
+    for name, g, w in zip(("vacf", "msd"), got, want):
+        if name in need:
+            assert np.array_equal(g, w)
+        else:
+            assert g is None
+
+
 _REFRACTING = JumpProcessParams.from_barrier(
     BarrierParams(epsilon=2.0**-6, alpha=0.25, speed=1.0), 1.0)
 
@@ -214,8 +228,11 @@ class TestJumpBatch:
         monkeypatch.setattr(kinetic, "_JUMP_ENTRIES", 1 << 14)
         nu = JumpProcessParams.hard_disk(rate).momentum_transfer_rate()
         args = (rate, speed, 200, 0.02 / nu, 10.0 / nu, seed)
-        for got, want in zip(_jump_vacf_msd(*args), _path_loop_vacf_msd(*args)):
-            assert np.array_equal(got, want)
+        grid, *want = _path_loop_vacf_msd(*args)
+        for need in _NEEDS:
+            got_grid, *got = _jump_vacf_msd(*args, need=need)
+            assert np.array_equal(got_grid, grid)
+            assert_needed_equal(got, want, need)
 
 
 class TestLandauPath:
@@ -291,13 +308,16 @@ class TestLandauBlocks:
     def test_chunk_equals_one_pass(self, rows, monkeypatch):
         n_steps = 1000
         if rows is not None:
-            monkeypatch.setattr(kinetic, "_JUMP_ENTRIES", rows * (n_steps + 1))
-        # 300 paths of the second chunk: neither 7 nor 261 divides 300
-        payload = (1.3, 1.5, 0.01, n_steps, 11, LANDAU_CHUNK,
-                   LANDAU_CHUNK + 300)
-        for got, want in zip(_landau_chunk(payload),
-                             _one_shot_landau_sums(*payload)):
-            assert np.array_equal(got, want)
+            # the five workspace arrays share the budget
+            monkeypatch.setattr(kinetic, "_JUMP_ENTRIES",
+                                5 * rows * (n_steps + 1))
+        # 300 paths of the second chunk: neither 7 nor 52 divides 300
+        head = (1.3, 1.5, 0.01, n_steps, 11)
+        span = (LANDAU_CHUNK, LANDAU_CHUNK + 300)
+        want = _one_shot_landau_sums(*head, *span)
+        for need in _NEEDS:
+            assert_needed_equal(_landau_chunk(head + (need,) + span), want,
+                                need)
 
     def test_two_chunk_ensemble(self):
         c, speed, dt, t_max, seed = 1.3, 1.5, 0.25, 4.0, 5
@@ -313,14 +333,16 @@ class TestLandauBlocks:
         assert np.array_equal(msd, sum_msd / n_paths)
 
     def test_chunk_memory_is_bounded_by_the_workspace(self):
-        # one numpy pass over the whole chunk peaks at about 220 MB
+        # one numpy pass over the whole chunk peaks at about 220 MB; the
+        # five workspace arrays of 52 rows by 1,001 columns take 2 MB
         tracemalloc.start()
         try:
-            _landau_chunk((1.0, 1.0, 0.01, 1000, 20240901, 0, LANDAU_CHUNK))
+            _landau_chunk((1.0, 1.0, 0.01, 1000, 20240901, ("vacf", "msd"),
+                           0, LANDAU_CHUNK))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 4 * 2**20
 
 
 class TestBQuadrature:
@@ -496,12 +518,52 @@ class TestGreenKubo:
             green_kubo_D(B=1.0, method="nope")
         with pytest.raises(ValueError):
             green_kubo_D(mu=1.0, method="msd", n_paths=0)
+        # non-finite inputs, on the closed form and a Monte Carlo route
+        for name in ("B", "mu", "rate"):
+            for value in (math.nan, math.inf):
+                for method in ("analytic_vacf", "monte_carlo"):
+                    with pytest.raises(ValueError,
+                                       match=f"{name} must be positive"):
+                        green_kubo_D(method=method, n_paths=10,
+                                     **{name: value})
 
     @pytest.mark.parametrize("route", [{"B": 1.0}, {"mu": 1.0}, {"rate": 2.0}])
-    @pytest.mark.parametrize("speed", [-1.0, 0.0])
+    @pytest.mark.parametrize("speed", [-1.0, 0.0, math.nan, math.inf])
     def test_speed_checked_on_every_route(self, route, speed):
         with pytest.raises(ValueError, match="speed must be positive"):
             green_kubo_D(speed=speed, **route)
+
+    @pytest.mark.parametrize("method", ["monte_carlo", "msd"])
+    @pytest.mark.parametrize("route", ["landau", "jump"])
+    def test_monte_carlo_equals_its_oracle(self, route, method):
+        # each route samples only the sum it integrates; the value is the
+        # one integrated from the oracle's sums, bit for bit
+        speed, n_paths, seed = 1.2, 40, 9
+        if route == "landau":
+            B = 1.3
+            c = B / speed**2
+            got = green_kubo_D(B=B, speed=speed, method=method,
+                               n_paths=n_paths, seed=seed)
+            grid = np.arange(1001) * (0.01 / c)
+            sum_cos, sum_msd = _one_shot_landau_sums(c, speed, 0.01 / c, 1000,
+                                                     seed, 0, n_paths)
+            vacf = speed**2 * sum_cos / n_paths
+            msd = sum_msd / n_paths
+        else:
+            mu = 0.8
+            nu = JumpProcessParams.hard_disk(
+                2.0 * mu * speed).momentum_transfer_rate()
+            got = green_kubo_D(mu=mu, speed=speed, method=method,
+                               n_paths=n_paths, seed=seed)
+            grid, vacf, msd = _path_loop_vacf_msd(2.0 * mu * speed, speed,
+                                                  n_paths, 0.02 / nu,
+                                                  10.0 / nu, seed)
+        if method == "monte_carlo":
+            want = 0.5 * float(np.trapezoid(vacf, grid))
+        else:
+            half = grid >= 0.5 * grid[-1]
+            want = float(np.polyfit(grid[half], msd[half], 1)[0]) / 4.0
+        assert got == want
 
 
 class TestEvolveDensity:
