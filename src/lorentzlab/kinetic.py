@@ -494,16 +494,26 @@ def green_kubo_D(B: float | None = None, mu: float | None = None,
     Carlo route samples only the sum it integrates, the VACF or the
     MSD.  The Monte Carlo time step is 1/100 correlation time (Landau)
     or 1/50 (jumps).  ``B``, ``mu``, ``rate`` and ``speed``, where
-    given, must be positive and finite.
+    given, must be positive and finite, and so must what is derived
+    from them: ``speed^2``, the rate, ``nu``, the analytic ``D`` and
+    the Monte Carlo horizon ``t_max``; one that overflows or underflows
+    raises ``ValueError``.
     """
+    def check(name, value):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value!r}")
+
     if method not in ("analytic_vacf", "monte_carlo", "msd"):
         raise ValueError(f"unknown method {method!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     for name, value in (("speed", speed), ("B", B), ("mu", mu),
                         ("rate", rate)):
-        if value is not None and not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite")
+        if value is not None:
+            check(name, value)
+    # speed**2 raises OverflowError where the product is inf
+    check("speed^2", speed * speed)
     if B is not None:
         nu = B / speed**2  # angular correlation decay rate
     else:
@@ -511,12 +521,17 @@ def green_kubo_D(B: float | None = None, mu: float | None = None,
             if mu is None:
                 raise ValueError("pass B, mu, or rate")
             rate = 2.0 * mu * speed
+            check("rate = 2 mu speed", rate)
         nu = JumpProcessParams.hard_disk(rate).momentum_transfer_rate()
+    check("nu", nu)
 
     if method == "analytic_vacf":
-        return speed**2 / (2.0 * nu)
+        d = speed**2 / (2.0 * nu)
+        check("D", d)
+        return d
 
     t_max = 10.0 / nu
+    check("t_max = 10 / nu", t_max)
     need = ("vacf",) if method == "monte_carlo" else ("msd",)
     if B is not None:
         grid, vacf, msd = _landau_vacf_msd(nu, speed, n_paths, 0.01 / nu,

@@ -526,6 +526,16 @@ class TestGreenKubo:
                                        match=f"{name} must be positive"):
                         green_kubo_D(method=method, n_paths=10,
                                      **{name: value})
+        # finite inputs whose speed^2, rate, nu, D or t_max overflows or
+        # underflows: once 0.0, inf, ZeroDivisionError, OverflowError, or
+        # a NaN step count
+        for kwargs in ({"mu": 1e308}, {"B": 1e-320}, {"rate": 1e-320},
+                       {"B": 1e308, "speed": 1e-200},
+                       {"B": 1.0, "speed": 1e200}):
+            for method in ("analytic_vacf", "monte_carlo", "msd"):
+                with pytest.raises(ValueError,
+                                   match="must be positive and finite"):
+                    green_kubo_D(method=method, n_paths=10, **kwargs)
 
     @pytest.mark.parametrize("route", [{"B": 1.0}, {"mu": 1.0}, {"rate": 2.0}])
     @pytest.mark.parametrize("speed", [-1.0, 0.0, math.nan, math.inf])

@@ -1,6 +1,7 @@
 """Package hygiene: every exported name exists, nothing in the package
-loads scipy, only a process pool loads multiprocessing, and only
-``dynamics`` drives an array-state walk."""
+loads scipy, only a process pool loads multiprocessing, the CLI runs
+OpenBLAS on one thread, and only ``dynamics`` drives an array-state
+walk."""
 
 import importlib
 import importlib.util
@@ -15,6 +16,7 @@ import pytest
 
 import lorentzlab
 from lorentzlab.experiments import RUNNERS
+from output_hashes import TINY as _TINY
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lorentzlab.__path__))
 
@@ -37,11 +39,13 @@ def test_all_names_resolve(name):
 _SRC = os.path.dirname(os.path.dirname(lorentzlab.__file__))
 
 
-def _python(code: str, *args: str) -> str:
-    """Standard output of ``python -c code args`` in a fresh process."""
+def _python(code: str, *args: str, env: dict | None = None) -> str:
+    """Standard output of ``python -c code args`` in a fresh process, in
+    ``env`` (default: this process's environment)."""
     out = subprocess.run([sys.executable, "-c", code, *args],
                          capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": _SRC})
+                         env={**(os.environ if env is None else env),
+                              "PYTHONPATH": _SRC})
     assert out.returncode == 0, out.stderr
     return out.stdout
 
@@ -53,22 +57,6 @@ def test_import_leaves_scipy_out(module):
             "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
     assert _python(code).strip() == "[]"
 
-
-# Every subcommand at a size that runs in well under a second; a new
-# subcommand fails below until it has an entry here.
-_TINY = {
-    "scatter-table": ["--samples", "5"],
-    "b-divergence": ["--eps-ladder", "1e-4..1e-5"],
-    "kinetic-compare": ["--eps-ladder", "4..4", "--samples", "16",
-                        "--time", "0.125"],
-    "thermalization": ["--k", "4", "--times", "0.125", "--samples", "16"],
-    "diffusion": ["--paths", "16"],
-    "diffusive-scale": ["--k", "6", "--time", "0.03125",
-                        "--trajectories", "16"],
-    "pathology-scan": ["--eps-ladder", "3..3", "--time", "0.0625",
-                       "--trajectories", "16"],
-    "fick-slab": ["--injections", "16"],
-}
 
 # Imports lorentzlab.cli, runs the subcommand given after the package name
 # (if any) through cli.main, and prints the modules of that package
@@ -110,6 +98,49 @@ def test_undrawn_starts_leave_numpy_random_out(name, tmp_path):
     out = _python(_SPY, "numpy", name, *_TINY[name], "--workers", "1",
                   "--out-dir", str(tmp_path))
     assert "numpy.random" not in json.loads(out.splitlines()[-1])
+
+
+# -- one OpenBLAS thread per lorentz process ----------------------------------
+
+# Imports lorentzlab.cli and runs each subcommand of a JSON list of argv
+# lists through cli.main; prints, after the import and after each run,
+# OPENBLAS_NUM_THREADS and the process's thread count (None without
+# /proc).
+_THREADS = """
+import json, os, sys
+from lorentzlab import cli
+
+def seen(when):
+    tasks = "/proc/self/task"
+    return [when, os.environ.get("OPENBLAS_NUM_THREADS"),
+            len(os.listdir(tasks)) if os.path.isdir(tasks) else None]
+
+out = [seen("import")]
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    out.append(seen(argv[0]))
+print(json.dumps(out))
+"""
+
+
+def test_cli_runs_openblas_on_one_thread(tmp_path):
+    # an idle OpenBLAS helper thread spins for about 0.1 s of CPU in
+    # every process; the only BLAS calls are two small polyfits
+    runs = [[name, *_TINY[name], "--workers", "1", "--out-dir",
+             str(tmp_path)] for name in sorted(RUNNERS)]
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    out = json.loads(_python(_THREADS, json.dumps(runs),
+                             env=env).splitlines()[-1])
+    threads = 1 if os.path.isdir("/proc/self/task") else None
+    assert out == [[when, "1", threads]
+                   for when in ["import", *sorted(RUNNERS)]]
+
+
+def test_cli_keeps_the_callers_openblas_threads():
+    out = _python(_THREADS, "[]", env={**os.environ,
+                                       "OPENBLAS_NUM_THREADS": "2"})
+    assert json.loads(out.splitlines()[-1])[0][1] == "2"
 
 
 # -- the benchmark tracer still finds every name it wraps ----------------------
