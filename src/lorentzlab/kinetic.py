@@ -591,8 +591,9 @@ def _jump_vacf_msd(rate: float, speed: float, n_paths: int, dt: float,
 
 
 def _fold_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """acc + rows[0] + rows[1] + ..., added in that order (a sum over
-    axis 0 adds row by row; it pairs only along the contiguous axis)."""
+    """acc + rows[0] + rows[1] + ..., added in that order: numpy sums
+    C-ordered rows of 2 or more columns over axis 0 row by row (a single
+    column pairwise), and every caller's rows span 3 or more grid points."""
     rows[0] += acc
     return rows.sum(axis=0)
 

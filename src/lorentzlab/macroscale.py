@@ -39,8 +39,6 @@ __all__ = [
     "SlabSpec",
     "SlabResult",
     "solve_heat",
-    "stationary_profile",
-    "fick_flux",
     "simulate_slab_stationary",
     "slab_field_spec",
 ]
@@ -135,23 +133,6 @@ class SlabSpec:
     @property
     def mu_eff(self) -> float:
         return self.mu * self.eta / self.epsilon
-
-
-def stationary_profile(slab: SlabSpec):
-    """Linear density profile between the reservoir values."""
-
-    def profile(x1):
-        x1 = np.asarray(x1, dtype=float)
-        return (slab.rho1 * (slab.L - x1) + slab.rho2 * x1) / slab.L
-
-    return profile
-
-
-def fick_flux(slab: SlabSpec, D: float) -> float:
-    """Stationary flux -D (rho2 - rho1) / L; constant across the slab."""
-    if D <= 0.0:
-        raise ValueError("D must be positive")
-    return -D * (slab.rho2 - slab.rho1) / slab.L
 
 
 def slab_field_spec(slab: SlabSpec, seed: int,

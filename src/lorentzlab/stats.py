@@ -161,22 +161,20 @@ def linear_fit(x, y, se=None) -> LinearFit:
     return LinearFit(float(slope), float(intercept), r2, float(slope_se))
 
 
-def mean_with_ci(samples) -> tuple[float, float]:
-    """Sample mean and its 95% half-width."""
+def mean_with_ci(samples):
+    """Sample mean over axis 0 and its 95% half-width, 1.96 s / sqrt(n)."""
     a = np.asarray(samples, dtype=float)
     if a.size < 2:
         return float(a.mean()) if a.size else math.nan, math.inf
-    return float(a.mean()), 1.96 * float(a.std(ddof=1)) / math.sqrt(a.size)
+    return a.mean(axis=0), 1.96 * a.std(axis=0, ddof=1) / math.sqrt(len(a))
 
 
 def msd_curve(positions) -> tuple[np.ndarray, np.ndarray]:
-    """Mean square displacement and 95% half-widths from an ensemble.
+    """Mean square displacement and its 95% half-width at each time:
+    ``mean_with_ci`` of the squared displacements.
 
     positions: array (n_paths, n_times, 2) of displacements from the
     start (or absolute positions with common start at the origin).
     """
     pos = np.asarray(positions, dtype=float)
-    sq = np.einsum("ptk,ptk->pt", pos, pos)
-    msd = sq.mean(axis=0)
-    half = 1.96 * sq.std(axis=0, ddof=1) / math.sqrt(pos.shape[0])
-    return msd, half
+    return mean_with_ci(np.einsum("ptk,ptk->pt", pos, pos))

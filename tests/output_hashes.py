@@ -46,6 +46,14 @@ TINY = {
     "fick-slab": ["--injections", "64"],
 }
 
+# Runs of two chunks (two 1,024-injection slab chunks, two 4,096-path
+# Landau chunks), so that at workers 2 the chunks go to a pool and the
+# run adds two chunk sums
+TWO_CHUNKS = {
+    "fick-slab": ["--injections", "1100"],
+    "diffusion": ["--paths", "4100", "--dt", "0.1"],
+}
+
 # green_kubo_D's two samplers (Landau: B; jump process: mu), each on its
 # two Monte Carlo methods
 GREEN_KUBO = [{**route, "speed": 1.2, "method": method, "n_paths": 64,
@@ -75,29 +83,30 @@ def _sha256(data: bytes) -> str:
 
 
 def compute(out_dir: str) -> dict:
-    """Run every subcommand at TINY, seed SEED and each of WORKERS
-    through ``cli.main``, writing under ``out_dir``, and return the
-    values the hash file records."""
+    """Run every subcommand at TINY, and those of TWO_CHUNKS, at seed
+    SEED and each of WORKERS through ``cli.main``, writing under
+    ``out_dir``, and return the values the hash file records."""
     from lorentzlab import cli
     from lorentzlab.kinetic import green_kubo_D
 
     values = {}
-    for name, argv in TINY.items():
-        for workers in WORKERS:
-            run_dir = os.path.join(out_dir, f"{name}-{workers}")
-            status = cli.main([name, *argv, "--seed", str(SEED),
-                               "--workers", str(workers),
-                               "--out-dir", run_dir])
-            if status != 0:
-                raise RuntimeError(f"{name} at workers={workers} "
-                                   f"exited {status}")
-            prefix = os.path.join(run_dir, name)
-            with open(prefix + ".csv", "rb") as fh:
-                values[f"{name} workers={workers} csv"] = _sha256(fh.read())
-            with open(prefix + ".json", encoding="utf-8") as fh:
-                summary = json.load(fh)["summary"]
-            values[f"{name} workers={workers} summary"] = _sha256(
-                json.dumps(summary, sort_keys=True).encode())
+    for runs, tag in ((TINY, ""), (TWO_CHUNKS, " two-chunk")):
+        for name, argv in runs.items():
+            for workers in WORKERS:
+                label = f"{name}{tag} workers={workers}"
+                run_dir = os.path.join(out_dir, label.replace(" ", "-"))
+                status = cli.main([name, *argv, "--seed", str(SEED),
+                                   "--workers", str(workers),
+                                   "--out-dir", run_dir])
+                if status != 0:
+                    raise RuntimeError(f"{label} exited {status}")
+                prefix = os.path.join(run_dir, name)
+                with open(prefix + ".csv", "rb") as fh:
+                    values[f"{label} csv"] = _sha256(fh.read())
+                with open(prefix + ".json", encoding="utf-8") as fh:
+                    summary = json.load(fh)["summary"]
+                values[f"{label} summary"] = _sha256(
+                    json.dumps(summary, sort_keys=True).encode())
     for kwargs in GREEN_KUBO:
         key = " ".join(["green_kubo_D", *(f"{k}={v}"
                                           for k, v in kwargs.items())])

@@ -46,6 +46,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_config("scatter-table", "samples = lots\n")
 
+    def test_unknown_experiment_rejected(self):
+        with pytest.raises(ConfigError, match="unknown experiment 'nope'"):
+            build_config("nope")
+
     def test_wrong_experiment_declared(self):
         with pytest.raises(ConfigError):
             build_config("scatter-table", "experiment = fick-slab\n")
@@ -60,6 +64,7 @@ class TestConfigParsing:
 
     def test_ladders(self):
         assert parse_decade_ladder("1e-4..1e-6") == [1e-4, 1e-5, 1e-6]
+        assert parse_decade_ladder("1e-6..1e-4") == [1e-4, 1e-5, 1e-6]
         assert parse_float_list("0.5, 1, 2") == [0.5, 1.0, 2.0]
         with pytest.raises(ConfigError):
             parse_decade_ladder("nope")
@@ -139,6 +144,19 @@ class TestCLI:
         # caught before the run starts, so nothing is written
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["scatter-table", "--set", "samples"],
+         "--set expects KEY=VALUE, got 'samples'"),
+        (["pathology-scan", "--eps-ladder", "3-4"],
+         "bad ladder '3-4'; expected KMIN..KMAX"),
+        (["scatter-table", "--workers", "0"], "workers must be >= 1"),
+    ])
+    def test_bad_argument_exits_2_with_its_message(self, argv, message,
+                                                   tmp_path, capsys):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("experiment,centers_per_unit_mu", [

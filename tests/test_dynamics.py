@@ -14,6 +14,8 @@ from lorentzlab.dynamics import (
     TOTAL_REFLECT,
     BARRIER_TRAVERSE,
     HARD_REFLECT,
+    TrajectoryEvent,
+    TrajectoryLog,
     _ArrayLog,
     _Engine,
     _FieldBatch,
@@ -241,6 +243,18 @@ class TestPathologies:
         assert rep.q_collisions == 2
         assert rep.interferences == 1
         assert rep.recollisions == 0
+
+    def test_zero_length_segment_skipped(self):
+        # a path that stands still before its first collision: its
+        # zero-length segment is passed over, not projected on
+        fld = PlantedField([(1.0, 0.0)], 0.04)
+        log = TrajectoryLog(
+            events=[TrajectoryEvent(1.0, (1.0, 0.0), 0.0, HARD_REFLECT)],
+            path=[(0.0, (0.0, 0.0)), (0.5, (0.0, 0.0)),
+                  (1.0, (0.96, 0.0))])
+        rep = classify_pathologies(log, fld)
+        assert (rep.overlaps, rep.recollisions, rep.interferences,
+                rep.q_collisions) == (0, 0, 0, 1)
 
     def test_overlap_counted_between_collided_pair(self):
         # two overlapping disks both hit by the trajectory

@@ -12,6 +12,7 @@ from lorentzlab import kinetic
 from lorentzlab.kinetic import (
     LANDAU_CHUNK,
     JumpProcessParams,
+    _fold_rows,
     _gauss_kronrod,
     _jump_batch,
     _jump_blocks,
@@ -51,6 +52,16 @@ class TestJumpProcessParams:
                       epsabs=0, epsrel=1e-12)
         assert val == -1.0 / 3.0
         assert jp.momentum_transfer_rate() == pytest.approx(4.0 / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("rate,n_index,message", [
+        (0.0, 0.5, "rate must be positive"),
+        (-1.0, 0.5, "rate must be positive"),
+        (1.0, -0.1, r"n_index must be in \[0, 1\)"),
+        (1.0, 1.0, r"n_index must be in \[0, 1\)"),
+    ])
+    def test_bad_parameters_rejected(self, rate, n_index, message):
+        with pytest.raises(ValueError, match=message):
+            JumpProcessParams(rate, n_index)
 
     def test_angle_law_symmetric(self):
         p = BarrierParams(epsilon=0.01, alpha=0.25, speed=1.0)
@@ -109,6 +120,11 @@ class TestBoltzmannPath:
         jp = JumpProcessParams.hard_disk(rate=1.0)
         with pytest.raises(ValueError):
             sample_boltzmann_path((0, 0), (1, 0), -1.0, jp, rng_stream(0, 0))
+
+    def test_zero_velocity_rejected(self):
+        jp = JumpProcessParams.hard_disk(rate=1.0)
+        with pytest.raises(ValueError, match="velocity must be nonzero"):
+            sample_boltzmann_path((0, 0), (0, 0), 1.0, jp, rng_stream(0, 0))
 
 
 def _path_loop_vacf_msd(rate, speed, n_paths, dt, t_max, seed):
@@ -264,6 +280,14 @@ class TestLandauPath:
         with pytest.raises(ValueError):
             sample_landau_path((0, 0), (1, 0), 1.0, 1.0, 0.0, rng_stream(0, 0))
 
+    @pytest.mark.parametrize("t,B,message", [
+        (-1.0, 1.0, "duration must be nonnegative"),
+        (1.0, -1.0, "B must be nonnegative"),
+    ])
+    def test_negative_duration_or_B_rejected(self, t, B, message):
+        with pytest.raises(ValueError, match=message):
+            sample_landau_path((0, 0), (1, 0), t, B, 0.01, rng_stream(0, 0))
+
     def test_zero_velocity_rejected(self):
         with pytest.raises(ValueError, match="velocity must be nonzero"):
             sample_landau_path((0, 0), (0, 0), 1.0, 1.0, 0.01,
@@ -298,6 +322,22 @@ def _one_shot_landau_sums(c, speed, dt, n_steps, seed, i0, i1):
     np.cumsum(np.cos(mid) * (speed * steps), axis=1, out=x[:, 1:])
     np.cumsum(np.sin(mid) * (speed * steps), axis=1, out=y[:, 1:])
     return np.cos(phi).sum(axis=0), (x**2 + y**2).sum(axis=0)
+
+
+class TestFoldRows:
+    @pytest.mark.parametrize("columns", [2, 3, 1001])
+    def test_adds_row_by_row(self, columns):
+        # the chunk sums keep their bits at any block size only because
+        # numpy's sum over axis 0 adds the rows in order; it does so from
+        # 2 columns up, and a numpy that reduces otherwise fails here
+        rng = rng_stream(3, 0)
+        acc = rng.standard_normal(columns)
+        rows = (rng.standard_normal((1000, columns))
+                * 10.0 ** rng.uniform(-6.0, 6.0, (1000, 1)))
+        want = acc
+        for row in rows:
+            want = want + row
+        assert _fold_rows(acc, rows).tobytes() == want.tobytes()
 
 
 class TestLandauBlocks:
@@ -377,6 +417,11 @@ class TestBQuadrature:
     def test_regime_guard(self):
         with pytest.raises(RegimeError):
             landau_B_quadrature(0.25, 0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_nonpositive_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            landau_B_quadrature(1e-3, 0.25, mu)
 
     def test_divergence_slope_law(self):
         # B grows like 2 alpha mu |log eps| / speed^3: the increment per
@@ -468,6 +513,22 @@ class TestGaussKronrod:
         assert err > 1e-12 * half
         exact = _law_integral_40_digits(lambda t: t**2, n)
         assert half == pytest.approx(exact, rel=1e-4)
+
+
+    def test_stops_when_the_interval_has_no_midpoint(self):
+        # an interval one ulp wide has no float strictly inside it: the
+        # rule stops after its one panel, its error above the tolerance
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return r
+
+        b = math.nextafter(1.0, 2.0)
+        val, err = _gauss_kronrod(f, (1.0, b), 0.0, 0.0)
+        assert len(calls) == 15
+        assert val == pytest.approx(b - 1.0, rel=1e-12)
+        assert err > 0.0
 
 
 class TestMomentIntegrals:

@@ -1,4 +1,4 @@
-"""Heat solver, stationary profile/flux, boundary-driven slab."""
+"""Heat solver, slab parameters, boundary-driven slab."""
 
 import math
 import tracemalloc
@@ -20,11 +20,9 @@ from lorentzlab.macroscale import (
     _injection_starts,
     _run_injection,
     _slab_chunks,
-    fick_flux,
     simulate_slab_stationary,
     slab_field_spec,
     solve_heat,
-    stationary_profile,
 )
 from lorentzlab.medium import PlantedField, ScattererField, member_keys
 from lorentzlab.rng import mix_key, rng_stream
@@ -55,6 +53,21 @@ class TestSolveHeat:
         with pytest.raises(ValueError):
             HeatProblem(D=1.0, initial=np.ones((4, 4)), dx=0.1, dt=0.01)
 
+    @pytest.mark.parametrize("D,dx,dt,message", [
+        (-0.1, 1.0, 0.1, "D must be nonnegative"),
+        (1.0, 0.0, 0.1, "dx and dt must be positive"),
+        (1.0, 1.0, 0.0, "dx and dt must be positive"),
+        (1.0, -1.0, 0.1, "dx and dt must be positive"),
+    ])
+    def test_bad_grid_rejected(self, D, dx, dt, message):
+        with pytest.raises(ValueError, match=message):
+            HeatProblem(D=D, initial=np.ones((4, 4)), dx=dx, dt=dt)
+
+    def test_negative_time_rejected(self):
+        prob = HeatProblem(D=1.0, initial=np.ones((4, 4)), dx=1.0, dt=0.1)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            solve_heat(prob, -1.0)
+
     def test_negative_initial_rejected(self):
         with pytest.raises(ValueError):
             HeatProblem(D=1.0, initial=-np.ones((4, 4)), dx=1.0, dt=0.1)
@@ -80,29 +93,18 @@ class TestSolveHeat:
 
 
 class TestProfileAndFlux:
-    SLAB = SlabSpec(L=2.0, rho1=2.0, rho2=1.0, eta=1.0, epsilon=0.01)
-
-    def test_profile_endpoints_and_midpoint(self):
-        prof = stationary_profile(self.SLAB)
-        assert prof(0.0) == pytest.approx(2.0)
-        assert prof(2.0) == pytest.approx(1.0)
-        assert prof(1.0) == pytest.approx(1.5)
-
-    def test_equal_reservoirs_constant(self):
-        slab = SlabSpec(L=1.0, rho1=1.3, rho2=1.3, eta=1.0, epsilon=0.01)
-        prof = stationary_profile(slab)
-        assert np.allclose(prof(np.linspace(0, 1, 7)), 1.3)
-
-    def test_fick_flux_values(self):
-        slab = SlabSpec(L=1.0, rho1=2.0, rho2=1.0, eta=1.0, epsilon=0.01)
-        assert fick_flux(slab, 1.0) == pytest.approx(1.0)
-        assert fick_flux(SlabSpec(L=1.0, rho1=1.0, rho2=1.0, eta=1.0,
-                                  epsilon=0.01), 1.0) == 0.0
-        half = fick_flux(SlabSpec(L=2.0, rho1=2.0, rho2=1.0, eta=1.0,
-                                  epsilon=0.01), 1.0)
-        assert half == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            fick_flux(slab, 0.0)
+    @pytest.mark.parametrize("change,message", [
+        ({"L": 0.0}, "L must be positive"),
+        ({"rho1": -1.0}, "reservoir densities must be nonnegative"),
+        ({"rho2": -1.0}, "reservoir densities must be nonnegative"),
+        ({"eta": 0.0}, "eta, epsilon, mu must be positive"),
+        ({"epsilon": 0.0}, "eta, epsilon, mu must be positive"),
+        ({"mu": -1.0}, "eta, epsilon, mu must be positive"),
+    ])
+    def test_bad_slab_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            SlabSpec(**{**dict(L=1.0, rho1=2.0, rho2=1.0, eta=1.0,
+                               epsilon=0.01), **change})
 
     def test_regime_guard_warns(self):
         with pytest.warns(RuntimeWarning):
@@ -125,6 +127,14 @@ class TestProfileAndFlux:
 
 
 class TestSlabSimulation:
+    @pytest.mark.parametrize("n_injections,n_bins", [(1, 16), (100, 1)])
+    def test_too_few_bins_or_injections_rejected(self, n_injections,
+                                                  n_bins):
+        slab = SlabSpec(L=1.0, rho1=2.0, rho2=1.0, eta=1.0, epsilon=0.01)
+        with pytest.raises(ValueError,
+                           match="need at least 2 bins and 2 injections"):
+            simulate_slab_stationary(slab, n_injections, n_bins=n_bins)
+
     def test_free_streaming_equilibrium(self):
         # a vanishing intensity (no scatterers in any cell reached), equal
         # reservoirs: flat profile at rho, zero flux

@@ -33,6 +33,16 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec(mu=1.0, epsilon=0.1, seed=0, delta=1.0, eta=1.0)
 
+    @pytest.mark.parametrize("change,message", [
+        ({"mu": 0.0}, "mu must be positive, got 0.0"),
+        ({"mu": -1.0}, "mu must be positive, got -1.0"),
+        ({"epsilon": 0.0}, "epsilon must be positive, got 0.0"),
+        ({"epsilon": -0.1}, "epsilon must be positive, got -0.1"),
+    ])
+    def test_nonpositive_mu_or_epsilon_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            barrier_spec(**change)
+
     def test_default_cell_size(self):
         s = FieldSpec(mu=1.0, epsilon=0.1, seed=0, delta=1.0)
         assert s.cell_size == pytest.approx(0.4)

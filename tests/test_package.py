@@ -1,8 +1,9 @@
 """Package hygiene: every exported name exists, nothing in the package
 loads scipy, only a process pool loads multiprocessing, the CLI runs
-OpenBLAS on one thread, and only ``dynamics`` drives an array-state
-walk."""
+OpenBLAS on one thread, only ``dynamics`` drives an array-state walk,
+and every exported name has a caller in the package or a stated job."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -176,3 +177,56 @@ def test_only_dynamics_drives_array_walks(name):
         source = fh.read()
     assert [n for n in _DRIVER_NAMES
             if re.search(rf"\b{n}\b", source)] == []
+
+
+# -- no public helper without a job --------------------------------------------
+
+# The exported names that nothing else in the package uses, and the job
+# each does outside it
+_KEPT_WITHOUT_A_CALLER = {
+    "backward_flow": "checks the paper's time reversal",
+    "scattering_moment_integrals": "checks the paper's moment limits",
+    "classify_pathologies": "oracle of the array walk's pathology counts",
+    "ray_trace_oracle": "oracle of the deflection law",
+    "sample_boltzmann_path": "oracle of the batched jump sampler",
+    "sample_landau_path": "the one-path library form of the Landau sampler",
+    "PlantedField": "the fixture that places disks by hand",
+}
+
+
+def _defines(stmt, name: str) -> bool:
+    """Whether the top-level statement ``stmt`` defines ``name``."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def _names_used(stmt) -> set:
+    """The names, attributes and imported names in ``stmt``."""
+    return {n.id if isinstance(n, ast.Name) else
+            n.attr if isinstance(n, ast.Attribute) else n.name
+            for n in ast.walk(stmt)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_every_exported_name_has_a_job():
+    # a public helper whose only caller is its own test is deleted, unless
+    # it checks a claim of the paper or is an oracle (listed above)
+    statements = {}
+    for name in MODULES:
+        path = os.path.join(os.path.dirname(lorentzlab.__file__),
+                            name + ".py")
+        with open(path, encoding="utf-8") as fh:
+            statements[name] = ast.parse(fh.read()).body
+    unused = set()
+    for name in MODULES:
+        for exported in getattr(importlib.import_module(f"lorentzlab.{name}"),
+                                "__all__", ()):
+            if not any(exported in _names_used(stmt)
+                       for module, body in statements.items()
+                       for stmt in body
+                       if not (module == name and _defines(stmt, exported))):
+                unused.add(exported)
+    assert unused == set(_KEPT_WITHOUT_A_CALLER)

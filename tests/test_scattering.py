@@ -109,6 +109,9 @@ class TestScatteringAngle:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             scattering_angle(1.0000001, params_for_index(0.8))
+        for rho in (1.0000001, -1.5):
+            with pytest.raises(ValueError, match="must be <= 1, got"):
+                ray_trace_oracle(rho, params_for_index(0.8))
 
     def test_odd_symmetry(self):
         p = params_for_index(0.73)

@@ -182,6 +182,17 @@ class TestSmallHelpers:
         m, hw = mean_with_ci([1.0, 2.0, 3.0, 4.0])
         assert m == pytest.approx(2.5)
         assert hw > 0
+        # over axis 0: one mean and half-width per column
+        m, hw = mean_with_ci([[1.0, 2.0], [3.0, 6.0], [5.0, 10.0]])
+        assert m.tolist() == [3.0, 6.0]
+        assert hw.tolist() == [1.96 * 2.0 / math.sqrt(3.0),
+                               1.96 * 4.0 / math.sqrt(3.0)]
+
+    def test_mean_with_ci_of_under_two_samples(self):
+        # one sample bounds nothing; no sample has no mean
+        assert mean_with_ci([3.5]) == (3.5, math.inf)
+        m, hw = mean_with_ci([])
+        assert math.isnan(m) and hw == math.inf
 
     def test_msd_curve_ballistic(self):
         # straight motion at speed 1: msd = t^2 exactly, zero spread
