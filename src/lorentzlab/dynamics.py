@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 
 import numpy as np
 
+from .rng import _each
 from .scattering import BarrierParams, deflection_angle
 
 __all__ = [
@@ -309,14 +309,6 @@ def _ranges(lo, hi):
     return i, np.arange(i.size) - (np.cumsum(n) - n)[i] + lo[i]
 
 
-def _each(f, *cols):
-    """``f`` element by element on Python floats, where numpy's own form
-    (``hypot``, ``cos``, ``sin``, ``arctan2``, ``** 2``) can differ from
-    ``math``'s in the last bit."""
-    return np.fromiter(map(f, *(c.tolist() for c in cols)), float,
-                       len(cols[0]))
-
-
 def _chords(x, y, dx, dy, v_int, length, t, t_max):
     """``_Engine._chord`` for arrays: (stop, x, y, t) at the chord's end,
     or at t_max where the time runs out first."""
@@ -365,14 +357,13 @@ def _flights(batch, F, ev, t_max, n, log=None, walls=None):
     by its rules in its order of operations.  F's rows, updated in
     place, are (x, y, vx, vy, speed = hypot(vx, vy), t) of walks through
     disks of index n (0: all reflect), walk j in the field keyed by
-    batch.keys[j], until t_max (one, or one per walk); ``ev`` counts
+    batch.keys[j], until t_max (one per walk); ``ev`` counts
     their events against MAX_EVENTS.  ``walls`` (lo, hi) bound a slab of
     hard disks; ``log`` is an ``_ArrayLog``.  Returns (t, t1, x, x1, end,
     left): each flight's segment in x, which walks have ended their run,
     and which of those left the slab.
     """
     x, y, vx, vy, speed, t = F.T.copy()
-    t_max = np.broadcast_to(t_max, t.shape)
     r = batch.field.epsilon
     ux, uy = vx / speed, vy / speed
     s_budget = speed * (t_max - t)
@@ -424,10 +415,10 @@ def _flights(batch, F, ev, t_max, n, log=None, walls=None):
     if b.size:
         # refracted traversal: the interior chord bends by half the
         # deflection at entry and the other half at exit
-        theta = _each(partial(deflection_angle, n=n), rho[b])
+        theta = _each(deflection_angle, rho[b], n)
         ch, sh = _each(math.cos, 0.5 * theta), _each(math.sin, 0.5 * theta)
         dx, dy = ch * ux[b] - sh * uy[b], sh * ux[b] + ch * uy[b]
-        q = _each(pow, np.abs(rho[b]) / n, np.full(b.size, 2.0))
+        q = _each(pow, np.abs(rho[b]) / n, 2.0)
         v_int = n * speed[b]
         stop, xo, yo, t2 = _chords(
             xe[b], ye[b], dx, dy, v_int,

@@ -24,14 +24,14 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, parse_decade_ladder, parse_float_list
-from .dynamics import _ArrayLog, _each, _walks
+from .dynamics import _ArrayLog, _walks
 from .kinetic import (JumpProcessParams, _jump_blocks, _landau_vacf_msd,
                       green_kubo_D, landau_B_quadrature)
 from .macroscale import (HeatProblem, SlabSpec, simulate_slab_stationary,
                          solve_heat)
 from .medium import FieldSpec, ScattererField, member_keys
 from .parallel import queue_ensemble, run_pool
-from .rng import mix_key, rng_streams
+from .rng import _each, mix_key, rng_streams
 from .scattering import BarrierParams, scattering_angle
 from .stats import (angle_histogram, chi_square_uniform, linear_fit, msd_curve,
                     tv_distance, tv_self_noise)

@@ -48,8 +48,8 @@ routes of ``green_kubo_D`` and kinetic-compare's jump ensemble) run
 batched instead: ``_jump_batch`` takes many paths' draws from
 ``rng.philox_uniforms`` in one pass and gives each path, bit for bit,
 what ``sample_boltzmann_path`` gives it on ``rng_stream(seed, i)``; the
-only per-element Python left is the ``math`` calls (``log1p`` and the
-deflection law) whose numpy versions round differently.
+only per-element Python left is ``rng._each`` on the ``math`` calls
+(``log1p`` and the deflection law) whose numpy versions round differently.
 
 One kernel, ``_landau_paths``, samples the angular Brownian motion
 into buffers its caller owns: ``sample_landau_path`` is its one-path
@@ -69,12 +69,11 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .parallel import queue_ensemble
-from .rng import philox_uniforms, rng_stream
+from .rng import _each, philox_uniforms, rng_stream
 from .scattering import BarrierParams, deflection_angle, refractive_index
 
 __all__ = [
@@ -602,15 +601,6 @@ def _fold_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # Batched jump paths.
 
 
-def _waits(u: np.ndarray, inv_rate: float) -> np.ndarray:
-    """Exponential waiting times ``-(log1p(-u) * inv_rate)`` by inverse
-    CDF, as ``sample_boltzmann_path`` draws them; ``log1p`` is math's,
-    element by element (numpy's differs in the last bit)."""
-    logs = np.fromiter(map(math.log1p, (-u).ravel().tolist()), float,
-                       u.size).reshape(u.shape)
-    return -(logs * inv_rate)
-
-
 def _jump_batch(seed: int, index: np.ndarray, t: float, speed: float,
                 params: JumpProcessParams, width: int):
     """Paths of ``sample_boltzmann_path`` from the origin at velocity
@@ -629,12 +619,13 @@ def _jump_batch(seed: int, index: np.ndarray, t: float, speed: float,
     inv_rate = 1.0 / params.rate
     u = philox_uniforms(seed, index, width)
     odd = u[:, 1::2]
-    tau = np.cumsum(_waits(u[:, ::2], inv_rate), axis=1)
+    # waiting times by inverse CDF, as sample_boltzmann_path draws them
+    tau = np.cumsum(-(_each(math.log1p, -u[:, ::2]) * inv_rate), axis=1)
     short = np.flatnonzero(tau[:, -1] < t)
     while short.size:
         drawn = 2 * tau.shape[1]
         more = philox_uniforms(seed, index[short], drawn, at=drawn)
-        wait = _waits(more[:, ::2], inv_rate)
+        wait = -(_each(math.log1p, -more[:, ::2]) * inv_rate)
         wait[:, 0] += tau[short, -1]
         odd = np.concatenate((odd, np.zeros_like(odd)), axis=1)
         odd[short, drawn // 2:] = more[:, 1::2]
@@ -646,9 +637,7 @@ def _jump_batch(seed: int, index: np.ndarray, t: float, speed: float,
     jumped = np.arange(n_seg - 1) < m[:, None]
     rho = 2.0 * odd[:, :n_seg - 1][jumped] - 1.0
     theta = np.zeros((p, n_seg))
-    theta[:, 1:][jumped] = np.fromiter(
-        map(deflection_angle, rho.tolist(), repeat(params.n_index)), float,
-        rho.size)
+    theta[:, 1:][jumped] = _each(deflection_angle, rho, params.n_index)
     phi = np.cumsum(theta, axis=1)
     nodes = np.zeros((p, n_seg + 1))
     nodes[:, 1:] = np.where(np.arange(n_seg) < m[:, None], tau[:, :n_seg], t)

@@ -24,11 +24,23 @@ order in which work is scheduled:
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _each(f, *cols):
+    """``f`` element by element on Python floats, where numpy's form of
+    ``hypot``, ``cos``, ``sin``, ``arctan2``, ``log1p``, ``** 2`` or the
+    deflection law can differ from ``math``'s in the last bit.  A column is
+    an array of any shape, read in row-major order by a memoryview, or a
+    float for every element; the result has the first column's shape."""
+    return np.fromiter(map(f, *(memoryview(c.ravel()) if isinstance(
+        c, np.ndarray) else repeat(c) for c in cols)), float,
+        cols[0].size).reshape(cols[0].shape)
 
 
 def splitmix64(z: int) -> int:

@@ -54,6 +54,15 @@ TWO_CHUNKS = {
     "diffusion": ["--paths", "4100", "--dt", "0.1"],
 }
 
+# A walk long enough to make many refracted chords, so that its CSV moves
+# when the flight kernel's libm pow for a chord's squared impact parameter
+# becomes numpy's ``** 2`` (different in the last bit for about 0.1% of
+# arguments); TINY's walks keep their bytes under that change
+LONG_WALK = {
+    "diffusive-scale": ["--k", "6", "--time", "1.0",
+                        "--trajectories", "128"],
+}
+
 # green_kubo_D's two samplers (Landau: B; jump process: mu), each on its
 # two Monte Carlo methods
 GREEN_KUBO = [{**route, "speed": 1.2, "method": method, "n_paths": 64,
@@ -83,14 +92,15 @@ def _sha256(data: bytes) -> str:
 
 
 def compute(out_dir: str) -> dict:
-    """Run every subcommand at TINY, and those of TWO_CHUNKS, at seed
-    SEED and each of WORKERS through ``cli.main``, writing under
+    """Run every subcommand at TINY, and those of TWO_CHUNKS and LONG_WALK,
+    at seed SEED and each of WORKERS through ``cli.main``, writing under
     ``out_dir``, and return the values the hash file records."""
     from lorentzlab import cli
     from lorentzlab.kinetic import green_kubo_D
 
     values = {}
-    for runs, tag in ((TINY, ""), (TWO_CHUNKS, " two-chunk")):
+    for runs, tag in ((TINY, ""), (TWO_CHUNKS, " two-chunk"),
+                      (LONG_WALK, " long-walk")):
         for name, argv in runs.items():
             for workers in WORKERS:
                 label = f"{name}{tag} workers={workers}"

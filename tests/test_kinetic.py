@@ -26,7 +26,7 @@ from lorentzlab.kinetic import (
     sample_landau_path,
     scattering_moment_integrals,
 )
-from lorentzlab.rng import rng_stream
+from lorentzlab.rng import _each, rng_stream
 from lorentzlab.scattering import (BarrierParams, RegimeError,
                                    deflection_angle, refractive_index)
 from lorentzlab.stats import angle_histogram, chi_square_uniform
@@ -229,6 +229,8 @@ class TestJumpBatch:
             if np.log1p(-u) != math.log1p(-u):
                 break
         assert np.log1p(-u) != math.log1p(-u)
+        assert _each(math.log1p, -np.array([[u]])).tolist() == [
+            [math.log1p(-u)]]
         jp = JumpProcessParams.hard_disk(1.0)
         nodes, _, _, _, m = _jump_batch(1, np.array([i]), 1e3, 1.0, jp, 8)
         assert m[0] >= 1

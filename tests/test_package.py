@@ -1,7 +1,8 @@
 """Package hygiene: every exported name exists, nothing in the package
 loads scipy, only a process pool loads multiprocessing, the CLI runs
 OpenBLAS on one thread, only ``dynamics`` drives an array-state walk,
-and every exported name has a caller in the package or a stated job."""
+only ``rng`` maps ``math`` element by element, and every exported name
+has a caller in the package or a stated job."""
 
 import ast
 import importlib
@@ -20,6 +21,13 @@ from lorentzlab.experiments import RUNNERS
 from output_hashes import TINY as _TINY
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lorentzlab.__path__))
+
+
+def _source(name: str) -> str:
+    """The source of the package module ``name``."""
+    path = os.path.join(os.path.dirname(lorentzlab.__file__), name + ".py")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def test_modules_found():
@@ -172,11 +180,26 @@ _DRIVER_NAMES = ("_flights", "_resume", "_FieldBatch", "_LIVE_WALKS")
 def test_only_dynamics_drives_array_walks(name):
     # every array-state walk goes through dynamics._walks: a module that
     # names its kernels or its live cap has grown a second refill loop
-    path = os.path.join(os.path.dirname(lorentzlab.__file__), name + ".py")
-    with open(path, encoding="utf-8") as fh:
-        source = fh.read()
+    source = _source(name)
     assert [n for n in _DRIVER_NAMES
             if re.search(rf"\b{n}\b", source)] == []
+
+
+# -- one per-element math map ----------------------------------------------------
+
+def test_only_rng_maps_math_element_by_element():
+    # rng._each is the one map of math over array elements: a module that
+    # calls np.fromiter has grown a second one
+    assert [m for m in MODULES
+            if re.search(r"\bfromiter\b", _source(m))] == ["rng"]
+
+
+def test_kinetic_leaves_dynamics_out():
+    # the kinetic samplers take that map from rng: the mechanical flow
+    # would add about 3 MB to a bare import of kinetic
+    code = ("import sys, lorentzlab.kinetic; "
+            "print('lorentzlab.dynamics' in sys.modules)")
+    assert _python(code).strip() == "False"
 
 
 # -- no public helper without a job --------------------------------------------
@@ -214,12 +237,7 @@ def _names_used(stmt) -> set:
 def test_every_exported_name_has_a_job():
     # a public helper whose only caller is its own test is deleted, unless
     # it checks a claim of the paper or is an oracle (listed above)
-    statements = {}
-    for name in MODULES:
-        path = os.path.join(os.path.dirname(lorentzlab.__file__),
-                            name + ".py")
-        with open(path, encoding="utf-8") as fh:
-            statements[name] = ast.parse(fh.read()).body
+    statements = {name: ast.parse(_source(name)).body for name in MODULES}
     unused = set()
     for name in MODULES:
         for exported in getattr(importlib.import_module(f"lorentzlab.{name}"),

@@ -5,8 +5,9 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from lorentzlab.rng import (HashStream, mix_key, philox_uniforms, rng_stream,
-                            rng_streams, splitmix64)
+from lorentzlab.rng import (HashStream, _each, mix_key, philox_uniforms,
+                            rng_stream, rng_streams, splitmix64)
+from lorentzlab.scattering import deflection_angle
 
 
 class TestRngStream:
@@ -79,6 +80,30 @@ class TestPhiloxUniforms:
 
     def test_no_indices(self):
         assert philox_uniforms(1, np.array([], dtype=np.int64), 5).shape == (0, 5)
+
+
+class TestEach:
+    """``_each`` is a Python loop over ``math``, bit for bit."""
+
+    def test_a_float_column_applies_to_every_element(self):
+        x = 2.0 * rng_stream(3, 0).random(200) - 1.0
+        assert _each(pow, x, 2.0).tolist() == [pow(v, 2.0)
+                                               for v in x.tolist()]
+        assert _each(deflection_angle, x, 0.7).tolist() == [
+            deflection_angle(v, 0.7) for v in x.tolist()]
+
+    def test_a_2d_column_keeps_its_shape_and_row_major_order(self):
+        # strided and transposed views, as the jump sampler passes them
+        g = rng_stream(3, 1)
+        x, y = g.random((4, 10))[:, ::2], g.random((5, 4)).T
+        got = _each(math.hypot, x, y)
+        assert got.shape == (4, 5)
+        assert got.tolist() == [[math.hypot(a, b) for a, b in zip(r, s)]
+                                for r, s in zip(x.tolist(), y.tolist())]
+
+    def test_empty_column(self):
+        got = _each(math.cos, np.zeros((0, 3)))
+        assert got.shape == (0, 3)
 
 
 class TestHashStream:
