@@ -10,7 +10,8 @@ Three levels of description of the same system, built to be compared:
 * macroscopic -- the heat equation and the boundary-driven stationary
   slab with Fick's law (`macroscale`).
 
-`experiments` + the `lorentz` CLI run the cross-scale comparisons.
+`experiments` + the `lorentz` CLI run the cross-scale comparisons, each
+process loading only its subcommand's runner module.
 """
 
 __version__ = "0.1.0"

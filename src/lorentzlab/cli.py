@@ -25,9 +25,8 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import SCHEMAS, ConfigError, build_config
-from .dynamics import StuckParticleError
 from .experiments import RUNNERS, run_experiment, write_outputs
-from .scattering import RegimeError
+from .scattering import RegimeError, StuckParticleError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,9 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="experiment", required=True)
     for name, schema in SCHEMAS.items():
-        # first sentence of the runner's docstring
-        doc = " ".join((RUNNERS[name].__doc__ or "").split())
-        summary = doc.partition(". ")[0].rstrip(".")
+        summary = RUNNERS[name][2]
         sp = sub.add_parser(name, help=summary, description=summary)
         sp.add_argument("--config", help="flat key = value config file")
         sp.add_argument("--set", action="append", default=[], metavar="KEY=VAL",

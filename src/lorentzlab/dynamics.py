@@ -47,7 +47,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .rng import _each
-from .scattering import BarrierParams, deflection_angle
+from .scattering import BarrierParams, StuckParticleError, deflection_angle
 
 __all__ = [
     "ParticleState",
@@ -71,10 +71,6 @@ _LIVE_WALKS = 1024
 BARRIER_TRAVERSE = "barrier_traverse"
 TOTAL_REFLECT = "total_reflect"
 HARD_REFLECT = "hard_reflect"
-
-
-class StuckParticleError(RuntimeError):
-    """More than MAX_EVENTS boundary events before the requested time."""
 
 
 @dataclass

@@ -11,25 +11,14 @@ equation:
   a collision operator equal to B times the Laplace-Beltrami operator
   on the circle of radius |v|).
 
-The barrier's refractive index comes from ``scattering.refractive_index``
-and its angle law from ``scattering.deflection_angle``: the jump law,
-the ``B`` quadrature and the moment integrals restate neither.  The
-integrals of the law (``B``, the moments and the barrier's mean cosine)
-run on ``_gauss_kronrod``, a globally adaptive G7-K15 rule with the
-branch point rho = n as a breakpoint.
-
-``landau_B_quadrature`` evaluates the angular-diffusion coefficient at
-finite epsilon,
-
-    B_eps = (mu eps^(-2 alpha) / 2) |v| * integral_{-1}^{1} theta^2 drho,
-
-which diverges like ``2 alpha mu / |v|^3 * |log eps|``; the renormalized
-coefficient ``B_tilde = 2 alpha mu / |v|^3`` is what remains after
-dividing the intensity by |log eps|.  Note the conversions between
-parameterizations of the same angular diffusion: generator c*d^2/dphi^2
-<-> collision operator B*Laplace-Beltrami at radius |v| via c = B/|v|^2;
-an operator written as (mu/2)(1/|v|)*Laplace-Beltrami corresponds to
-B = mu/(2 |v|).
+The barrier's angle law comes from ``scattering.deflection_angle``, and
+the jump law's mean cosine from ``scattering._gauss_kronrod``, the
+quadrature that also gives the angular-diffusion coefficient
+``landau_B_quadrature`` (bound here too).  Note the conversions between
+parameterizations of the same angular diffusion: generator
+c*d^2/dphi^2 <-> collision operator B*Laplace-Beltrami at radius |v| via
+c = B/|v|^2; an operator written as (mu/2)(1/|v|)*Laplace-Beltrami
+corresponds to B = mu/(2 |v|).
 
 The spatial diffusion coefficient is defined operationally through the
 heat-equation convention ``d_t rho = D lap rho``: in 2D,
@@ -65,16 +54,15 @@ VACF, the MSD, or both.
 
 from __future__ import annotations
 
-import heapq
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .parallel import queue_ensemble
 from .rng import _each, philox_uniforms, rng_stream
-from .scattering import BarrierParams, deflection_angle, refractive_index
+from .scattering import (BarrierParams, _gauss_kronrod, deflection_angle,
+                         landau_B_quadrature)
 
 __all__ = [
     "JumpProcessParams",
@@ -84,7 +72,6 @@ __all__ = [
     "sample_landau_path",
     "landau_B_quadrature",
     "green_kubo_D",
-    "scattering_moment_integrals",
 ]
 
 # Paths per chunk of the Landau ensemble; each chunk owns one stream.
@@ -290,133 +277,6 @@ def sample_landau_path(x0, v0, t: float, B: float, dt: float, rng) -> LandauPath
                               _landau_workspace(1, n_steps))
     pos = np.column_stack((x0[0] + x[0], x0[1] + y[0]))
     return LandauPath(grid, phi[0], pos)
-
-
-# ---------------------------------------------------------------------------
-# Adaptive quadrature.
-
-# The 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule it
-# extends (QUADPACK's qk15): nodes +-_XK[j], the center last; the Gauss
-# weights sit at the Kronrod nodes of odd index and are 0 elsewhere.
-_XK = (0.991455371120812639206854697526329,
-       0.949107912342758524526189684047851,
-       0.864864423359769072789712788640926,
-       0.741531185599394439863864773280788,
-       0.586087235467691130294144845693013,
-       0.405845151377397166906606412076961,
-       0.207784955007898467600689403773245,
-       0.0)
-_WK = (0.022935322010529224963732008058970,
-       0.063092092629978553290700663189204,
-       0.104790010322250183839876322541518,
-       0.140653259715525918745189590510238,
-       0.169004726639267902826583426598550,
-       0.190350578064785409913256402421014,
-       0.204432940075298892414161999234649,
-       0.209482141084727828012999174891714)
-_WG = (0.0, 0.129484966168869693270611432679082,
-       0.0, 0.279705391489276667901467771423780,
-       0.0, 0.381830050505118944950369775488975,
-       0.0, 0.417959183673469387755102040816327)
-
-_EPS = sys.float_info.epsilon
-
-# Most intervals of one adaptive quadrature: where roundoff holds the
-# error estimate above the tolerance, this bounds the work
-_QUAD_LIMIT = 500
-
-
-def _kronrod15(f, a: float, b: float) -> tuple[float, float]:
-    """The K15 value of the integral of f over [a, b] and QUADPACK's
-    estimate of its error: |K15 - G7|, scaled against the integrand's
-    spread about its mean and floored at 50 ulp of the integral of |f|."""
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    fc = f(c)
-    pairs = [(f(c - h * x), f(c + h * x)) for x in _XK[:-1]]
-    resk = _WK[-1] * fc + sum(w * (lo + hi) for w, (lo, hi) in zip(_WK, pairs))
-    resg = _WG[-1] * fc + sum(w * (lo + hi) for w, (lo, hi) in zip(_WG, pairs))
-    mean = 0.5 * resk
-    width = abs(h)
-    resabs = width * (_WK[-1] * abs(fc) + sum(
-        w * (abs(lo) + abs(hi)) for w, (lo, hi) in zip(_WK, pairs)))
-    resasc = width * (_WK[-1] * abs(fc - mean) + sum(
-        w * (abs(lo - mean) + abs(hi - mean))
-        for w, (lo, hi) in zip(_WK, pairs)))
-    err = width * abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > sys.float_info.min / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
-    return resk * h, err
-
-
-def _gauss_kronrod(f, points, epsabs: float,
-                   epsrel: float) -> tuple[float, float]:
-    """Integral of f from points[0] to points[-1] and an estimate of its
-    absolute error, by globally adaptive G7-K15 quadrature (QUADPACK's
-    QAGP without its extrapolation; Piessens et al., 1983).
-
-    The breakpoints split the range into the first intervals.  The
-    interval of largest error estimate is bisected until the summed
-    estimate is within max(epsabs, epsrel |integral|), the intervals
-    number ``_QUAD_LIMIT``, or that interval has no representable
-    midpoint; in the last two cases the returned error exceeds the
-    tolerance.
-    """
-    heap = []
-    for a, b in zip(points[:-1], points[1:]):
-        val, err = _kronrod15(f, a, b)
-        heap.append((-err, a, b, val))
-    heapq.heapify(heap)
-    total = sum(v for *_, v in heap)
-    error = sum(-e for e, *_ in heap)
-    while (error > max(epsabs, epsrel * abs(total))
-           and len(heap) < _QUAD_LIMIT):
-        neg_err, a, b, v = heap[0]
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        (v1, e1), (v2, e2) = _kronrod15(f, a, mid), _kronrod15(f, mid, b)
-        heapq.heapreplace(heap, (-e1, a, mid, v1))
-        heapq.heappush(heap, (-e2, mid, b, v2))
-        total += v1 + v2 - v
-        error += e1 + e2 + neg_err
-    return math.fsum(v for *_, v in heap), math.fsum(-e for e, *_ in heap)
-
-
-def landau_B_quadrature(epsilon: float, alpha: float, mu: float = 1.0,
-                        speed: float = 1.0) -> float:
-    """(mu eps^(-2 alpha)/2) |v| * integral of theta^2 over rho in [-1,1].
-
-    ``_gauss_kronrod`` with the branch point rho = n as a breakpoint, at
-    a requested relative error of 1e-12.  Raises ValueError outside
-    BarrierParams' domain and RegimeError when 2 eps^alpha >= speed^2.
-    """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
-    n = refractive_index(BarrierParams(epsilon, alpha, speed))
-    half, _ = _gauss_kronrod(lambda r: deflection_angle(r, n) ** 2,
-                            (0.0, n, 1.0), epsabs=0.0, epsrel=1e-12)
-    return 0.5 * mu * epsilon ** (-2.0 * alpha) * speed * (2.0 * half)
-
-
-def scattering_moment_integrals(epsilon: float, alpha: float,
-                                speed: float = 1.0) -> tuple[float, float]:
-    """Scaled second and fourth moments of the velocity transfer.
-
-    Returns ``eps^(-2a)/|log eps| * integral 4 sin^2(theta/2) drho`` and
-    the same scaling of ``(4 sin^2(theta/2))^2``.  The first converges
-    to 2 alpha / speed**4 at unit speed normalization; the second
-    vanishes (grazing collisions).
-    """
-    n = refractive_index(BarrierParams(epsilon, alpha, speed))
-    s2 = lambda r: 4.0 * math.sin(deflection_angle(r, n) / 2.0) ** 2  # noqa: E731
-    m2, _ = _gauss_kronrod(s2, (0.0, n, 1.0), epsabs=0.0, epsrel=1e-10)
-    # the fourth moment is tiny; a finite epsabs avoids roundoff stalls
-    m4, _ = _gauss_kronrod(lambda r: s2(r) ** 2, (0.0, n, 1.0),
-                          epsabs=1e-300, epsrel=1e-8)
-    scale = epsilon ** (-2.0 * alpha) / abs(math.log(epsilon))
-    return scale * 2.0 * m2, scale * 2.0 * m4
 
 
 # ---------------------------------------------------------------------------

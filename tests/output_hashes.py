@@ -63,6 +63,14 @@ LONG_WALK = {
                         "--trajectories", "128"],
 }
 
+# The two math-only subcommands at their default sizes, as the benchmark
+# runs them: a 401-point rho grid, whose points TINY's 5-point grid
+# leaves exact, and the nine-rung B ladder
+DEFAULT_SIZE = {
+    "scatter-table": ["--samples", "401"],
+    "b-divergence": ["--eps-ladder", "1e-4..1e-12"],
+}
+
 # green_kubo_D's two samplers (Landau: B; jump process: mu), each on its
 # two Monte Carlo methods
 GREEN_KUBO = [{**route, "speed": 1.2, "method": method, "n_paths": 64,
@@ -92,15 +100,17 @@ def _sha256(data: bytes) -> str:
 
 
 def compute(out_dir: str) -> dict:
-    """Run every subcommand at TINY, and those of TWO_CHUNKS and LONG_WALK,
-    at seed SEED and each of WORKERS through ``cli.main``, writing under
-    ``out_dir``, and return the values the hash file records."""
+    """Run every subcommand at TINY, and those of TWO_CHUNKS, LONG_WALK and
+    DEFAULT_SIZE, at seed SEED and each of WORKERS through ``cli.main``,
+    writing under ``out_dir``, and return the values the hash file
+    records."""
     from lorentzlab import cli
     from lorentzlab.kinetic import green_kubo_D
 
     values = {}
     for runs, tag in ((TINY, ""), (TWO_CHUNKS, " two-chunk"),
-                      (LONG_WALK, " long-walk")):
+                      (LONG_WALK, " long-walk"),
+                      (DEFAULT_SIZE, " default-size")):
         for name, argv in runs.items():
             for workers in WORKERS:
                 label = f"{name}{tag} workers={workers}"

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from lorentzlab import dynamics
+from lorentzlab import dynamics, experiments
 from lorentzlab.cli import _collect_overrides, build_parser, main
 from lorentzlab.config import (
     MAX_CENTERS_PER_CELL,
@@ -18,7 +18,7 @@ from lorentzlab.config import (
     parse_float_list,
 )
 from lorentzlab.dynamics import StuckParticleError
-from lorentzlab.experiments import RUNNERS, run_experiment, write_outputs
+from lorentzlab.experiments import run_experiment, write_outputs
 
 
 class TestConfigParsing:
@@ -216,7 +216,7 @@ class TestCLI:
         def runner(cfg):
             raise StuckParticleError("1000001 events before reaching t = 1")
 
-        monkeypatch.setitem(RUNNERS, "scatter-table", runner)
+        monkeypatch.setattr(experiments, "run_scatter_table", runner)
         assert main(["scatter-table", "--out-dir", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -235,7 +235,7 @@ class TestCLI:
         def runner(cfg):
             raise ValueError("a bug")
 
-        monkeypatch.setitem(RUNNERS, "scatter-table", runner)
+        monkeypatch.setattr(experiments, "run_scatter_table", runner)
         with pytest.raises(ValueError, match="a bug"):
             main(["scatter-table", "--out-dir", str(tmp_path)])
 

@@ -12,11 +12,11 @@ from lorentzlab.config import build_config
 from lorentzlab.dynamics import (ParticleState, StuckParticleError,
                                  _ArrayLog, _find_containing_disk, advance,
                                  classify_pathologies)
-from lorentzlab.experiments import (_barrier_field, _jump_final_chunk,
-                                    _mech_chunk, _pathology_chunk,
-                                    run_experiment)
+from lorentzlab.experiments import run_experiment
 from lorentzlab.kinetic import (JumpProcessParams, landau_B_quadrature,
                                 sample_boltzmann_path)
+from lorentzlab.mechanical_runs import (_barrier_field, _jump_final_chunk,
+                                        _mech_chunk, _pathology_chunk)
 from lorentzlab.rng import mix_key, rng_stream
 from lorentzlab.scattering import BarrierParams
 from lorentzlab.stats import angle_histogram, mean_with_ci, tv_distance
@@ -375,3 +375,11 @@ class TestReportMetadata:
         assert meta["seed"] == 3
         assert meta["config_resolved"]["samples"] == 9
         assert meta["duration_s"] >= 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 401, 7777])
+def test_scatter_table_grid_is_numpys_linspace(n):
+    # the rho grid is computed without numpy, with linspace's arithmetic
+    rep = run_experiment(build_config("scatter-table", "", {"samples": n}))
+    rho = np.array([row[0] for row in rep.rows])
+    assert rho.tobytes() == np.linspace(-1.0, 1.0, n).tobytes()

@@ -8,27 +8,26 @@ import pytest
 
 from lorentzlab.config import build_config
 from lorentzlab.experiments import run_experiment
-from lorentzlab import kinetic
+from lorentzlab import kinetic, scattering
 from lorentzlab.kinetic import (
     LANDAU_CHUNK,
     JumpProcessParams,
     _fold_rows,
-    _gauss_kronrod,
     _jump_batch,
     _jump_blocks,
     _jump_vacf_msd,
-    _kronrod15,
     _landau_chunk,
     _landau_vacf_msd,
     green_kubo_D,
     landau_B_quadrature,
     sample_boltzmann_path,
     sample_landau_path,
-    scattering_moment_integrals,
 )
 from lorentzlab.rng import _each, rng_stream
-from lorentzlab.scattering import (BarrierParams, RegimeError,
-                                   deflection_angle, refractive_index)
+from lorentzlab.scattering import (BarrierParams, RegimeError, _gauss_kronrod,
+                                   _kronrod15, deflection_angle,
+                                   refractive_index,
+                                   scattering_moment_integrals)
 from lorentzlab.stats import angle_histogram, chi_square_uniform
 
 theta_of_rho = np.vectorize(deflection_angle)
@@ -511,7 +510,7 @@ class TestGaussKronrod:
             return deflection_angle(r, n) ** 2
 
         half, err = _gauss_kronrod(theta2, (0.0, n, 1.0), 0.0, 1e-12)
-        assert len(calls) == 15 * (2 + 2 * (kinetic._QUAD_LIMIT - 2))
+        assert len(calls) == 15 * (2 + 2 * (scattering._QUAD_LIMIT - 2))
         assert err > 1e-12 * half
         exact = _law_integral_40_digits(lambda t: t**2, n)
         assert half == pytest.approx(exact, rel=1e-4)

@@ -1,6 +1,6 @@
 """Package hygiene: every exported name exists, nothing in the package
-loads scipy, only a process pool loads multiprocessing, the CLI runs
-OpenBLAS on one thread, only ``dynamics`` drives an array-state walk,
+loads scipy, only a process pool loads multiprocessing, a process loads
+only the modules its subcommand runs, the CLI runs OpenBLAS on one thread, only ``dynamics`` drives an array-state walk,
 only ``rng`` maps ``math`` element by element, and every exported name
 has a caller in the package or a stated job."""
 
@@ -67,35 +67,46 @@ def test_import_leaves_scipy_out(module):
     assert _python(code).strip() == "[]"
 
 
-# Imports lorentzlab.cli, runs the subcommand given after the package name
-# (if any) through cli.main, and prints the modules of that package
-# loaded when it has returned.
+# Imports the module named first, runs the subcommand given after it (if
+# any) through that module's main, or else builds its parser if it has
+# one, and prints every module then loaded.
 _SPY = """
-import json, sys
-from lorentzlab import cli
+import importlib, json, sys
 
-package, argv = sys.argv[1], sys.argv[2:]
-status = cli.main(argv) if argv else 0
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.partition(".")[0] == package)))
+module, argv = importlib.import_module(sys.argv[1]), sys.argv[2:]
+status = module.main(argv) if argv else 0
+if not argv and hasattr(module, "build_parser"):
+    module.build_parser()
+print(json.dumps(sorted(sys.modules)))
 sys.exit(status)
 """
 
 
+def _loaded(module: str, *argv: str) -> list:
+    """The modules loaded by ``_SPY`` on ``module`` and ``argv``, in a
+    fresh process."""
+    return json.loads(_python(_SPY, module, *argv).splitlines()[-1])
+
+
+def _cli_run(name: str, out_dir, *extra: str) -> list:
+    """``_loaded`` by the subcommand ``name`` at TINY, run by the CLI."""
+    return _loaded("lorentzlab.cli", name, *_TINY[name], *extra,
+                   "--out-dir", str(out_dir))
+
+
 @pytest.mark.parametrize("name", sorted(RUNNERS))
 def test_no_subcommand_loads_scipy(name, tmp_path):
-    out = _python(_SPY, "scipy", name, *_TINY[name], "--out-dir",
-                  str(tmp_path))
-    assert json.loads(out.splitlines()[-1]) == []
+    assert [m for m in _cli_run(name, tmp_path)
+            if m.partition(".")[0] == "scipy"] == []
 
 
 @pytest.mark.parametrize("name", [None, *sorted(RUNNERS)])
 def test_single_worker_run_leaves_multiprocessing_out(name, tmp_path):
     # only a process pool needs it: not the import, and no run at 1 worker
-    argv = [] if name is None else [name, *_TINY[name], "--workers", "1",
-                                    "--out-dir", str(tmp_path)]
-    out = _python(_SPY, "multiprocessing", *argv)
-    assert json.loads(out.splitlines()[-1]) == []
+    loaded = (_loaded("lorentzlab.cli") if name is None else
+              _cli_run(name, tmp_path, "--workers", "1"))
+    assert [m for m in loaded
+            if m.partition(".")[0] == "multiprocessing"] == []
 
 
 @pytest.mark.parametrize("name", ["fick-slab", "pathology-scan",
@@ -104,9 +115,33 @@ def test_undrawn_starts_leave_numpy_random_out(name, tmp_path):
     # delta starts, and slab injections drawn through the Philox port,
     # build no Generator: numpy.random (about 4 MB of peak memory) stays
     # out
-    out = _python(_SPY, "numpy", name, *_TINY[name], "--workers", "1",
-                  "--out-dir", str(tmp_path))
-    assert "numpy.random" not in json.loads(out.splitlines()[-1])
+    assert "numpy.random" not in _cli_run(name, tmp_path, "--workers", "1")
+
+
+# A process loads only what it runs: per case, the module imported, the
+# subcommand it runs at TINY (None: the CLI builds its parser and runs
+# nothing), and the modules that must stay out.  numpy is the largest
+# import of a fresh process; the mechanical flow would add about 3 MB to
+# a bare import of kinetic, whose samplers take their math map from rng.
+_MECHANICAL = ["lorentzlab.dynamics", "lorentzlab.medium",
+               "lorentzlab.macroscale", "lorentzlab.stats"]
+_IMPORT_SETS = {
+    "cli-parser": ("lorentzlab.cli", None,
+                   ["numpy", "lorentzlab.mechanical_runs",
+                    "lorentzlab.kinetic_runs"]),
+    "scatter-table": ("lorentzlab.cli", "scatter-table", ["numpy"]),
+    "b-divergence": ("lorentzlab.cli", "b-divergence", ["numpy"]),
+    "diffusion": ("lorentzlab.cli", "diffusion", _MECHANICAL),
+    "kinetic-import": ("lorentzlab.kinetic", None, ["lorentzlab.dynamics"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_IMPORT_SETS))
+def test_loads_only_what_it_runs(case, tmp_path):
+    module, name, absent = _IMPORT_SETS[case]
+    loaded = (_loaded(module) if name is None else
+              _cli_run(name, tmp_path))
+    assert [m for m in absent if m in loaded] == []
 
 
 # -- one OpenBLAS thread per lorentz process ----------------------------------
@@ -192,14 +227,6 @@ def test_only_rng_maps_math_element_by_element():
     # calls np.fromiter has grown a second one
     assert [m for m in MODULES
             if re.search(r"\bfromiter\b", _source(m))] == ["rng"]
-
-
-def test_kinetic_leaves_dynamics_out():
-    # the kinetic samplers take that map from rng: the mechanical flow
-    # would add about 3 MB to a bare import of kinetic
-    code = ("import sys, lorentzlab.kinetic; "
-            "print('lorentzlab.dynamics' in sys.modules)")
-    assert _python(code).strip() == "False"
 
 
 # -- no public helper without a job --------------------------------------------
