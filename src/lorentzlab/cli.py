@@ -6,18 +6,20 @@ converted and validated like a file value.  Precedence: schema defaults
 2 configuration error, 3 numerical guard tripped (stuck trajectory,
 regime violation); any other error is a bug and raises.
 
-The ``--workers`` processes are the program's only parallelism.  The
-CLI runs OpenBLAS, the BLAS of numpy's wheels, on one thread unless
-``OPENBLAS_NUM_THREADS`` is set: the only BLAS calls are two small
-``np.polyfit``s, and an idle OpenBLAS helper thread spins for about
-0.1 s of CPU in every process.  The variable is set before numpy loads
-and is inherited by the pool workers.  Only OpenBLAS was measured; MKL
-and Accelerate builds of numpy are not covered.
+The ``--workers`` processes, forked by ``parallel``'s pool, are the
+program's only parallelism.  The CLI runs OpenBLAS, the BLAS of numpy's
+wheels, on one thread unless ``OPENBLAS_NUM_THREADS`` is set: the only
+BLAS calls are two small ``np.polyfit``s, and an idle OpenBLAS helper
+thread spins for about 0.1 s of CPU in every process.  The variable is
+set before numpy loads, so the process forks its workers with one
+thread.  Only OpenBLAS was measured; MKL and Accelerate builds of numpy
+are not covered.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -98,5 +100,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def console_main() -> int:
+    """``main`` as ``python -m lorentzlab.cli`` and the ``lorentz``
+    script run it.  After the run every object left is frozen out of
+    the collector's reach (``gc.freeze``), so the interpreter's exit
+    skips its passes over them; a caller of ``main`` keeps its
+    collector as it was."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -10,6 +10,7 @@ re-runnable from its own sidecar.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 
 __all__ = ["ConfigError", "ExperimentConfig", "SCHEMAS", "parse_config_file",
@@ -230,6 +231,9 @@ def _validate(experiment: str, v: dict):
         raise ConfigError("kmin must be <= kmax")
     if v["workers"] < 1:
         raise ConfigError("workers must be >= 1")
+    if v["workers"] > 1 and not hasattr(os, "fork"):
+        raise ConfigError("workers > 1 needs os.fork, which this platform "
+                          "lacks; use workers = 1")
     if experiment == "thermalization":
         if v["initial"] not in ("delta", "uniform"):
             raise ConfigError("initial must be 'delta' or 'uniform'")

@@ -1,13 +1,14 @@
 """Config schema, CLI wiring, exit codes, output reproducibility."""
 
+import gc
 import json
-import multiprocessing
 import os
+import sys
 
 import pytest
 
 from lorentzlab import dynamics, experiments
-from lorentzlab.cli import _collect_overrides, build_parser, main
+from lorentzlab.cli import _collect_overrides, build_parser, console_main, main
 from lorentzlab.config import (
     MAX_CENTERS_PER_CELL,
     SCHEMAS,
@@ -221,14 +222,38 @@ class TestCLI:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_stuck_particle_in_a_queued_ensemble(self, monkeypatch, tmp_path,
-                                                 workers):
+                                                 workers, opened):
         # the first of four queued ensembles fails (in the forked workers
         # at workers=2); the run exits 3 and leaves no worker behind
         monkeypatch.setattr(dynamics, "MAX_EVENTS", 3)
         assert main(["pathology-scan", "--eps-ladder", "4..7",
                      "--trajectories", "64", "--time", "0.5", "--workers",
                      str(workers), "--out-dir", str(tmp_path)]) == 3
-        assert multiprocessing.active_children() == []
+        assert len(opened) == workers - 1
+        assert opened.unreaped() == []
+
+    def test_workers_need_fork(self, monkeypatch, tmp_path, capsys):
+        # without os.fork a run keeps to one worker, and says so at once
+        monkeypatch.delattr(os, "fork")
+        argv = ["scatter-table", "--samples", "5", "--out-dir", str(tmp_path)]
+        assert main([*argv, "--workers", "2"]) == 2
+        assert "needs os.fork" in capsys.readouterr().err
+        assert main([*argv, "--workers", "1"]) == 0
+
+    def test_only_the_process_path_freezes_the_collector(self, monkeypatch,
+                                                          tmp_path):
+        # main leaves its caller's collector as it was; console_main, as
+        # the process's last act, moves every object out of its reach
+        argv = ["scatter-table", "--samples", "5", "--out-dir", str(tmp_path)]
+        assert gc.get_freeze_count() == 0
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == 0
+        monkeypatch.setattr(sys, "argv", ["lorentz", *argv])
+        try:
+            assert console_main() == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
     def test_other_value_error_is_not_a_guard(self, monkeypatch, tmp_path):
         # a programming error gives a traceback, not exit 3

@@ -1,5 +1,5 @@
 """Package hygiene: every exported name exists, nothing in the package
-loads scipy, only a process pool loads multiprocessing, a process loads
+loads scipy, no run loads multiprocessing, a process loads
 only the modules its subcommand runs, the CLI runs OpenBLAS on one thread, only ``dynamics`` drives an array-state walk,
 only ``rng`` maps ``math`` element by element, and every exported name
 has a caller in the package or a stated job."""
@@ -18,7 +18,7 @@ import pytest
 
 import lorentzlab
 from lorentzlab.experiments import RUNNERS
-from output_hashes import TINY as _TINY
+from output_hashes import TINY as _TINY, TWO_CHUNKS as _TWO_CHUNKS
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lorentzlab.__path__))
 
@@ -100,13 +100,45 @@ def test_no_subcommand_loads_scipy(name, tmp_path):
             if m.partition(".")[0] == "scipy"] == []
 
 
+_POOL_LIBRARIES = ("multiprocessing", "concurrent")
+
+
 @pytest.mark.parametrize("name", [None, *sorted(RUNNERS)])
 def test_single_worker_run_leaves_multiprocessing_out(name, tmp_path):
-    # only a process pool needs it: not the import, and no run at 1 worker
+    # not the import, and no run at 1 worker
     loaded = (_loaded("lorentzlab.cli") if name is None else
               _cli_run(name, tmp_path, "--workers", "1"))
     assert [m for m in loaded
             if m.partition(".")[0] == "multiprocessing"] == []
+
+
+@pytest.mark.parametrize("name, size", [
+    ("kinetic-compare", _TINY["kinetic-compare"]),
+    ("diffusion", _TWO_CHUNKS["diffusion"])])
+def test_pool_run_leaves_pool_libraries_out(name, size, tmp_path):
+    # two chunks at 2 workers run on parallel's own forked pool, which
+    # loads neither multiprocessing nor concurrent.futures
+    loaded = _loaded("lorentzlab.cli", name, *size, "--workers", "2",
+                     "--out-dir", str(tmp_path))
+    assert [m for m in loaded
+            if m.partition(".")[0] in _POOL_LIBRARIES] == []
+
+
+def _imported(name: str) -> set:
+    """The modules the package module ``name`` imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(_source(name))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_pool_library(name):
+    assert [m for m in _imported(name)
+            if m.partition(".")[0] in _POOL_LIBRARIES] == []
 
 
 @pytest.mark.parametrize("name", ["fick-slab", "pathology-scan",
