@@ -78,12 +78,19 @@ __all__ = [
 LANDAU_CHUNK = 4096
 
 # Entries per path in one numpy pass of a batched sampler (the jump
-# sampler's draws or the grid points it is sampled at; the five
-# workspace arrays' columns of a Landau block), times the paths of the
-# pass, at most: this bounds the working set of both.  2^18 ran fastest
-# for the jumps on a 2-core x86 box; 2^19 spills the cache, 2^17 pays
-# more passes
+# sampler's draws, or the grid points a draw block is sampled at; the
+# five workspace arrays' columns of a Landau block), times the paths of
+# the pass, at most: this bounds the draw blocks and the Landau
+# workspace.  2^18 ran fastest for the jumps on a 2-core x86 box; 2^19
+# spills the cache, 2^17 pays more passes
 _JUMP_ENTRIES = 1 << 18
+
+# Entries of one (rows, grid) array of the jump routes' grid pass, at
+# most: 2^14 float64s stay under glibc's 128 KiB mmap threshold, so each
+# temporary reuses heap memory instead of being mapped and faulted in
+# afresh (on a 2-core x86 box 2^16 ran as slowly as one pass per draw
+# block, and 2^13 no faster than 2^14)
+_GRID_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -417,8 +424,10 @@ def _jump_vacf_msd(rate: float, speed: float, n_paths: int, dt: float,
     it (at most the last segment): segment s covers the grid times from
     the first at or after node s to the first at or after node s + 1,
     found by one ``searchsorted`` of the node times into the grid, and
-    its values are repeated over them.  The rows are added into the
-    sums in path order, so the sums are those of the path-by-path loop.
+    its values are repeated over them.  This grid pass runs over
+    sub-blocks of each draw block's rows, of at most ``_GRID_ENTRIES``
+    grid points in all.  The rows are added into the sums in path
+    order, so the sums are those of the path-by-path loop.
     """
     n_steps = int(round(t_max / dt))
     grid = np.arange(n_steps + 1) * dt
@@ -427,25 +436,27 @@ def _jump_vacf_msd(rate: float, speed: float, n_paths: int, dt: float,
     vacf, msd = "vacf" in need, "msd" in need
     sum_cos = np.zeros(g) if vacf else None
     sum_msd = np.zeros(g) if msd else None
-    for nodes, phi, x, y, m in _jump_blocks(seed, 0, n_paths, t_max, speed,
-                                            jp, g):
-        p, n_seg = phi.shape
-        # the last segment, m, runs to the end of the grid; the padding
-        # after it covers no grid time
-        first = np.searchsorted(grid, nodes, side="left")
-        first[np.arange(n_seg + 1) > m[:, None]] = g
-        counts = np.diff(first, axis=1).ravel()
+    rows = max(1, _GRID_ENTRIES // g)
+    for block in _jump_blocks(seed, 0, n_paths, t_max, speed, jp, g):
+        for r in range(0, block[-1].size, rows):
+            nodes, phi, x, y, m = (a[r:r + rows] for a in block)
+            p, n_seg = phi.shape
+            # the last segment, m, runs to the end of the grid; the
+            # padding after it covers no grid time
+            first = np.searchsorted(grid, nodes, side="left")
+            first[np.arange(n_seg + 1) > m[:, None]] = g
+            counts = np.diff(first, axis=1).ravel()
 
-        def at_grid(a):  # a[r, s] at every grid time segment s covers
-            return np.repeat(a.ravel(), counts).reshape(p, g)
-        cos_k = at_grid(np.cos(phi))
-        if msd:
-            tt = grid - at_grid(nodes[:, :-1])
-            px = at_grid(x[:, :-1]) + tt * speed * cos_k
-            py = at_grid(y[:, :-1]) + tt * speed * at_grid(np.sin(phi))
-            sum_msd = _fold_rows(sum_msd, px**2 + py**2)
-        if vacf:
-            sum_cos = _fold_rows(sum_cos, cos_k)
+            def at_grid(a):  # a[r, s] at every grid time segment s covers
+                return np.repeat(a.ravel(), counts).reshape(p, g)
+            cos_k = at_grid(np.cos(phi))
+            if msd:
+                tt = grid - at_grid(nodes[:, :-1])
+                px = at_grid(x[:, :-1]) + tt * speed * cos_k
+                py = at_grid(y[:, :-1]) + tt * speed * at_grid(np.sin(phi))
+                sum_msd = _fold_rows(sum_msd, px**2 + py**2)
+            if vacf:
+                sum_cos = _fold_rows(sum_cos, cos_k)
     return _ensemble_means(grid, speed, n_paths, sum_cos, sum_msd)
 
 

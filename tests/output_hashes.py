@@ -78,6 +78,13 @@ GREEN_KUBO = [{**route, "speed": 1.2, "method": method, "n_paths": 64,
               for route in ({"B": 1.3}, {"mu": 0.8})
               for method in ("monte_carlo", "msd")]
 
+# The jump sampler's two Monte Carlo methods as the benchmark's kinetic
+# workload calls them: 6,000 paths make many draw blocks, each split into
+# many grid row blocks with a partial last one (GREEN_KUBO's 64 paths
+# make one draw block of exactly two)
+KINETIC_SIZE = [{"mu": 1.0, "method": method, "n_paths": 6000, "seed": SEED}
+                for method in ("monte_carlo", "msd")]
+
 
 def host() -> dict:
     """The fields of this host that an output's last bit can depend on."""
@@ -127,7 +134,7 @@ def compute(out_dir: str) -> dict:
                     summary = json.load(fh)["summary"]
                 values[f"{label} summary"] = _sha256(
                     json.dumps(summary, sort_keys=True).encode())
-    for kwargs in GREEN_KUBO:
+    for kwargs in (*GREEN_KUBO, *KINETIC_SIZE):
         key = " ".join(["green_kubo_D", *(f"{k}={v}"
                                           for k, v in kwargs.items())])
         values[key] = repr(green_kubo_D(**kwargs))

@@ -240,16 +240,34 @@ class TestJumpBatch:
                                                  (0.7, 1.0, 3),
                                                  (5.0, 1.3, 11)])
     def test_vacf_msd_equals_path_loop(self, rate, speed, seed, monkeypatch):
-        # a small budget splits the paths into several blocks, whose rows
-        # must still be added in path order
+        # a small draw budget splits the 200 paths into blocks of 32 rows
+        # (the last of 8), and a small grid budget splits each block into
+        # sub-blocks of 5 rows, the last partial: the rows must still be
+        # added in path order
         monkeypatch.setattr(kinetic, "_JUMP_ENTRIES", 1 << 14)
+        monkeypatch.setattr(kinetic, "_GRID_ENTRIES", 5 * 501)
         nu = JumpProcessParams.hard_disk(rate).momentum_transfer_rate()
         args = (rate, speed, 200, 0.02 / nu, 10.0 / nu, seed)
         grid, *want = _path_loop_vacf_msd(*args)
+        assert grid.size == 501
         for need in _NEEDS:
             got_grid, *got = _jump_vacf_msd(*args, need=need)
             assert np.array_equal(got_grid, grid)
             assert_needed_equal(got, want, need)
+
+    @pytest.mark.parametrize("method", ["monte_carlo", "msd"])
+    def test_grid_pass_memory_is_bounded_by_the_sub_blocks(self, method):
+        # the benchmark's call: a grid pass over whole draw blocks of 523
+        # paths by 501 grid times peaks at about 14.7 MiB (msd) and
+        # 4.7 MiB (monte_carlo); sub-blocks of 32 paths, under 1.7 MiB
+        tracemalloc.start()
+        try:
+            green_kubo_D(mu=1.0, method=method, n_paths=6000,
+                         seed=20240901)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestLandauPath:
