@@ -27,7 +27,7 @@ from .stats import (angle_histogram, chi_square_uniform, linear_fit, msd_curve,
                     tv_distance, tv_self_noise)
 
 # ---------------------------------------------------------------------------
-# chunk workers (top level: picklable)
+# chunk workers
 
 
 def _barrier_field(eps, alpha, mu, seed, tag, i):
@@ -211,11 +211,10 @@ def run_diffusive_scale(cfg: ExperimentConfig) -> Report:
     checks = tuple(t_final * (j + 1) / n_check for j in range(n_check))
     n = cfg["trajectories"]
     sigma0 = cfg["sigma0"]
-    # queued first: the workers walk while B is computed
-    ensemble = _mech_ensemble(cfg, eps, n, checks, 4000, "uniform", sigma0)
     B = landau_B_quadrature(eps, alpha, mu, speed)
     d_kin = speed**4 / (2.0 * B)
-    _, disp, final_abs, _ = ensemble()
+    _, disp, final_abs, _ = _mech_ensemble(cfg, eps, n, checks, 4000,
+                                           "uniform", sigma0)()
     msd, msd_ci = msd_curve(disp)
     rows = [(checks[i], float(msd[i]), float(msd_ci[i]))
             for i in range(n_check)]

@@ -8,19 +8,19 @@ a chunk, not what it returns or the order it is folded in.  A run opens
 one pool for all of its ensembles (``run_pool``) and can queue them on
 it at once (``queue_ensemble``).
 
-The pool forks its ``workers`` children at its first task, after the
-runner's import.  Its task k goes to child k mod workers, as a
-length-prefixed pickle down one pipe; the child runs its tasks in order
-and sends each result back up another.  The parent sends and reads in
-one ``select`` loop, so it never blocks on a task while a child blocks
-on a result, and keeps each result until its ensemble is collected.  No
-run loads ``multiprocessing`` or starts a thread.
+The pool only queues its tasks until one of them is collected.  Then it
+forks its ``workers`` children, which inherit every task queued so far:
+task k of the queue goes to child k mod workers, which runs its tasks
+in order, writes each result up its one pipe as a length-prefixed
+pickle, and leaves after the last.  The parent reads every pipe in one
+``select`` loop and keeps each result until its ensemble is collected,
+so no order of collection leaves a child blocked for good.  No run
+loads ``multiprocessing`` or starts a thread.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import os
 import pickle
 import select
@@ -29,36 +29,25 @@ from types import SimpleNamespace
 
 __all__ = ["queue_ensemble", "run_chunked", "run_pool"]
 
-# the _Pool of the run_pool block being run, if any
-_POOL = contextvars.ContextVar("pool", default=None)
+_POOL = None  # the _Pool of the run_pool block being run, if any
 
 
-def _frame(obj) -> bytes:
-    """``obj`` pickled, after its length in 8 bytes."""
-    body = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    return len(body).to_bytes(8, "little") + body
-
-
-def _serve(tasks: int, results: int, others: list[int]):
-    """A forked child's life: close ``others``, its siblings' pipe ends
-    (so that EOF reaches every side), then answer each ``(fn, payload)``
-    read from ``tasks`` with ``(True, result)`` or ``(False, exception)``
-    on ``results``, until EOF.  It leaves only by ``os._exit``, never
-    into the parent's code."""
+def _serve(tasks: list, results: int):
+    """A forked child's life: answer each ``(id, fn, payload)`` of
+    ``tasks`` with ``(True, result)`` or ``(False, exception)``, pickled
+    after its length in 8 bytes, on ``results``.  It leaves only by
+    ``os._exit``, never into the parent's code."""
+    global _POOL
     status = 1
     try:
-        for fd in others:
-            os.close(fd)
-        _POOL.set(None)  # a chunk's own pool work opens its own pool
-        with open(tasks, "rb") as inbox, open(results, "wb") as outbox:
-            while head := inbox.read(8):
+        _POOL = None  # a chunk's own pool work opens its own pool
+        with open(results, "wb") as outbox:
+            for _, fn, payload in tasks:
                 try:
-                    fn, payload = pickle.loads(
-                        inbox.read(int.from_bytes(head, "little")))
-                    out = _frame((True, fn(payload)))
+                    body = pickle.dumps((True, fn(payload)), -1)
                 except Exception as exc:
-                    out = _frame((False, exc))
-                outbox.write(out)
+                    body = pickle.dumps((False, exc), -1)
+                outbox.write(len(body).to_bytes(8, "little") + body)
                 outbox.flush()
         status = 0
     finally:
@@ -74,44 +63,43 @@ def _died(child):
 
 
 class _Pool:
-    """A run's pool: ``workers`` children forked at its first task, each
-    with its pid, the parent's ends of its pipes, the task bytes not yet
-    sent, the result bytes not yet decoded and the ids of its tasks not
-    yet answered; and the results not yet collected, by task id."""
+    """A run's pool: the tasks queued and not yet forked, as ``(id, fn,
+    payload)``; the children forked so far, each with its pid, the
+    parent's end of its result pipe, the bytes read from it not yet
+    decoded and the ids of the results it still owes; and the results not
+    yet collected, by task id."""
 
     def __init__(self, workers: int):
-        self.workers, self.children, self.done, self.n = workers, [], {}, 0
+        self.workers, self.queued, self.children = workers, [], []
+        self.done, self.n = {}, 0
 
     def _fork(self):
-        for _ in range(self.workers):
-            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+        """Fork ``workers`` children, which share out the queued tasks.
+        Each write end is closed before the next fork, so only its own
+        child holds it and EOF means that child is gone."""
+        queued, self.queued = self.queued, []
+        for k in range(self.workers):
+            share = queued[k::self.workers]
+            results, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _serve(task_r, result_w, [task_w, result_r, *(
-                    fd for c in self.children for fd in (c.tasks, c.results))])
-            os.close(task_r)
-            os.close(result_w)
-            os.set_blocking(task_w, False)
+                _serve(share, write)
+            os.close(write)
             self.children.append(SimpleNamespace(
-                pid=pid, tasks=task_w, results=result_r, out=bytearray(),
-                inbox=bytearray(), sent=deque(), reaped=False))
+                pid=pid, results=results, inbox=bytearray(), reaped=False,
+                owed=deque(i for i, _, _ in share)))
 
     def submit(self, fn, payloads: list):
-        """Queue ``fn`` on each payload, forking the children if not yet
-        done; returns the function that waits for the results, in
-        payload order."""
-        if not self.children:
-            self._fork()
+        """Queue ``fn`` on each payload; returns the function that waits
+        for the results, in payload order."""
         ids = range(self.n, self.n + len(payloads))
         self.n = ids.stop
-        for i, payload in zip(ids, payloads):
-            child = self.children[i % len(self.children)]
-            child.out += _frame((fn, payload))
-            child.sent.append(i)
-        self._pump(0)
+        self.queued += [(i, fn, p) for i, p in zip(ids, payloads)]
         return lambda: self._collect(ids)
 
     def _collect(self, ids: range) -> list:
+        if self.queued and self.queued[0][0] <= ids.start:
+            self._fork()  # the ensemble is still queued
         while any(i not in self.done for i in ids):
             self._pump()
         outs = [self.done.pop(i) for i in ids]
@@ -120,21 +108,11 @@ class _Pool:
                 raise value
         return [value for _, value in outs]
 
-    def _pump(self, timeout=None):
-        """Wait (at most ``timeout`` s) until a task pipe has room or a
-        result pipe has bytes; send and read what is ready, decoding each
-        whole result.  A writable pipe takes at least PIPE_BUF bytes."""
-        owed = {c.tasks: c for c in self.children if c.out}
-        busy = {c.results: c for c in self.children if c.sent}
-        readable, writable, _ = select.select(list(busy), list(owed), [],
-                                              timeout)
-        for fd in writable:
-            child = owed[fd]
-            try:
-                del child.out[:os.write(fd, child.out)]
-            except BrokenPipeError:
-                _died(child)
-        for fd in readable:
+    def _pump(self):
+        """Wait until a result pipe has bytes (or EOF); read what every
+        ready pipe has, decoding each whole result."""
+        busy = {c.results: c for c in self.children if c.owed}
+        for fd in select.select(list(busy), [], [])[0]:
             child, got = busy[fd], os.read(fd, 1 << 16)
             if not got:
                 _died(child)
@@ -144,18 +122,16 @@ class _Pool:
                 end = 8 + int.from_bytes(buf[:8], "little")
                 if len(buf) < end:
                     break
-                self.done[child.sent.popleft()] = pickle.loads(buf[8:end])
+                self.done[child.owed.popleft()] = pickle.loads(buf[8:end])
                 del buf[:end]
 
     def close(self):
-        """Reap every child; one with tasks not yet answered (only a
-        failure leaves any) is killed first, the others leave at the EOF
-        of their task pipe."""
+        """Reap every child; one that still owes results (only a failure
+        leaves any) is killed first, the others leave after their last."""
         for child in self.children:
-            os.close(child.tasks)
             os.close(child.results)
             if not child.reaped:
-                if child.sent:
+                if child.owed:
                     import signal  # only a failure needs it
                     os.kill(child.pid, signal.SIGKILL)
                 os.waitpid(child.pid, 0)
@@ -164,32 +140,30 @@ class _Pool:
 @contextlib.contextmanager
 def run_pool(workers: int):
     """Within the block, every ``run_chunked`` call and queued ensemble at
-    ``workers`` > 1 runs on one pool of forked workers, opened by the
-    first that needs it and closed when the block ends: each worker is
-    reaped, and one with work still queued is killed first (only an
-    exception leaves any)."""
-    pool = _Pool(workers)
-    token = _POOL.set(pool)
+    ``workers`` > 1 runs on one pool of forked workers, forked when the
+    first queued work is collected and closed when the block ends: each
+    worker is reaped, and one with work still owed is killed first (only
+    an exception leaves any).  At one worker no pool is opened."""
+    global _POOL
+    pool = _Pool(workers) if workers > 1 else None
+    outer, _POOL = _POOL, pool
     try:
         yield pool
     finally:
-        _POOL.reset(token)
-        pool.close()
+        _POOL = outer
+        if pool is not None:
+            pool.close()
 
 
 def run_chunked(fn, payloads: list, workers: int = 1):
     """Apply ``fn`` to each payload, in order; maybe on a pool of forked
     workers: the enclosing ``run_pool``'s at the same worker count, else
-    one of its own.
-
-    ``fn`` must be a picklable top-level callable (or functools.partial
-    of one) when workers > 1.  Returns the list of results in payload
-    order regardless of scheduling.
-    """
+    one of its own.  Returns the list of results in payload order
+    regardless of scheduling."""
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     with contextlib.ExitStack() as stack:
-        pool = _POOL.get()
+        pool = _POOL
         if pool is None or pool.workers != workers:
             pool = stack.enter_context(run_pool(workers))
         return pool.submit(fn, payloads)()
@@ -201,7 +175,7 @@ def queue_ensemble(fn, head: tuple, n: int, chunk: int, workers: int = 1):
     ``run_pool``'s pool at this worker count, else to run through
     ``run_chunked`` when collected: returns the collector (chunk order)."""
     payloads = [head + (i0, min(i0 + chunk, n)) for i0 in range(0, n, chunk)]
-    pool = _POOL.get()
+    pool = _POOL
     if workers <= 1 or len(payloads) <= 1 or pool is None or (
             pool.workers != workers):
         return lambda: run_chunked(fn, payloads, workers)

@@ -162,9 +162,12 @@ def linear_fit(x, y, se=None) -> LinearFit:
 
 
 def mean_with_ci(samples):
-    """Sample mean over axis 0 and its 95% half-width, 1.96 s / sqrt(n)."""
+    """Sample mean over axis 0 and its 95% half-width, 1.96 s / sqrt(n);
+    under two samples the half-width is inf (and no sample's mean NaN)."""
     a = np.asarray(samples, dtype=float)
-    if a.size < 2:
+    if len(a) < 2:
+        if a.ndim > 1:
+            return a.mean(axis=0), np.full(a.shape[1:], math.inf)
         return float(a.mean()) if a.size else math.nan, math.inf
     return a.mean(axis=0), 1.96 * a.std(axis=0, ddof=1) / math.sqrt(len(a))
 

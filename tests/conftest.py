@@ -7,8 +7,9 @@ since one example may run whole trajectories.  A test sets only its own
 example count, ``@settings(max_examples=...)``.
 
 The ``opened`` fixture records the pools of forked workers that
-``lorentzlab.parallel`` opens while a test runs, and names their workers
-not yet reaped.
+``lorentzlab.parallel`` opens while a test runs, each when it is made,
+counts the generations of workers each forks, and names the workers not
+yet reaped.
 """
 
 import os
@@ -40,12 +41,19 @@ class Pools(list):
 
 @pytest.fixture
 def opened(monkeypatch):
-    """The pools ``parallel`` opens while the test runs (``Pools``)."""
+    """The pools ``parallel`` opens while the test runs (``Pools``), each
+    with ``forks``, its number of ``_fork`` calls: one per generation of
+    workers."""
     pools = Pools()
 
     class Counted(parallel._Pool):
-        def _fork(self):
+        def __init__(self, workers):
+            super().__init__(workers)
+            self.forks = 0
             pools.append(self)
+
+        def _fork(self):
+            self.forks += 1
             super()._fork()
 
     monkeypatch.setattr(parallel, "_Pool", Counted)

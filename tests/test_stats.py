@@ -1,6 +1,7 @@
 """Estimator sanity: histograms, TV, chi-square, least squares."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,12 @@ class TestSmallHelpers:
         assert mean_with_ci([3.5]) == (3.5, math.inf)
         m, hw = mean_with_ci([])
         assert math.isnan(m) and hw == math.inf
+        # one row of a 2-D input: its own means, each bounding nothing,
+        # and no "degrees of freedom" warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, hw = mean_with_ci([[1.0, 2.0]])
+        assert m.tolist() == [1.0, 2.0] and hw.tolist() == [math.inf] * 2
 
     def test_msd_curve_ballistic(self):
         # straight motion at speed 1: msd = t^2 exactly, zero spread
